@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dynamics, problems, spectral, stability
-from .dynamics import MethodParams, NewtonError, run_discrete, integrate
+from .dynamics import MethodParams, NewtonError, integrate, run_discrete, run_discrete_batch
 from .problems import MinimaxProblem, builtin_problem, load_problem
 from .stability import ClassifyConfig, CriterionMismatchError
 
@@ -96,11 +96,11 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _sample_inits(config: ExperimentConfig, dim: int):
+def _sample_inits(config: ExperimentConfig, dim: int) -> np.ndarray:
+    """(n, dim) initial states, row i drawn from member i's own seed."""
     center = np.asarray(config.center, dtype=float) if config.center else np.zeros(dim)
-    for i in range(config.n):
-        rng = _member_rng(config.seed, i)
-        yield i, center + rng.uniform(-config.box, config.box, dim)
+    return np.array([center + _member_rng(config.seed, i).uniform(-config.box, config.box, dim)
+                     for i in range(config.n)]).reshape(-1, dim)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -174,19 +174,26 @@ def _cluster_points(points: list[np.ndarray], tol: float):
     return clusters
 
 
-def _run_member(problem: MinimaxProblem, z0: np.ndarray, config: ExperimentConfig,
-                record: bool = False):
+def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool):
+    """The members' trajectories, in index order.
+
+    Discrete methods without recording run as one lockstep batch.  Otherwise
+    members run one at a time, so callers can write each trajectory out
+    before the next one is computed.
+    """
+    inits = _sample_inits(config, problem.dim)
     if config.method in dynamics.DISCRETE_METHODS:
         params = MethodParams(method=config.method, eta=config.eta, tau=config.tau)
-        return run_discrete(problem, z0, params, tol_conv=config.tol_conv,
-                            max_iters=config.max_iters,
-                            diverge_norm=config.diverge_norm, record=record)
-    kind = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}[config.method]
+        options = dict(tol_conv=config.tol_conv, max_iters=config.max_iters,
+                       diverge_norm=config.diverge_norm)
+        if not record:
+            return run_discrete_batch(problem, inits, params, **options)
+        return (run_discrete(problem, z0, params, record=True, **options) for z0 in inits)
+    kind = dynamics.FIELD_KINDS[config.method]
     dt = config.dt if config.dt is not None else 1e-2
-    t_end = dt * config.max_iters
-    return integrate(problem, kind, z0, s=config.s, tau=config.tau, dt=dt,
-                     t_end=t_end, tol_conv=config.tol_conv,
-                     diverge_norm=config.diverge_norm)
+    return (integrate(problem, kind, z0, s=config.s, tau=config.tau, dt=dt,
+                      t_end=dt * config.max_iters, tol_conv=config.tol_conv,
+                      diverge_norm=config.diverge_norm) for z0 in inits)
 
 
 def cmd_simulate(args) -> int:
@@ -211,8 +218,7 @@ def cmd_simulate(args) -> int:
     record = not args.no_trajectories
     outcomes = []
     converged_points = []
-    for i, z0 in _sample_inits(config, problem.dim):
-        traj = _run_member(problem, z0, config, record=record)
+    for i, traj in enumerate(_run_members(problem, config, record)):
         if record:
             dynamics.write_trajectory_csv(
                 traj, os.path.join(args.out, f"traj_{i:04d}.csv"))
@@ -229,6 +235,7 @@ def cmd_simulate(args) -> int:
         "fraction_diverged": outcomes.count("diverged") / n if config.n else 0.0,
         "fraction_max_iters": (outcomes.count("max_iters") + outcomes.count("t_end")) / n
         if config.n else 0.0,
+        "fraction_nonfinite": outcomes.count("nonfinite") / n if config.n else 0.0,
         "clusters": [
             {
                 "center": [float(v) for v in cl["center"]],
@@ -319,13 +326,13 @@ def cmd_avoidance(args) -> int:
         target_tol=args.target_tol,
     )
     hits = 0
-    n_diverged = 0
-    for _, z0 in _sample_inits(config, problem.dim):
-        traj = _run_member(problem, z0, config, record=False)
+    n_diverged = n_nonfinite = 0
+    for traj in _run_members(problem, config, record=False):
         if traj.termination.reason == "diverged":
             n_diverged += 1
-            continue
-        if np.linalg.norm(traj.states[-1] - z_star) <= config.target_tol:
+        elif traj.termination.reason == "nonfinite":
+            n_nonfinite += 1
+        elif np.linalg.norm(traj.states[-1] - z_star) <= config.target_tol:
             hits += 1
     summary = {
         "config": config.to_dict(),
@@ -338,6 +345,7 @@ def cmd_avoidance(args) -> int:
         "fraction_to_target": hits / config.n if config.n else 0.0,
         "acceptance_threshold": 1.0 / config.n if config.n else None,
         "n_diverged": n_diverged,
+        "n_nonfinite": n_nonfinite,
         "cutoff": config.target_tol,
         "max_iters": config.max_iters,
     }

@@ -10,22 +10,31 @@ Methods, with timescale weights Lam_tau = diag{(1/tau) I_d1, I_d2}:
 
 ode_eg is ode_eg_tt at tau = 1.  Integration is fixed-step classical RK4;
 the fields are smooth and desk-scale, so reproducibility beats adaptivity.
+
+The discrete methods run on a lockstep engine: an (m, d) array of members is
+stepped in chunks of LOCKSTEP_CHUNK steps with no checks inside a chunk, and
+each member's stopping index is found afterwards from the chunk's buffers.
+A single run is a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problems import MinimaxProblem, jacobian_F, saddle_gradient
 
-METHODS = ("gda_tt", "eg_tt", "ode_plain", "ode_eg", "ode_eg_tt")
 DISCRETE_METHODS = ("gda_tt", "eg_tt")
+FIELD_KINDS = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}  # method -> field
+METHODS = DISCRETE_METHODS + tuple(FIELD_KINDS)
 
 TOL_CONV_DEFAULT = 1e-10
 DIVERGE_NORM_DEFAULT = 1e8
 SOLVE_COND_LIMIT = 1e12
+LOCKSTEP_CHUNK = 64           # steps between termination checks
+LOCKSTEP_BUFFER = 1 << 20     # floats per chunk buffer (at least two samples)
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -79,10 +88,11 @@ class MethodParams:
 
 @dataclass
 class Termination:
-    reason: str  # "converged" | "max_iters" | "diverged" | "t_end"
+    reason: str  # "converged" | "diverged" | "nonfinite" | "max_iters" | "t_end"
     point: np.ndarray | None = None
     residual: float | None = None
     threshold: float | None = None
+    step: int | None = None  # index of the sample the run stopped at
 
 
 @dataclass
@@ -110,17 +120,71 @@ def timescale_weights(d1: int, d2: int, tau: float) -> np.ndarray:
     return w
 
 
+def _row_field(problem: MinimaxProblem):
+    """Evaluator field(Z, out=None, live=None) of F on each row of an (m, d) array.
+
+    Quadratic problems use F = Z H' with H built once; for m = 1 this is the
+    same BLAS product as saddle_gradient, so the two agree bit for bit.
+    Other problems call saddle_gradient on the rows selected by the mask
+    live (all by default) and leave NaN in the others, so a user's grad is
+    never called past the point where a member stops.
+    """
+    if problem.quadratic is not None:
+        HT = problem.quadratic.hessian().T
+        return lambda Z, out=None, live=None: np.matmul(Z, HT, out=out)
+
+    def rows(Z, out=None, live=None):
+        out = np.empty_like(Z) if out is None else out
+        for i in range(len(Z)):
+            out[i] = saddle_gradient(problem, Z[i]) if live is None or live[i] else np.nan
+        return out
+    return rows
+
+
+def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
+    """Per row, whether the stopping rule lets it take another step.
+
+    Row by row in Python, which costs less than array calls for the few
+    rows of a typical batch; the norms are those of np.linalg.norm.
+    """
+    moving = []
+    for i in range(len(Z)):
+        f, z = F[i], Z[i]
+        moving.append(tol_conv < math.sqrt(f.dot(f)) < math.inf
+                      and math.sqrt(z.dot(z)) < diverge_norm)
+    return moving
+
+
+def _descend(z, F, eta, lam, out):
+    """out = z - eta * (lam * F), in this operation order, without temporaries.
+
+    eta and lam come as arrays of the shape of z: same-shape operands skip
+    the broadcasting set-up that dominates ufunc calls on a few rows.
+    """
+    np.multiply(lam, F, out)
+    np.multiply(eta, out, out)
+    return np.subtract(z, out, out)
+
+
+def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
+    Z = np.array(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != problem.dim:
+        raise ValueError(f"{name} must have shape (n, {problem.dim}), got {Z.shape}")
+    return Z
+
+
 def step_gda_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+    z = _as_states(problem, [z], "z")
     lam = timescale_weights(problem.d1, problem.d2, tau)
-    return z - eta * (lam * saddle_gradient(problem, z))
+    return (z - eta * (lam * _row_field(problem)(z)))[0]
 
 
 def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+    z = _as_states(problem, [z], "z")
     lam = timescale_weights(problem.d1, problem.d2, tau)
-    mid = z - eta * (lam * saddle_gradient(problem, z))
-    return z - eta * (lam * saddle_gradient(problem, mid))
+    field = _row_field(problem)
+    mid = z - eta * (lam * field(z))
+    return (z - eta * (lam * field(mid)))[0]
 
 
 def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -151,17 +215,29 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
     return -_solve_checked(M, lam * F)
 
 
+def _rk4_step(problem: MinimaxProblem, kind: str, z, s, tau, dt) -> np.ndarray:
+    k1 = ode_field(problem, kind, z, s=s, tau=tau)
+    k2 = ode_field(problem, kind, z + 0.5 * dt * k1, s=s, tau=tau)
+    k3 = ode_field(problem, kind, z + 0.5 * dt * k2, s=s, tau=tau)
+    k4 = ode_field(problem, kind, z + dt * k3, s=s, tau=tau)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
               tau: float = 1.0, dt: float = 1e-2, t_end: float = 10.0,
               tol_conv: float = TOL_CONV_DEFAULT,
               diverge_norm: float = DIVERGE_NORM_DEFAULT) -> Trajectory:
-    """Classical RK4 on the chosen field, sampled every step."""
+    """Classical RK4 on the chosen field, sampled every step.
+
+    Stops with the rule of run_discrete_batch; the state at t_end is tested for
+    convergence and non-finiteness only.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
-    method = {"plain": "ode_plain", "eg": "ode_eg", "eg_tt": "ode_eg_tt"}.get(kind)
+    method = next((m for m, k in FIELD_KINDS.items() if k == kind), None)
     if method is None:
         raise ValueError(f"unknown field kind {kind!r}")
     params = MethodParams(method=method, s=s, tau=tau, dt=dt)
@@ -170,31 +246,125 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
     times = [0.0]
     states = [z.copy()]
     fnorms = [float(np.linalg.norm(saddle_gradient(problem, z)))]
-    term = None
     t = 0.0
     n_steps = int(round(t_end / dt))
-    for _ in range(n_steps):
+    for k in range(n_steps + 1):
+        znorm = float(np.linalg.norm(z))
         if fnorms[-1] <= tol_conv:
-            term = Termination("converged", point=z.copy(), residual=fnorms[-1])
+            term = Termination("converged", point=z.copy(), residual=fnorms[-1], step=k)
             break
-        if np.linalg.norm(z) >= diverge_norm:
-            term = Termination("diverged", threshold=diverge_norm)
+        if k < n_steps and znorm >= diverge_norm:
+            term = Termination("diverged", threshold=diverge_norm, step=k)
             break
-        k1 = ode_field(problem, kind, z, s=s, tau=tau)
-        k2 = ode_field(problem, kind, z + 0.5 * dt * k1, s=s, tau=tau)
-        k3 = ode_field(problem, kind, z + 0.5 * dt * k2, s=s, tau=tau)
-        k4 = ode_field(problem, kind, z + dt * k3, s=s, tau=tau)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(fnorms[-1] + znorm):
+            term = Termination("nonfinite", step=k)
+            break
+        if k == n_steps:
+            term = Termination("t_end", step=k)
+            break
+        z = _rk4_step(problem, kind, z, s, tau, dt)
         t += dt
         times.append(t)
         states.append(z.copy())
         fnorms.append(float(np.linalg.norm(saddle_gradient(problem, z))))
-    if term is None:
-        if fnorms[-1] <= tol_conv:
-            term = Termination("converged", point=z.copy(), residual=fnorms[-1])
-        else:
-            term = Termination("t_end")
     return Trajectory(np.array(times), np.array(states), np.array(fnorms), term, params)
+
+
+_REASONS = ("converged", "diverged", "nonfinite", "max_iters")
+
+
+def run_discrete_batch(problem: MinimaxProblem, Z0, params: MethodParams,
+                       tol_conv: float = TOL_CONV_DEFAULT, max_iters: int = 10000,
+                       diverge_norm: float = DIVERGE_NORM_DEFAULT,
+                       record: bool = False) -> list[Trajectory]:
+    """Run each row of Z0 as one member of a discrete method, all in lockstep.
+
+    A member stops at its first index k with, in this order of precedence,
+    ||F(z_k)|| <= tol_conv (converged), ||z_k|| >= diverge_norm (diverged),
+    or a non-finite ||F(z_k)|| or ||z_k|| (nonfinite).  The state reached
+    after max_iters steps is tested for convergence and non-finiteness
+    only, and otherwise ends the run at max_iters.  Live members advance
+    through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d); after
+    each chunk the stopped ones are dropped.  A member's float operations do
+    not depend on the batch, except for BLAS summation order in F = Z H'
+    with a dense H.  With record=False a trajectory keeps only its initial
+    and final states.
+    """
+    if params.method not in DISCRETE_METHODS:
+        raise ValueError(f"run_discrete needs a discrete method, got {params.method!r}")
+    params.validate(problem)
+    Z0 = _as_states(problem, Z0, "Z0")
+    n, d = Z0.shape
+    eta = float(params.eta)
+    lam = timescale_weights(problem.d1, problem.d2, float(params.tau))
+    field = _row_field(problem)
+    quadratic = problem.quadratic is not None  # F is cheap and total: no masking
+    is_eg = params.method == "eg_tt"
+    K = max(int(max_iters), 0)
+
+    steps, codes = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    Z_end, f_end, f_start = np.empty_like(Z0), np.empty(n), np.empty(n)
+    history = [[] for _ in range(n if record else 0)]  # (states, F norms) per chunk
+    with np.errstate(all="ignore"):  # members past diverge_norm may overflow
+        ids, k0, Z, F = np.arange(n), 0, Z0, field(Z0)
+        while ids.size:
+            m = ids.size
+            c = min(LOCKSTEP_CHUNK, max(1, LOCKSTEP_BUFFER // (m * d) - 1), K - k0)
+            Zb, Fb = np.empty((c + 1, m, d)), np.empty((c + 1, m, d))
+            Zb[0], Fb[0] = Z, F
+            Zr, Fr, F_mid = list(Zb), list(Fb), np.empty((m, d))
+            eta_m, lam_m = np.full((m, d), eta), lam * np.ones((m, 1))
+            for i in range(c):
+                live = None if quadratic else _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
+                if live is not None and not any(live):  # all stopped by sample i
+                    Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
+                    break
+                _descend(Zr[i], Fr[i], eta_m, lam_m, Zr[i + 1])
+                if is_eg:  # Zr[i + 1] holds the midpoint
+                    field(Zr[i + 1], F_mid, live)
+                    _descend(Zr[i], F_mid, eta_m, lam_m, Zr[i + 1])
+                field(Zr[i + 1], Fr[i + 1], live)
+            fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
+            zn = np.sqrt(np.vecdot(Zb, Zb))
+            if k0 == 0:
+                f_start[:] = fn[0]
+            conv, div, nonfinite = fn <= tol_conv, zn >= diverge_norm, ~np.isfinite(fn + zn)
+            stop = conv | div | nonfinite
+            # sample c is the next chunk's first, unless it is the one after
+            # max_iters, which ends every run and is not tested for divergence
+            div[c], stop[c] = False, k0 + c == K
+            if record:
+                for col, i in enumerate(ids.tolist()):
+                    history[i].append((Zb[:, col], fn[:, col]))
+            ended = stop.any(axis=0)
+            Z, F = Zb[c], Fb[c]
+            if ended.any():
+                j, done = stop.argmax(axis=0)[ended], ids[ended]
+                steps[done] = k0 + j
+                codes[done] = np.where(conv[j, ended], 0, np.where(
+                    div[j, ended], 1, np.where(nonfinite[j, ended], 2, 3)))
+                Z_end[done], f_end[done] = Zb[j, ended], fn[j, ended]
+                ids, Z, F = ids[~ended], Z[~ended], F[~ended]
+            k0 += c
+
+    out = []
+    for i, k in enumerate(steps.tolist()):
+        term = Termination(_REASONS[codes[i]], step=k)
+        if term.reason == "converged":
+            term.point, term.residual = Z_end[i].copy(), float(f_end[i])
+        elif term.reason == "diverged":
+            term.threshold = diverge_norm
+        if record:  # a chunk's last sample is also the next one's first
+            parts = history[i][:-1]
+            times = np.arange(k + 1)
+            states = np.concatenate([z[:-1] for z, _ in parts] + [history[i][-1][0]])[:k + 1]
+            fnorms = np.concatenate([f[:-1] for _, f in parts] + [history[i][-1][1]])[:k + 1]
+        else:
+            times = np.array([0, k] if k else [0])
+            states = np.array([Z0[i], Z_end[i]])[:len(times)]
+            fnorms = np.array([f_start[i], f_end[i]])[:len(times)]
+        out.append(Trajectory(times, states, fnorms, term, params))
+    return out
 
 
 def run_discrete(problem: MinimaxProblem, z0, params: MethodParams,
@@ -203,52 +373,13 @@ def run_discrete(problem: MinimaxProblem, z0, params: MethodParams,
                  record: bool = True) -> Trajectory:
     """Iterate a discrete stepper until convergence, divergence, or max_iters.
 
-    Converged means ||F(z_k)|| <= tol_conv; diverged means ||z_k|| >= diverge_norm.
-    With record=False only the initial and final states are kept.
+    The stopping rule is that of run_discrete_batch, of which this is a
+    batch of one.  With record=False only the initial and final states are
+    kept.
     """
-    if params.method not in DISCRETE_METHODS:
-        raise ValueError(f"run_discrete needs a discrete method, got {params.method!r}")
-    params.validate(problem)
-    eta, tau = float(params.eta), float(params.tau)
-    lam = timescale_weights(problem.d1, problem.d2, tau)
-    is_eg = params.method == "eg_tt"
-
-    z = np.asarray(z0, dtype=float).copy()
-    times, states, fnorms = [0], [z.copy()], []
-    F = saddle_gradient(problem, z)
-    fnorm = float(np.linalg.norm(F))
-    fnorms.append(fnorm)
-    term = None
-    last_k = 0
-    for k in range(1, max_iters + 1):
-        if fnorm <= tol_conv:
-            term = Termination("converged", point=z.copy(), residual=fnorm)
-            break
-        if np.linalg.norm(z) >= diverge_norm:
-            term = Termination("diverged", threshold=diverge_norm)
-            break
-        if is_eg:
-            mid = z - eta * (lam * F)
-            z = z - eta * (lam * saddle_gradient(problem, mid))
-        else:
-            z = z - eta * (lam * F)
-        F = saddle_gradient(problem, z)
-        fnorm = float(np.linalg.norm(F))
-        last_k = k
-        if record:
-            times.append(k)
-            states.append(z.copy())
-            fnorms.append(fnorm)
-    if term is None:
-        if fnorm <= tol_conv:
-            term = Termination("converged", point=z.copy(), residual=fnorm)
-        else:
-            term = Termination("max_iters")
-    if not record and last_k > 0:
-        times.append(last_k)
-        states.append(z.copy())
-        fnorms.append(fnorm)
-    return Trajectory(np.array(times), np.array(states), np.array(fnorms), term, params)
+    return run_discrete_batch(problem, [z0], params, tol_conv=tol_conv,
+                              max_iters=max_iters, diverge_norm=diverge_norm,
+                              record=record)[0]
 
 
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
@@ -282,18 +413,9 @@ def replay_deviation(problem: MinimaxProblem, traj: Trajectory) -> float:
 
         def advance(z):
             return step(problem, z, p.eta, p.tau)
-    elif p.method.startswith("ode"):
-        kind = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}[p.method]
-        dt = p.dt
-
+    else:
         def advance(z):
-            k1 = ode_field(problem, kind, z, s=p.s, tau=p.tau)
-            k2 = ode_field(problem, kind, z + 0.5 * dt * k1, s=p.s, tau=p.tau)
-            k3 = ode_field(problem, kind, z + 0.5 * dt * k2, s=p.s, tau=p.tau)
-            k4 = ode_field(problem, kind, z + dt * k3, s=p.s, tau=p.tau)
-            return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:  # pragma: no cover
-        raise ValueError(p.method)
+            return _rk4_step(problem, FIELD_KINDS[p.method], z, p.s, p.tau, p.dt)
     worst = 0.0
     for a, b in zip(traj.states[:-1], traj.states[1:]):
         worst = max(worst, float(np.max(np.abs(advance(a) - b))))

@@ -83,6 +83,19 @@ def test_simulate_gda_diverges(tmp_path):
     assert summary["fraction_diverged"] == 1.0
 
 
+@pytest.mark.parametrize("method", ["gda_tt", "ode_plain"])
+def test_simulate_counts_nonfinite_members(tmp_path, method):
+    out = tmp_path / "sim"
+    code = run_cli("simulate", "--builtin", "bilinear", "--method", method, "--eta", "0.5",
+                   "--center", "nan,0", "--n", "3", "--max-iters", "50",
+                   "--no-trajectories", "--out", str(out))
+    assert code == 0
+    summary = read_json(out / "simulate_summary.json")
+    assert summary["fraction_nonfinite"] == 1.0
+    assert summary["fraction_max_iters"] == 0.0
+    assert summary["clusters"] == []
+
+
 def test_simulate_empty_ensemble(tmp_path):
     out = tmp_path / "sim"
     code = run_cli("simulate", "--builtin", "bilinear", "--method", "eg_tt",
@@ -113,6 +126,7 @@ def test_avoidance_strict_nonminimax(tmp_path):
     summary = read_json(out / "avoidance_summary.json")
     assert summary["fraction_to_target"] == 0.0
     assert summary["acceptance_threshold"] == pytest.approx(1.0 / 60)
+    assert summary["n_nonfinite"] == 0
 
 
 def test_avoidance_gda_on_degenerate_minimax(tmp_path):
@@ -237,3 +251,11 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "strict_non_minimax = False" in result.stdout
+    assert "RuntimeWarning" not in result.stderr  # runpy: cli imported by the package
+
+
+def test_package_import_is_lazy():
+    code = ("import sys, minimaxdyn; assert 'minimaxdyn.cli' not in sys.modules; "
+            "minimaxdyn.dynamics; assert 'minimaxdyn.dynamics' in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

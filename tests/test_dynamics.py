@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from minimaxdyn import dynamics
 from minimaxdyn.dynamics import (
+    LOCKSTEP_CHUNK,
     MethodParams,
     NewtonError,
     SingularOperatorError,
@@ -11,11 +13,12 @@ from minimaxdyn.dynamics import (
     ode_field,
     replay_deviation,
     run_discrete,
+    run_discrete_batch,
     step_eg_tt,
     step_gda_tt,
     write_trajectory_csv,
 )
-from minimaxdyn.problems import builtin_problem, saddle_gradient
+from minimaxdyn.problems import MinimaxProblem, builtin_problem, saddle_gradient
 
 
 @pytest.fixture
@@ -192,6 +195,224 @@ def test_method_params_validation(bilinear):
     params = MethodParams(method="eg_tt", eta=1.5, tau=1.0)  # eta >= 1/L = 1
     with pytest.raises(ValueError):
         run_discrete(bilinear, [1.0, 0.0], params)
+
+
+# --- lockstep engine ----------------------------------------------------------
+
+
+def sequential_reference(problem, z0, params, tol_conv, max_iters, diverge_norm):
+    """One member at a time, one check per step: the stopping rule written
+    out directly.  Returns (reason, stopping index, final state)."""
+    lam = dynamics.timescale_weights(problem.d1, problem.d2, params.tau)
+    eta = params.eta
+    z = np.asarray(z0, dtype=float).copy()
+    with np.errstate(all="ignore"):
+        F = saddle_gradient(problem, z)
+        for k in range(max_iters + 1):
+            fnorm, znorm = np.linalg.norm(F), np.linalg.norm(z)
+            if fnorm <= tol_conv:
+                return "converged", k, z
+            if k < max_iters and znorm >= diverge_norm:
+                return "diverged", k, z
+            if not np.isfinite(fnorm + znorm):
+                return "nonfinite", k, z
+            if k == max_iters:
+                return "max_iters", k, z
+            if params.method == "eg_tt":
+                F = saddle_gradient(problem, z - eta * (lam * F))
+            z = z - eta * (lam * F)
+            F = saddle_gradient(problem, z)
+
+
+def quartic_problem(counter=None):
+    """f = x^2/2 + x^4/4 + x y - y^2/2 - y^4/4: non-quadratic, saddle at 0."""
+    def grad(z):
+        if counter is not None:
+            counter[0] += 1
+        x, y = z
+        return np.array([x + x ** 3 + y, x - y - y ** 3])
+    return MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=grad,
+                          lipschitz_bound=8.0, name="quartic")
+
+
+def mixed_ensemble():
+    """F = (x, -y) / 100: x contracts and y expands under both methods, so
+    with tol_conv = 1e-3 and diverge_norm = 2 members started on the axes
+    converge or diverge at indices set by their distance from the origin,
+    and the far ones run to max_iters.  NaN and inf starts end at once."""
+    problem = builtin_problem("nondegenerate_quadratic", A=[[0.01]], B=[[0.01]], C=[[0.0]])
+    j = np.arange(0, 150, 7)
+    Z0 = np.concatenate([
+        np.stack([0.1 / 0.995 ** j, np.zeros_like(j, dtype=float)], axis=1),
+        np.stack([np.zeros_like(j, dtype=float), 2.0 / 1.005 ** j], axis=1),
+        [[0.74, 0.0], [0.0, 0.27], [0.05, 0.3], [np.nan, 0.0], [np.inf, 0.0]],
+    ])
+    return problem, Z0, dict(tol_conv=1e-3, diverge_norm=2.0)
+
+
+# (problem, method, eta, tau, z0, options) -> (reason, steps, end state), from
+# the one-member-at-a-time driver this engine replaced
+PINNED = [
+    ("bilinear", "eg_tt", 0.5, 10.0, [1.0, 1.0], dict(tol_conv=1e-8, max_iters=100000),
+     "converged", 1502, [-9.30950778401161e-09, 3.6110735202917954e-09]),
+    ("bilinear", "gda_tt", 0.5, 3.0, [0.3, -0.2], dict(max_iters=100000),
+     "diverged", 476, [6772115.514385607, 103826501.041818]),
+    ("bilinear", "gda_tt", 0.5, 100.0, [0.3, -0.2], dict(max_iters=2000),
+     "max_iters", 2000, [2.8375653007225745, -22.9811214583557]),
+    # eta = 0.9 (sqrt(5) - 1) / (2 L), the avoidance default
+    ("strict_nonminimax_demo", "eg_tt", 0.21246117974981074,
+     4.0, [0.1, -0.2, 0.3, 0.05], dict(max_iters=20000),
+     "diverged", 314, [83360765.2756827, -8.14110143277464e-06, 63681958.014217585,
+                       -1.5601611832202032e-06]),
+    ("dense", "eg_tt", 0.3, 2.0, [0.9, -0.7, 0.4, 0.3], dict(tol_conv=1e-12, max_iters=5000),
+     "converged", 176, [8.594634909979937e-14, -2.6378059320422675e-13,
+                        2.6795639411064094e-13, 9.04716890490951e-13]),
+    ("dense", "gda_tt", 0.3, 2.0, [0.9, -0.7, 0.4, 0.3], dict(tol_conv=1e-12, max_iters=5000),
+     "converged", 230, [-1.5975280998262286e-13, 6.627003165647285e-13,
+                        -3.0506832638376005e-13, -7.16539461494765e-13]),
+    ("quartic", "eg_tt", 0.1, 2.0, [0.5, -0.4], dict(tol_conv=1e-10, max_iters=5000),
+     "converged", 307, [3.444979613558718e-11, -6.004597980246377e-11]),
+    ("quartic", "gda_tt", 0.1, 1.0, [0.5, -0.4], dict(tol_conv=1e-10, max_iters=5000),
+     "converged", 230, [6.251117280397427e-11, -2.380782558586564e-11]),
+]
+
+
+def pinned_problem(name):
+    if name == "dense":
+        return builtin_problem("nondegenerate_quadratic", A=[[2.0, 0.3], [0.3, 1.0]],
+                               B=[[-1.0, 0.2], [0.2, -0.5]],
+                               C=[[0.7, -0.4], [0.25, 0.9]])
+    if name == "quartic":
+        return quartic_problem()
+    return builtin_problem(name)
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-{c[1]}-tau{c[3]:g}")
+@pytest.mark.parametrize("record", [False, True])
+def test_run_discrete_matches_pinned_results(case, record):
+    name, method, eta, tau, z0, options, reason, steps, end = case
+    traj = run_discrete(pinned_problem(name), z0, MethodParams(method=method, eta=eta, tau=tau),
+                        record=record, **options)
+    assert traj.termination.reason == reason
+    assert traj.termination.step == steps == int(traj.times[-1])
+    assert_allclose(traj.states[-1], end, rtol=1e-12, atol=0.0)
+    assert len(traj) == (steps + 1 if record else 2)
+
+
+def assert_same_members(batch, singles):
+    for a, b in zip(batch, singles, strict=True):
+        assert a.termination.reason == b.termination.reason
+        assert a.termination.step == b.termination.step
+        assert_allclose(a.states, b.states, rtol=1e-12, atol=0.0)
+        assert_allclose(a.f_norms, b.f_norms, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("method", ["gda_tt", "eg_tt"])
+@pytest.mark.parametrize("max_iters", [0, 1, LOCKSTEP_CHUNK - 1, LOCKSTEP_CHUNK,
+                                       LOCKSTEP_CHUNK + 1, 2 * LOCKSTEP_CHUNK + 3])
+def test_batch_equals_batches_of_one_and_reference(method, max_iters):
+    problem, Z0, options = mixed_ensemble()
+    params = MethodParams(method=method, eta=0.5, tau=3.0)
+    batch = run_discrete_batch(problem, Z0, params, max_iters=max_iters, **options)
+    singles = [run_discrete(problem, z0, params, max_iters=max_iters, record=False,
+                            **options) for z0 in Z0]
+    assert_same_members(batch, singles)
+    for traj, z0 in zip(batch, Z0):
+        reason, k, z = sequential_reference(problem, z0, params, max_iters=max_iters,
+                                            **options)
+        assert (traj.termination.reason, traj.termination.step) == (reason, k)
+        assert_allclose(traj.states[-1], z, rtol=1e-12, atol=0.0)
+    reasons = {t.termination.reason for t in batch}
+    assert {"nonfinite", "max_iters"} <= reasons
+    if max_iters > 2 * LOCKSTEP_CHUNK:
+        # several members converge and several diverge inside one chunk
+        second = [t.termination.reason for t in batch
+                  if LOCKSTEP_CHUNK < t.termination.step < 2 * LOCKSTEP_CHUNK]
+        assert second.count("converged") >= 2 and second.count("diverged") >= 2
+
+
+def test_batch_record_equals_recorded_batches_of_one(monkeypatch):
+    problem, Z0, options = mixed_ensemble()
+    params = MethodParams(method="eg_tt", eta=0.5, tau=3.0)
+    singles = [run_discrete(problem, z0, params, max_iters=150, **options) for z0 in Z0]
+    # a buffer cap below one chunk of this batch forces shorter chunks
+    monkeypatch.setattr(dynamics, "LOCKSTEP_BUFFER", 7 * len(Z0) * 2)
+    batch = run_discrete_batch(problem, Z0, params, max_iters=150, record=True, **options)
+    assert_same_members(batch, singles)
+    for traj in batch:
+        assert_allclose(traj.times, np.arange(traj.termination.step + 1))
+        if np.all(np.isfinite(traj.states)):
+            assert replay_deviation(problem, traj) == 0.0
+
+
+@pytest.mark.parametrize("method", ["gda_tt", "eg_tt"])
+def test_batch_general_problem_calls_grad_like_reference(method):
+    counter = [0]
+    problem = quartic_problem(counter)
+    rng = np.random.default_rng(11)
+    # small starts converge in 130-240 steps, [0.9, 0.9] needs about 300, and
+    # cubic overshoot makes [10, -10] diverge
+    Z0 = np.concatenate([rng.uniform(-1e-3, 1e-3, (6, 2)),
+                         [[10.0, -10.0], [0.9, 0.9], [np.nan, 0.0]]])
+    params = MethodParams(method=method, eta=0.1, tau=2.0)
+    options = dict(tol_conv=1e-10, max_iters=260, diverge_norm=1e3)
+    batch = run_discrete_batch(problem, Z0, params, **options)
+    batch_calls = counter[0]
+    counter[0] = 0
+    for traj, z0 in zip(batch, Z0):
+        reason, k, z = sequential_reference(problem, z0, params, **options)
+        assert (traj.termination.reason, traj.termination.step) == (reason, k)
+        assert_allclose(traj.states[-1], z, rtol=1e-12, atol=0.0)
+    # the user's grad is never called past the point where a member stops
+    assert batch_calls == counter[0]
+    assert {t.termination.reason for t in batch} == {"converged", "diverged", "nonfinite",
+                                                    "max_iters"}
+
+
+def test_batch_rejects_bad_shape(bilinear):
+    params = MethodParams(method="gda_tt", eta=0.5)
+    with pytest.raises(ValueError):
+        run_discrete_batch(bilinear, np.zeros((3, 3)), params)
+    assert run_discrete_batch(bilinear, np.zeros((0, 2)), params) == []
+
+
+# --- non-finite termination -------------------------------------------------
+
+
+def nan_beyond_two():
+    """F = (-x, y) while |x| <= 2 and NaN beyond: x grows under every
+    method, so each run reaches the NaN region in a few steps."""
+    def grad(z):
+        x, y = z
+        return np.array([-x, -y]) if abs(x) <= 2.0 else np.array([np.nan, np.nan])
+    return MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=grad, lipschitz_bound=1.0)
+
+
+@pytest.mark.parametrize("method", ["gda_tt", "eg_tt"])
+def test_run_discrete_nan_gradient_is_nonfinite(method):
+    params = MethodParams(method=method, eta=0.5)
+    traj = run_discrete(nan_beyond_two(), [1.0, 1.0], params, max_iters=1000)
+    assert traj.termination.reason == "nonfinite"
+    step = traj.termination.step
+    assert step == len(traj) - 1 and 0 < step < 10
+    assert np.isnan(traj.f_norms[-1]) and np.all(np.isfinite(traj.f_norms[:-1]))
+
+
+def test_integrate_nan_gradient_is_nonfinite():
+    traj = integrate(nan_beyond_two(), "plain", [1.0, 1.0], dt=0.1, t_end=10.0)
+    assert traj.termination.reason == "nonfinite"
+    step = traj.termination.step
+    assert step == len(traj) - 1 and 0 < step < 100
+    assert not np.isfinite(traj.f_norms[-1]) and np.all(np.isfinite(traj.f_norms[:-1]))
+
+
+def test_inf_start_is_diverged_before_nonfinite(bilinear):
+    params = MethodParams(method="gda_tt", eta=0.5)
+    traj = run_discrete(bilinear, [np.inf, 0.0], params)
+    assert (traj.termination.reason, traj.termination.step) == ("diverged", 0)
+    with np.errstate(invalid="ignore"):  # F(inf, 0) takes inf * 0
+        traj = integrate(bilinear, "plain", [np.inf, 0.0], dt=0.1, t_end=1.0)
+    assert (traj.termination.reason, traj.termination.step) == ("diverged", 0)
 
 
 # --- Newton -----------------------------------------------------------------
