@@ -402,7 +402,7 @@ def cmd_sweep(args) -> int:
                         + [("discrete", e) for e in eta_values]
                         + [("gda", e) for e in eta_values])
             for mode, param in per_mode:
-                v = stability._VERDICT_FUNCS[mode](H, float(param), float(tau), problem.d1)
+                v = stability.VERDICT_FUNCS[mode](H, float(param), float(tau), problem.d1)
                 rows.append((mode, float(param), float(tau), v.stable))
                 fh.write(f"{mode},{float(param)!r},{float(tau)!r},{v.stable}\n")
     if len(tau_grid) and (args.s_grid or args.eta_grid):

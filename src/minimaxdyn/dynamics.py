@@ -187,39 +187,68 @@ def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.n
     return (z - eta * (lam * field(mid)))[0]
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _check_cond(M: np.ndarray) -> None:
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SOLVE_COND_LIMIT:
         raise SingularOperatorError(
             f"linear operator numerically singular (cond ~ {cond:.3e})"
         )
+
+
+def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _check_cond(M)
     return np.linalg.solve(M, rhs)
+
+
+def _field(problem: MinimaxProblem, kind: str, s: float | None = None, tau: float = 1.0):
+    """Evaluator z -> ode_field(problem, kind, z, s, tau) for one run.
+
+    Quadratic problems build H once; their EG fields check and LU-factor
+    I + s Lam_tau H on the first call (a run that takes no step raises
+    nothing), then cost one H z and one getrs per call.
+    """
+    if kind not in FIELD_KINDS.values():
+        raise ValueError(f"unknown field kind {kind!r}")
+    if kind != "plain" and (s is None or s <= 0):
+        raise ValueError("eg fields require s > 0")
+    lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
+    if problem.quadratic is None:
+        def field(z):
+            F = saddle_gradient(problem, z)
+            if kind == "plain":
+                return -F
+            M = np.eye(problem.dim) + s * (lam[:, None] * jacobian_F(problem, z))
+            return -_solve_checked(M, lam * F)
+        return field
+    H = problem.quadratic.hessian()
+    if kind == "plain":
+        return lambda z: -(H @ z)
+    from scipy.linalg.lapack import dgetrf, dgetrs  # slow to import; few runs need it
+    lu = []
+
+    def field(z):
+        if not lu:
+            M = np.eye(problem.dim) + s * (lam[:, None] * H)
+            _check_cond(M)
+            *factors, info = dgetrf(M)
+            if info:
+                raise SingularOperatorError(f"getrf failed on I + s Lam_tau H (info {info})")
+            lu.extend(factors)
+        return -dgetrs(*lu, lam * (H @ z))[0]
+    return field
 
 
 def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
               tau: float = 1.0) -> np.ndarray:
     """Vector field of the named continuous system at z."""
-    z = np.asarray(z, dtype=float)
-    F = saddle_gradient(problem, z)
-    if kind == "plain":
-        return -F
-    if kind not in ("eg", "eg_tt"):
-        raise ValueError(f"unknown field kind {kind!r}")
-    if s is None or s <= 0:
-        raise ValueError("eg fields require s > 0")
-    if kind == "eg":
-        tau = 1.0
-    lam = timescale_weights(problem.d1, problem.d2, tau)
-    H = jacobian_F(problem, z)
-    M = np.eye(problem.dim) + s * (lam[:, None] * H)
-    return -_solve_checked(M, lam * F)
+    return _field(problem, kind, s, tau)(_as_states(problem, [z], "z")[0])
 
 
-def _rk4_step(problem: MinimaxProblem, kind: str, z, s, tau, dt) -> np.ndarray:
-    k1 = ode_field(problem, kind, z, s=s, tau=tau)
-    k2 = ode_field(problem, kind, z + 0.5 * dt * k1, s=s, tau=tau)
-    k3 = ode_field(problem, kind, z + 0.5 * dt * k2, s=s, tau=tau)
-    k4 = ode_field(problem, kind, z + dt * k3, s=s, tau=tau)
+def _rk4_step(field, z, dt) -> np.ndarray:
+    k1 = field(z)
+    k2 = field(z + 0.5 * dt * k1)
+    k3 = field(z + 0.5 * dt * k2)
+    k4 = field(z + dt * k3)
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -242,6 +271,7 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
         raise ValueError(f"unknown field kind {kind!r}")
     params = MethodParams(method=method, s=s, tau=tau, dt=dt)
     params.validate(problem)
+    field = _field(problem, kind, s, tau)
 
     times = [0.0]
     states = [z.copy()]
@@ -262,7 +292,7 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
         if k == n_steps:
             term = Termination("t_end", step=k)
             break
-        z = _rk4_step(problem, kind, z, s, tau, dt)
+        z = _rk4_step(field, z, dt)
         t += dt
         times.append(t)
         states.append(z.copy())
@@ -414,8 +444,10 @@ def replay_deviation(problem: MinimaxProblem, traj: Trajectory) -> float:
         def advance(z):
             return step(problem, z, p.eta, p.tau)
     else:
+        field = _field(problem, FIELD_KINDS[p.method], p.s, p.tau)
+
         def advance(z):
-            return _rk4_step(problem, FIELD_KINDS[p.method], z, p.s, p.tau, p.dt)
+            return _rk4_step(field, z, p.dt)
     worst = 0.0
     for a, b in zip(traj.states[:-1], traj.states[1:]):
         worst = max(worst, float(np.max(np.abs(advance(a) - b))))

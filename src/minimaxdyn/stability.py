@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import SingularOperatorError
+from .dynamics import _solve_checked
 from .problems import MinimaxProblem, hessian_blocks_at, saddle_gradient
 from .spectral import (
     CanonicalBlocks,
@@ -164,11 +164,7 @@ def mobius_map(lam, s: float):
 def eg_jacobian_continuous(H_tau, s: float) -> np.ndarray:
     """J = -(I + s H_tau)^{-1} H_tau, the ODE Jacobian at an equilibrium."""
     H_tau = np.asarray(H_tau, dtype=float)
-    M = np.eye(H_tau.shape[0]) + s * H_tau
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularOperatorError(f"I + s H_tau numerically singular (cond ~ {cond:.3e})")
-    return -np.linalg.solve(M, H_tau)
+    return -_solve_checked(np.eye(H_tau.shape[0]) + s * H_tau, H_tau)
 
 
 def eg_jacobian_discrete(H, eta: float, tau: float, d1: int) -> np.ndarray:
@@ -359,7 +355,8 @@ def gda_stability(H, eta: float, tau: float, d1: int,
     )
 
 
-_VERDICT_FUNCS = {
+# mode -> verdict routine (H, s or eta, tau, d1, marginal_tol=...)
+VERDICT_FUNCS = {
     "continuous": stability_continuous,
     "discrete": stability_discrete,
     "gda": gda_stability,
@@ -401,12 +398,12 @@ def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
     mode is "continuous" (disk criterion at step s), "discrete" (peanut
     criterion at step eta), or "gda".
     """
-    if mode not in _VERDICT_FUNCS:
+    if mode not in VERDICT_FUNCS:
         raise ValueError(f"unknown mode {mode!r}")
     tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 1.0:
         raise ValueError("tau_grid must be increasing with tau >= 1")
-    func = _VERDICT_FUNCS[mode]
+    func = VERDICT_FUNCS[mode]
     labels = [func(H, s_or_eta, tau, d1, marginal_tol=marginal_tol).stable
               for tau in tau_grid]
     tail_label = labels[-1]

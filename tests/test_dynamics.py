@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,7 @@ from minimaxdyn.dynamics import (
     step_gda_tt,
     write_trajectory_csv,
 )
-from minimaxdyn.problems import MinimaxProblem, builtin_problem, saddle_gradient
+from minimaxdyn.problems import MinimaxProblem, builtin_problem, jacobian_F, saddle_gradient
 
 
 @pytest.fixture
@@ -152,6 +154,123 @@ def test_integrate_zero_horizon(bilinear):
     assert len(traj) == 1
     assert_allclose(traj.states[0], [1.0, 0.0])
     assert traj.termination.reason == "t_end"
+
+
+# --- factor-once ODE evaluator ---------------------------------------------
+
+
+def dense_quadratic(d1, d2, seed):
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
+    return builtin_problem("nondegenerate_quadratic", A=(A + A.T) / 2, B=(B + B.T) / 2,
+                           C=rng.standard_normal((d1, d2)))
+
+
+def reference_integrate(problem, kind, z0, s, tau, dt, t_end, tol_conv, diverge_norm):
+    """RK4 on a quadratic with the operator rebuilt in every stage: H from
+    its blocks, then cond and np.linalg.solve.  Returns (states, F norms,
+    reason, stopping index) under the stopping rule of integrate."""
+    q = problem.quadratic
+    lam = dynamics.timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
+
+    def field(z):
+        H = np.block([[q.A, q.C], [-q.C.T, -q.B]])
+        M = np.eye(problem.dim) + s * (lam[:, None] * H)
+        assert np.linalg.cond(M) <= dynamics.SOLVE_COND_LIMIT
+        return -np.linalg.solve(M, lam * saddle_gradient(problem, z))
+
+    z = np.asarray(z0, dtype=float)
+    states, fnorms = [z], [np.linalg.norm(saddle_gradient(problem, z))]
+    n_steps = int(round(t_end / dt))
+    for k in range(n_steps + 1):
+        znorm = np.linalg.norm(z)
+        if fnorms[-1] <= tol_conv:
+            return states, fnorms, "converged", k
+        if k < n_steps and znorm >= diverge_norm:
+            return states, fnorms, "diverged", k
+        if not np.isfinite(fnorms[-1] + znorm):
+            return states, fnorms, "nonfinite", k
+        if k == n_steps:
+            return states, fnorms, "t_end", k
+        k1 = field(z)
+        k2 = field(z + 0.5 * dt * k1)
+        k3 = field(z + 0.5 * dt * k2)
+        k4 = field(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(z)
+        fnorms.append(np.linalg.norm(saddle_gradient(problem, z)))
+
+
+def ode_problem(name):
+    if name == "dense32":
+        return dense_quadratic(3, 2, seed=7)
+    if name == "dense43":
+        return dense_quadratic(4, 3, seed=8)
+    return builtin_problem(name)
+
+
+@pytest.mark.parametrize("kind", ["eg", "eg_tt"])
+@pytest.mark.parametrize("tau", [1.0, 10.0, 1e4])
+@pytest.mark.parametrize("name", ["bilinear", "scalar_degenerate", "strict_nonminimax_demo",
+                                  "dense32", "dense43"])
+def test_integrate_equals_per_stage_solve_reference(name, tau, kind):
+    problem = ode_problem(name)
+    z0 = np.random.default_rng(3).uniform(-1.0, 1.0, problem.dim)
+    # members converge, diverge and reach t_end across the cases
+    options = dict(s=0.4 / problem.lipschitz_bound, tau=tau, dt=0.1, t_end=12.0,
+                   tol_conv=1e-2, diverge_norm=10.0)
+    traj = integrate(problem, kind, z0, **options)
+    states, fnorms, reason, step = reference_integrate(problem, kind, z0, **options)
+    assert (traj.termination.reason, traj.termination.step) == (reason, step)
+    if problem.dim <= 5:
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.f_norms, fnorms)
+    else:
+        # np.linalg.solve runs numpy's LAPACK and the evaluator scipy's; where
+        # the two are different builds, solves of size 6 and up may differ in
+        # the last bit
+        assert_allclose(traj.states, states, rtol=1e-12, atol=1e-15)
+        assert_allclose(traj.f_norms, fnorms, rtol=1e-12, atol=1e-15)
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_quadratic_run_builds_and_checks_operator_once(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
+    monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    for problem in (builtin_problem("bilinear"), dense_quadratic(3, 2, seed=7)):
+        traj = integrate(problem, "eg_tt", np.ones(problem.dim), s=0.3 / problem.lipschitz_bound,
+                         tau=4.0, dt=0.1, t_end=5.0)
+        assert len(traj) == 51
+    assert calls == {"cond": 2}
+
+
+def test_general_problem_field_builds_operator_per_stage(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
+    monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    traj = integrate(quartic_problem(), "eg_tt", [0.5, -0.4], s=0.05, tau=2.0, dt=0.1,
+                     t_end=2.0)
+    assert len(traj) == 21
+    assert calls == {"jacobian_F": 80, "cond": 80}
+
+
+def test_singular_operator_raises_only_once_stepped():
+    # H = diag(-2, -1), so I + s H is singular at s = 1/2; an understated
+    # lipschitz_bound lets s = 1/2 through validation
+    p = dataclasses.replace(
+        builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]]),
+        lipschitz_bound=1.0)
+    traj = integrate(p, "eg", [0.0, 0.0], s=0.5, dt=0.1, t_end=1.0)
+    assert (traj.termination.reason, traj.termination.step) == ("converged", 0)
+    with pytest.raises(SingularOperatorError):
+        integrate(p, "eg", [1.0, 1.0], s=0.5, dt=0.1, t_end=1.0)
 
 
 # --- run_discrete -----------------------------------------------------------
@@ -452,6 +571,10 @@ def test_replay_matches_recorded_discrete(bilinear):
 def test_replay_matches_recorded_ode(bilinear):
     traj = integrate(bilinear, "eg_tt", [1.0, 0.0], s=0.3, tau=2.0, dt=0.05, t_end=1.0)
     assert replay_deviation(bilinear, traj) == 0.0
+    dense = dense_quadratic(3, 2, seed=7)
+    traj = integrate(dense, "eg_tt", np.ones(5), s=0.4 / dense.lipschitz_bound, tau=10.0,
+                     dt=0.1, t_end=3.0)
+    assert len(traj) == 31 and replay_deviation(dense, traj) == 0.0
 
 
 def test_trajectory_csv_format(tmp_path, bilinear):
