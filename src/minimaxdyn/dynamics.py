@@ -187,54 +187,44 @@ def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.n
     return (z - eta * (lam * field(mid)))[0]
 
 
-def _check_cond(M: np.ndarray) -> None:
+def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SOLVE_COND_LIMIT:
         raise SingularOperatorError(
             f"linear operator numerically singular (cond ~ {cond:.3e})"
         )
-
-
-def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    _check_cond(M)
     return np.linalg.solve(M, rhs)
 
 
 def _field(problem: MinimaxProblem, kind: str, s: float | None = None, tau: float = 1.0):
     """Evaluator z -> ode_field(problem, kind, z, s, tau) for one run.
 
-    Quadratic problems build H once; their EG fields check and LU-factor
-    I + s Lam_tau H on the first call (a run that takes no step raises
-    nothing), then cost one H z and one getrs per call.
+    On a quadratic problem the EG fields build I + s Lam_tau H once and
+    check its condition on the first call (a run that takes no step raises
+    nothing); each call then costs one saddle_gradient and one solve, the
+    same numpy calls as a fresh build, so every value is the same.
     """
     if kind not in FIELD_KINDS.values():
         raise ValueError(f"unknown field kind {kind!r}")
-    if kind != "plain" and (s is None or s <= 0):
+    if kind == "plain":
+        return lambda z: -saddle_gradient(problem, z)
+    if s is None or s <= 0:
         raise ValueError("eg fields require s > 0")
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
     if problem.quadratic is None:
         def field(z):
             F = saddle_gradient(problem, z)
-            if kind == "plain":
-                return -F
             M = np.eye(problem.dim) + s * (lam[:, None] * jacobian_F(problem, z))
             return -_solve_checked(M, lam * F)
         return field
-    H = problem.quadratic.hessian()
-    if kind == "plain":
-        return lambda z: -(H @ z)
-    from scipy.linalg.lapack import dgetrf, dgetrs  # slow to import; few runs need it
-    lu = []
+    M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
+    solve = _solve_checked  # checks the condition of M on the first call only
 
     def field(z):
-        if not lu:
-            M = np.eye(problem.dim) + s * (lam[:, None] * H)
-            _check_cond(M)
-            *factors, info = dgetrf(M)
-            if info:
-                raise SingularOperatorError(f"getrf failed on I + s Lam_tau H (info {info})")
-            lu.extend(factors)
-        return -dgetrs(*lu, lam * (H @ z))[0]
+        nonlocal solve
+        v = -solve(M, lam * saddle_gradient(problem, z))
+        solve = np.linalg.solve
+        return v
     return field
 
 
