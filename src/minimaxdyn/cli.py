@@ -397,17 +397,17 @@ def cmd_sweep(args) -> int:
     rows = []
     with open(verdict_path, "w") as fh:
         fh.write("mode,param,tau,stable\n")
-        for tau in tau_grid:
-            per_mode = ([("continuous", s) for s in s_values]
-                        + [("discrete", e) for e in eta_values]
-                        + [("gda", e) for e in eta_values])
-            for mode, param in per_mode:
-                v = stability.VERDICT_FUNCS[mode](H, float(param), float(tau), problem.d1)
-                rows.append((mode, float(param), float(tau), v.stable))
-                fh.write(f"{mode},{float(param)!r},{float(tau)!r},{v.stable}\n")
+        # one engine call per (mode, step); rows stay tau-major
+        table = [(mode, float(p), stability.verdicts(H, problem.d1, mode, float(p), tau_grid))
+                 for mode, m in stability.MODES.items()
+                 for p in (s_values if m.step == "s" else eta_values)]
+        for i, tau in enumerate(tau_grid):
+            for mode, param, vs in table:
+                rows.append((mode, param, float(tau), vs[i].stable))
+                fh.write(f"{mode},{param!r},{float(tau)!r},{vs[i].stable}\n")
     if len(tau_grid) and (args.s_grid or args.eta_grid):
         tau_max = float(tau_grid[-1])
-        for mode in ("continuous", "discrete", "gda"):
+        for mode in stability.MODES:
             stable_params = [p for m, p, t, st in rows
                              if m == mode and t == tau_max and st == "stable"]
             if stable_params:

@@ -188,10 +188,11 @@ def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.n
 
 
 def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > SOLVE_COND_LIMIT:
+    cond = np.linalg.cond(M)  # one per matrix of a stack
+    ok = cond <= SOLVE_COND_LIMIT  # False for NaN and inf too
+    if not ok.all():
         raise SingularOperatorError(
-            f"linear operator numerically singular (cond ~ {cond:.3e})"
+            f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})"
         )
     return np.linalg.solve(M, rhs)
 

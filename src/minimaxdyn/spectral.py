@@ -254,13 +254,15 @@ def is_strict_non_minimax(blocks: CanonicalBlocks, tol: float | None = None) -> 
     return float(np.min(rsc.eigenvalues())) < -tol_S
 
 
-def timescaled_hessian(H, tau: float, d1: int) -> np.ndarray:
-    """H_tau = Lam_tau H: top d1 rows scaled by 1/tau."""
-    if tau < 1.0:
+def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
+    """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
+    gives the stack of H_tau."""
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 1.0):
         raise ValueError("tau must be >= 1")
     H = np.asarray(H, dtype=float)
-    out = H.copy()
-    out[:d1, :] /= tau
+    out = np.broadcast_to(H, tau.shape + H.shape).copy()
+    out[..., :d1, :] /= tau[..., None, None]
     return out
 
 

@@ -11,8 +11,9 @@ below one.  Each region test has an equivalent inverse form
     gda      |1 - eta z| > 1 <=>  Re(1/z) < eta/2
 
 which stays well conditioned as the eigenvalues collapse toward the origin
-with growing tau, so verdict margins are measured in inverse form.  Every
-verdict also computes the Jacobian-side criterion directly and raises
+with growing tau, so verdict margins are measured in inverse form.  MODES
+holds both sides of each equivalence, and verdicts() evaluates one mode over
+a tau grid: it also computes the Jacobian-side criterion directly and raises
 CriterionMismatchError if the two sides disagree outside their marginal
 bands; the criterion equivalences thus run as permanent self-tests.
 """
@@ -20,6 +21,7 @@ bands; the criterion equivalences thus run as permanent self-tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,6 @@ from . import spectral
 from .dynamics import _solve_checked
 from .problems import MinimaxProblem, hessian_blocks_at, saddle_gradient
 from .spectral import (
-    CanonicalBlocks,
     EigenCurves,
     canonicalize,
     default_psd_tol,
@@ -90,8 +91,23 @@ def peanut_gap(z, eta: float):
     return np.sqrt(1.0 + 3.0 * eta**2 * y**2) - ((eta * x - 0.5) ** 2 + eta**2 * y**2 + 0.75)
 
 
-def _restore_shape(arr, scalar: bool):
-    return bool(arr) if scalar else arr
+def _inverse_margin(u, shift: float) -> np.ndarray:
+    """Re(1/u) + shift per element; 0 where |u| < 1e-300."""
+    out = np.zeros(u.shape)
+    ok = np.abs(u) >= 1e-300
+    out[ok] = np.real(1.0 / u[ok]) + shift
+    return out
+
+
+def _peanut_u(z, eta: float) -> np.ndarray:
+    """z (1 - eta z), multiplied out in real parts: numpy's vectorized
+    complex product rounds differently from the scalar one."""
+    z = np.asarray(z, dtype=complex)
+    w = 1.0 - eta * z
+    u = np.empty(z.shape, dtype=complex)
+    u.real = z.real * w.real - z.imag * w.imag
+    u.imag = z.real * w.imag + z.imag * w.real
+    return u
 
 
 def in_disk(z, s: float, cross_check: bool = True):
@@ -107,16 +123,14 @@ def in_disk(z, s: float, cross_check: bool = True):
     gap = disk_gap(z, s)
     primary = gap >= 0.0
     if cross_check:
-        inv = np.zeros_like(primary)
-        nz = np.abs(z) > 1e-300
-        inv[nz] = np.real(1.0 / z[nz]) <= -s
-        inv[~nz] = True  # z = 0 sits on the boundary of the closed disk
-        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & nz
+        # z = 0 sits on the boundary of the closed disk: margin 0, inside
+        inv = _inverse_margin(z, s) <= 0.0
+        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & (np.abs(z) > 1e-300)
         if np.any(bad):
             raise CriterionMismatchError(
                 f"disk forms disagree at z={z[bad][0]} (gap {gap[bad][0]:.3e})"
             )
-    return _restore_shape(primary[0] if scalar else primary, scalar)
+    return bool(primary[0]) if scalar else primary
 
 
 def in_peanut(z, eta: float, cross_check: bool = True):
@@ -132,16 +146,14 @@ def in_peanut(z, eta: float, cross_check: bool = True):
     gap = peanut_gap(z, eta)
     primary = gap > 0.0
     if cross_check:
-        u = z * (1.0 - eta * z)
-        ok = np.abs(u) > 1e-300
-        inv = np.zeros_like(primary)
-        inv[ok] = np.real(1.0 / u[ok]) > eta / 2.0
-        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & ok
+        u = _peanut_u(z, eta)
+        inv = _inverse_margin(u, -eta / 2.0) > 0.0
+        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & (np.abs(u) > 1e-300)
         if np.any(bad):
             raise CriterionMismatchError(
                 f"peanut forms disagree at z={z[bad][0]} (gap {gap[bad][0]:.3e})"
             )
-    return _restore_shape(primary[0] if scalar else primary, scalar)
+    return bool(primary[0]) if scalar else primary
 
 
 def mobius_map(lam, s: float):
@@ -158,27 +170,32 @@ def mobius_map(lam, s: float):
 
 
 # ---------------------------------------------------------------------------
-# Jacobians at equilibria
+# Jacobians at equilibria; each takes H_tau or a stack of them
 
 
 def eg_jacobian_continuous(H_tau, s: float) -> np.ndarray:
     """J = -(I + s H_tau)^{-1} H_tau, the ODE Jacobian at an equilibrium."""
     H_tau = np.asarray(H_tau, dtype=float)
-    return -_solve_checked(np.eye(H_tau.shape[0]) + s * H_tau, H_tau)
+    return -_solve_checked(np.eye(H_tau.shape[-1]) + s * H_tau, H_tau)
+
+
+def _eg_discrete_jacobian(H_tau, eta: float) -> np.ndarray:
+    eye = np.eye(H_tau.shape[-1])
+    return eye - eta * H_tau @ (eye - eta * H_tau)
+
+
+def _gda_jacobian(H_tau, eta: float) -> np.ndarray:
+    return np.eye(H_tau.shape[-1]) - eta * H_tau
 
 
 def eg_jacobian_discrete(H, eta: float, tau: float, d1: int) -> np.ndarray:
     """J = I - eta H_tau (I - eta H_tau), the discrete EG Jacobian."""
-    H = np.asarray(H, dtype=float)
-    Ht = timescaled_hessian(H, tau, d1)
-    n = H.shape[0]
-    return np.eye(n) - eta * Ht @ (np.eye(n) - eta * Ht)
+    return _eg_discrete_jacobian(timescaled_hessian(H, tau, d1), eta)
 
 
 def gda_jacobian(H, eta: float, tau: float, d1: int) -> np.ndarray:
     """J = I - eta H_tau, the two-timescale GDA Jacobian."""
-    H = np.asarray(H, dtype=float)
-    return np.eye(H.shape[0]) - eta * timescaled_hessian(H, tau, d1)
+    return _gda_jacobian(timescaled_hessian(H, tau, d1), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +220,42 @@ class StabilityVerdict:
     jac_margin: float
     criterion: str
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "stable": self.stable,
-            "params": self.params,
-            "h_eigs": [[float(v.real), float(v.imag)] for v in self.h_eigs],
-            "margins": [float(m) for m in self.margins],
-            "jac_margin": float(self.jac_margin),
-            "criterion": self.criterion,
-        }
+
+@dataclass(frozen=True)
+class VerdictMode:
+    """Both sides of one stability equivalence (a row of MODES)."""
+
+    method: str
+    step: str              # name of the step size: "s" or "eta"
+    criterion: str
+    region_margin: Callable  # (spec(H_tau), step) -> inverse-form margins
+    jacobian: Callable       # (H_tau stack, step) -> Jacobian stack
+    jac_margin: Callable     # spec(J) at one tau -> margin, positive = stable
+    lipschitz: bool          # requires step * ||H|| < 1
+
+
+def _rho_margin(jac_eigs) -> float:
+    return float(1.0 - np.max(np.abs(jac_eigs)))
+
+
+MODES = {
+    "continuous": VerdictMode(
+        "eg_tt_continuous", "s",
+        "spec(H_tau) outside disk <=> spec(J) in open left half-plane",
+        _inverse_margin,  # Re(1/lam) + s
+        eg_jacobian_continuous,
+        lambda jac_eigs: float(-np.max(jac_eigs.real)), True),
+    "discrete": VerdictMode(
+        "eg_tt_discrete", "eta",
+        "spec(H_tau) inside peanut <=> rho(J) < 1",
+        lambda lams, eta: _inverse_margin(_peanut_u(lams, eta), -eta / 2.0),
+        _eg_discrete_jacobian, _rho_margin, True),
+    "gda": VerdictMode(
+        "gda_tt", "eta",
+        "Re(1/lambda) > eta/2 for all lambda <=> rho(I - eta H_tau) < 1",
+        lambda lams, eta: _inverse_margin(lams, -eta / 2.0),
+        _gda_jacobian, _rho_margin, False),
+}
 
 
 def _classify(margins, tol: float) -> str:
@@ -224,143 +267,60 @@ def _classify(margins, tol: float) -> str:
     return "marginal"
 
 
-def _check_agreement(region: str, jac: str, context: str) -> None:
-    if "marginal" in (region, jac) or region == jac:
-        return
-    raise CriterionMismatchError(
-        f"{context}: region criterion says {region}, Jacobian criterion says {jac}"
-    )
+def verdicts(H, d1: int, mode: str, step: float, taus,
+             marginal_tol: float = MARGINAL_TOL) -> list[StabilityVerdict]:
+    """One verdict per tau for mode ("continuous", "discrete" or "gda").
 
-
-def _inverse_margin_disk(lams, s: float) -> np.ndarray:
-    """Re(1/lam) + s; positive iff lam is outside the closed disk."""
-    out = np.zeros(len(lams))
-    for i, lam in enumerate(lams):
-        if abs(lam) < 1e-300:
-            out[i] = 0.0
-        else:
-            out[i] = (1.0 / lam).real + s
-    return out
-
-
-def _inverse_margin_peanut(lams, eta: float) -> np.ndarray:
-    """Re(1/(lam(1 - eta lam))) - eta/2; positive iff lam is inside P_eta."""
-    out = np.zeros(len(lams))
-    for i, lam in enumerate(lams):
-        u = lam * (1.0 - eta * lam)
-        if abs(u) < 1e-300:
-            out[i] = 0.0
-        else:
-            out[i] = (1.0 / u).real - eta / 2.0
-    return out
-
-
-def _inverse_margin_gda(lams, eta: float) -> np.ndarray:
-    """Re(1/lam) - eta/2; positive iff |1 - eta lam| < 1."""
-    out = np.zeros(len(lams))
-    for i, lam in enumerate(lams):
-        if abs(lam) < 1e-300:
-            out[i] = 0.0
-        else:
-            out[i] = (1.0 / lam).real - eta / 2.0
+    Builds the H_tau stack once and takes one stacked spectrum per side:
+    eigvals of every H_tau for the region criterion and eigvals of every
+    built Jacobian for the direct one; raises CriterionMismatchError where
+    the two disagree outside their marginal bands.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    m = MODES[mode]
+    if not 0.0 < step:
+        raise ValueError(f"{m.step} must be positive")
+    if not len(taus):
+        return []
+    if m.lipschitz and step * np.linalg.norm(H, 2) >= 1.0:
+        raise ValueError(f"requires {m.step} < 1/L ({m.step} * ||H|| < 1)")
+    Ht = timescaled_hessian(H, taus, d1)
+    lams = np.linalg.eigvals(Ht)
+    margins = m.region_margin(lams, step)
+    jac_eigs = np.linalg.eigvals(m.jacobian(Ht, step))
+    out = []
+    for tau, lam, margin, jac_eig in zip(taus, lams, margins, jac_eigs):
+        jac_margin = m.jac_margin(jac_eig)
+        region = _classify(margin, marginal_tol)
+        jac = _classify([jac_margin], marginal_tol)
+        if region != jac and "marginal" not in (region, jac):
+            raise CriterionMismatchError(
+                f"{mode} verdict ({m.step}={step}, tau={tau}): region criterion "
+                f"says {region}, Jacobian criterion says {jac}"
+            )
+        out.append(StabilityVerdict(m.method, region, {m.step: float(step), "tau": float(tau)},
+                                    lam, margin, jac_eig, jac_margin, m.criterion))
     return out
 
 
 def stability_continuous(H, s: float, tau: float, d1: int,
                          marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
     """Continuous tau-EG verdict: disk-disjointness vs max Re spec(J) < 0."""
-    H = np.asarray(H, dtype=float)
-    if not 0.0 < s:
-        raise ValueError("s must be positive")
-    if s * np.linalg.norm(H, 2) >= 1.0:
-        raise ValueError("requires s < 1/L (s * ||H|| < 1)")
-    Ht = timescaled_hessian(H, tau, d1)
-    lams = np.linalg.eigvals(Ht)
-    margins = _inverse_margin_disk(lams, s)
-    region = _classify(margins, marginal_tol)
-
-    J = eg_jacobian_continuous(Ht, s)
-    jac_eigs = np.linalg.eigvals(J)
-    jac_margin = float(-np.max(jac_eigs.real))
-    jac = _classify([jac_margin], marginal_tol)
-    _check_agreement(region, jac, f"stability_continuous(s={s}, tau={tau})")
-    return StabilityVerdict(
-        method="eg_tt_continuous",
-        stable=region,
-        params={"s": float(s), "tau": float(tau)},
-        h_eigs=lams,
-        margins=margins,
-        jac_eigs=jac_eigs,
-        jac_margin=jac_margin,
-        criterion="spec(H_tau) outside disk <=> spec(J) in open left half-plane",
-    )
+    return verdicts(H, d1, "continuous", s, [tau], marginal_tol)[0]
 
 
 def stability_discrete(H, eta: float, tau: float, d1: int,
                        marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
     """Discrete tau-EG verdict: peanut membership vs rho(J) < 1."""
-    H = np.asarray(H, dtype=float)
-    if not 0.0 < eta:
-        raise ValueError("eta must be positive")
-    if eta * np.linalg.norm(H, 2) >= 1.0:
-        raise ValueError("requires eta < 1/L (eta * ||H|| < 1)")
-    Ht = timescaled_hessian(H, tau, d1)
-    lams = np.linalg.eigvals(Ht)
-    margins = _inverse_margin_peanut(lams, eta)
-    region = _classify(margins, marginal_tol)
-
-    J = eg_jacobian_discrete(H, eta, tau, d1)
-    jac_eigs = np.linalg.eigvals(J)
-    jac_margin = float(1.0 - np.max(np.abs(jac_eigs)))
-    jac = _classify([jac_margin], marginal_tol)
-    _check_agreement(region, jac, f"stability_discrete(eta={eta}, tau={tau})")
-    return StabilityVerdict(
-        method="eg_tt_discrete",
-        stable=region,
-        params={"eta": float(eta), "tau": float(tau)},
-        h_eigs=lams,
-        margins=margins,
-        jac_eigs=jac_eigs,
-        jac_margin=jac_margin,
-        criterion="spec(H_tau) inside peanut <=> rho(J) < 1",
-    )
+    return verdicts(H, d1, "discrete", eta, [tau], marginal_tol)[0]
 
 
 def gda_stability(H, eta: float, tau: float, d1: int,
                   marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
     """Two-timescale GDA verdict: rho(I - eta H_tau) vs 1, with the
     per-eigenvalue Re(1/lambda) vs eta/2 form reported alongside."""
-    H = np.asarray(H, dtype=float)
-    if not 0.0 < eta:
-        raise ValueError("eta must be positive")
-    Ht = timescaled_hessian(H, tau, d1)
-    lams = np.linalg.eigvals(Ht)
-    margins = _inverse_margin_gda(lams, eta)
-    region = _classify(margins, marginal_tol)
-
-    J = gda_jacobian(H, eta, tau, d1)
-    jac_eigs = np.linalg.eigvals(J)
-    jac_margin = float(1.0 - np.max(np.abs(jac_eigs)))
-    jac = _classify([jac_margin], marginal_tol)
-    _check_agreement(region, jac, f"gda_stability(eta={eta}, tau={tau})")
-    return StabilityVerdict(
-        method="gda_tt",
-        stable=region,
-        params={"eta": float(eta), "tau": float(tau)},
-        h_eigs=lams,
-        margins=margins,
-        jac_eigs=jac_eigs,
-        jac_margin=jac_margin,
-        criterion="Re(1/lambda) > eta/2 for all lambda <=> rho(I - eta H_tau) < 1",
-    )
-
-
-# mode -> verdict routine (H, s or eta, tau, d1, marginal_tol=...)
-VERDICT_FUNCS = {
-    "continuous": stability_continuous,
-    "discrete": stability_discrete,
-    "gda": gda_stability,
-}
+    return verdicts(H, d1, "gda", eta, [tau], marginal_tol)[0]
 
 
 @dataclass
@@ -380,15 +340,6 @@ class InfinityVerdict:
     tau_grid: np.ndarray
     labels: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "param": float(self.param),
-            "verdict": self.verdict,
-            "tau_star": None if self.tau_star is None else float(self.tau_star),
-            "labels": list(self.labels),
-        }
-
 
 def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
                         tau_grid=None, k_tail: int = DEFAULT_K_TAIL,
@@ -398,22 +349,16 @@ def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
     mode is "continuous" (disk criterion at step s), "discrete" (peanut
     criterion at step eta), or "gda".
     """
-    if mode not in VERDICT_FUNCS:
-        raise ValueError(f"unknown mode {mode!r}")
     tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1 or not tau_grid.size:
+        raise ValueError(f"tau_grid must be a non-empty 1-d grid, got shape {tau_grid.shape}")
     if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 1.0:
         raise ValueError("tau_grid must be increasing with tau >= 1")
-    func = VERDICT_FUNCS[mode]
-    labels = [func(H, s_or_eta, tau, d1, marginal_tol=marginal_tol).stable
-              for tau in tau_grid]
-    tail_label = labels[-1]
-    run = 0
-    for lbl in reversed(labels):
-        if lbl != tail_label:
-            break
-        run += 1
-    if tail_label in ("stable", "unstable") and run >= k_tail:
-        return InfinityVerdict(mode, s_or_eta, tail_label,
+    labels = [v.stable for v in verdicts(H, d1, mode, s_or_eta, tau_grid, marginal_tol)]
+    tail = labels[-1]
+    run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != tail), len(labels))
+    if tail in ("stable", "unstable") and run >= k_tail:
+        return InfinityVerdict(mode, s_or_eta, tail,
                                float(tau_grid[len(labels) - run]), tau_grid, labels)
     return InfinityVerdict(mode, s_or_eta, "inconclusive", None, tau_grid, labels)
 
@@ -522,15 +467,9 @@ def _predict(method: str, so: spectral.SecondOrderVerdict, s0: float,
     """
     if not (so.B_nsd and so.Sres_psd):
         return "unstable"
-    if method == "continuous":
-        lhs, rhs = s_eval, s0
-    elif method == "discrete":
-        lhs, rhs = eta_eval / 2.0, s0
-    elif method == "gda":
-        # stable iff every hemicurvature exceeds eta/2, i.e. -s0 > eta/2
-        lhs, rhs = -s0, eta_eval / 2.0
-    else:  # pragma: no cover
-        raise ValueError(method)
+    # gda is stable iff every hemicurvature exceeds eta/2, i.e. -s0 > eta/2
+    lhs, rhs = {"continuous": (s_eval, s0), "discrete": (eta_eval / 2.0, s0),
+                "gda": (-s0, eta_eval / 2.0)}[method]
     guard = 1e-9 * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
     if lhs > rhs + guard:
         return "stable"
@@ -598,23 +537,13 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         tol_u = default_psd_tol(S)
         stable_for_all_steps = bool(necessary and all(v >= -tol_u for v in u_S_u))
 
-    predictions = {
-        mode: _predict(mode, so, s0, s_eval, eta_eval)
-        for mode in ("continuous", "discrete", "gda")
-    }
+    predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
+    steps = {"s": s_eval, "eta": eta_eval}
     observed = {
-        "continuous": infinity_eg_verdict(H, problem.d1, s_eval, "continuous",
-                                          tau_grid=config.tau_grid,
-                                          k_tail=config.k_tail,
-                                          marginal_tol=config.marginal_tol),
-        "discrete": infinity_eg_verdict(H, problem.d1, eta_eval, "discrete",
-                                        tau_grid=config.tau_grid,
-                                        k_tail=config.k_tail,
-                                        marginal_tol=config.marginal_tol),
-        "gda": infinity_eg_verdict(H, problem.d1, eta_eval, "gda",
-                                   tau_grid=config.tau_grid,
-                                   k_tail=config.k_tail,
-                                   marginal_tol=config.marginal_tol),
+        mode: infinity_eg_verdict(H, problem.d1, steps[m.step], mode,
+                                  tau_grid=config.tau_grid, k_tail=config.k_tail,
+                                  marginal_tol=config.marginal_tol)
+        for mode, m in MODES.items()
     }
     mismatches = []
     for mode in predictions:

@@ -1,11 +1,18 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import minimaxdyn
 from minimaxdyn.cli import main
+
+# child processes import the same package as this one, installed or not
+SRC = os.path.dirname(os.path.dirname(minimaxdyn.__file__))
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*argv):
@@ -220,6 +227,18 @@ def test_sweep_empty_grid(tmp_path):
     assert (out / "verdicts.csv").read_text() == "mode,param,tau,stable\n"
 
 
+@pytest.mark.parametrize("grid, reason", [
+    ("1:10:0", "tau_grid must be a non-empty 1-d grid"),
+    ("1e6:1:9", "tau_grid must be increasing with tau >= 1"),
+    ("0.5:10:5", "tau_grid must be increasing with tau >= 1"),
+])
+def test_classify_rejects_bad_tau_grid(tmp_path, capsys, grid, reason):
+    code = run_cli("classify", "--builtin", "bilinear", "--tau-grid", grid,
+                   "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {reason}")
+
+
 def test_problem_file_round_trip(tmp_path):
     spec = {"kind": "quadratic", "A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}
     path = tmp_path / "prob.json"
@@ -247,7 +266,7 @@ def test_console_entry_point_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "minimaxdyn.cli", "classify", "--builtin", "bilinear",
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert "strict_non_minimax = False" in result.stdout
@@ -257,5 +276,6 @@ def test_console_entry_point_smoke(tmp_path):
 def test_package_import_is_lazy():
     code = ("import sys, minimaxdyn; assert 'minimaxdyn.cli' not in sys.modules; "
             "minimaxdyn.dynamics; assert 'minimaxdyn.dynamics' in sys.modules")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=CHILD_ENV)
     assert result.returncode == 0, result.stderr

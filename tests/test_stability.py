@@ -1,17 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
     assemble_hessian,
     random_loose_blocks,
     random_margin_separated_instance,
+    rank_deficient_symmetric,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from minimaxdyn import stability
+from minimaxdyn.cli import main
 from minimaxdyn.dynamics import step_eg_tt
 from minimaxdyn.problems import builtin_problem
+from minimaxdyn.spectral import timescaled_hessian
 from minimaxdyn.stability import (
     ClassifyConfig,
     CriterionMismatchError,
@@ -320,6 +325,159 @@ def test_infinity_verdict_validates_grid():
                             tau_grid=np.array([10.0, 1.0]))
     with pytest.raises(ValueError):
         infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "nope")
+    for grid in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "continuous", tau_grid=grid)
+
+
+# --- the verdict engine -----------------------------------------------------------
+
+
+def reference_verdicts(H, d1, mode, step, taus):
+    """Per-tau reference: a fresh H_tau, its eigvals, a per-eigenvalue scalar
+    margin loop and a per-tau Jacobian with its own eigvals."""
+    shift = step if mode == "continuous" else -step / 2.0
+    out = []
+    for tau in taus:
+        Ht = timescaled_hessian(H, float(tau), d1)
+        eye = np.eye(len(Ht))
+        lams = np.linalg.eigvals(Ht)
+        margins = np.zeros(len(lams))
+        for i, lam in enumerate(lams):
+            u = lam * (1.0 - step * lam) if mode == "discrete" else lam
+            if abs(u) >= 1e-300:
+                margins[i] = (1.0 / u).real + shift
+        if mode == "continuous":
+            jac_eigs = np.linalg.eigvals(-np.linalg.solve(eye + step * Ht, Ht))
+            jac_margin = float(-np.max(jac_eigs.real))
+        else:
+            J = eye - step * Ht @ (eye - step * Ht) if mode == "discrete" else eye - step * Ht
+            jac_eigs = np.linalg.eigvals(J)
+            jac_margin = float(1.0 - np.max(np.abs(jac_eigs)))
+        out.append((lams, margins, jac_eigs, jac_margin))
+    return out
+
+
+def reference_label(margins):
+    m = float(np.min(margins))
+    tol = stability.MARGINAL_TOL
+    return "stable" if m > tol else "unstable" if m < -tol else "marginal"
+
+
+def engine_instances():
+    """(H, d1) for the builtins and random quadratics with d1, d2 in 1..6,
+    rank(B) = r < d2 and r = d2."""
+    out = [(hessian_of(name), builtin_problem(name).d1)
+           for name in ("bilinear", "strict_nonminimax_demo")]
+    out.append((hessian_of("scalar_degenerate", a=2.0, c=1.0), 1))
+    rng = np.random.default_rng(2024)
+    for d1 in range(1, 7):
+        for d2 in range(1, 7):
+            for r in (int(rng.integers(0, d2)), d2):
+                A = rank_deficient_symmetric(rng, d1, d1)
+                B = rank_deficient_symmetric(rng, d2, r)
+                out.append((assemble_hessian((A + A.T) / 2, (B + B.T) / 2,
+                                             rng.standard_normal((d1, d2))), d1))
+    return out
+
+
+@pytest.mark.parametrize("mode", list(stability.MODES))
+def test_engine_matches_per_tau_reference(mode):
+    rng = np.random.default_rng(7)
+    taus = stability.DEFAULT_TAU_GRID
+    for H, d1 in engine_instances():
+        step = float(rng.uniform(0.1, 0.9)) / np.linalg.norm(H, 2)
+        got = stability.verdicts(H, d1, mode, step, taus)
+        assert len(got) == len(taus)
+        for v, tau, (lams, margins, jac_eigs, jac_margin) in zip(
+                got, taus, reference_verdicts(H, d1, mode, step, taus)):
+            assert v.method == stability.MODES[mode].method
+            assert v.params == {stability.MODES[mode].step: step, "tau": float(tau)}
+            # a stacked eigvals is complex when any tau is; one tau alone may be real
+            assert np.array_equal(np.asarray(v.h_eigs, complex), lams.astype(complex))
+            assert np.array_equal(np.asarray(v.jac_eigs, complex), jac_eigs.astype(complex))
+            assert np.array_equal(v.margins, margins)
+            assert v.jac_margin == jac_margin
+            assert v.stable == reference_label(margins)
+
+
+def test_single_tau_routines_are_engine_calls():
+    H = hessian_of("strict_nonminimax_demo")
+    for func, mode in ((stability_continuous, "continuous"),
+                       (stability_discrete, "discrete"), (gda_stability, "gda")):
+        v = func(H, 0.2, 30.0, 2)
+        (w,) = stability.verdicts(H, 2, mode, 0.2, [30.0])
+        assert v.stable == w.stable and np.array_equal(v.margins, w.margins)
+        assert np.array_equal(v.h_eigs, w.h_eigs) and v.h_eigs.dtype == w.h_eigs.dtype
+
+
+@pytest.mark.parametrize("grid", ["1e6:1:9", "5:5:1"])
+def test_sweep_rows_match_reference(tmp_path, grid):
+    """verdicts.csv on a decreasing and a 1-point tau grid, row by row."""
+    H = hessian_of("scalar_degenerate", a=-0.3, c=1.0)  # stable and unstable rows
+    code = main(["sweep", "--builtin", "scalar_degenerate", "--a", "-0.3", "--c", "1",
+                 "--s-grid", "0.05:0.4:2", "--eta-grid", "0.05:0.4:2", "--tau-grid", grid,
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "verdicts.csv").read_text().strip().splitlines()[1:]]
+    per_tau = 2 + 2 + 2
+    assert len(rows) == per_tau * int(grid.split(":")[2])
+    for k, (mode, param, tau, label) in enumerate(rows):
+        assert mode == ("continuous", "continuous", "discrete", "discrete",
+                        "gda", "gda")[k % per_tau]
+        (ref,) = reference_verdicts(H, 1, mode, float(param), [float(tau)])
+        assert label == reference_label(ref[1])
+    taus = [float(r[2]) for r in rows[::per_tau]]
+    assert taus == sorted(taus, reverse=True)
+
+
+def test_engine_takes_one_stacked_spectrum_per_side(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.array(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    H, d1 = engine_instances()[-1]
+    taus = stability.DEFAULT_TAU_GRID
+    step = 0.3 / np.linalg.norm(H, 2)
+    for mode, row in stability.MODES.items():
+        calls.clear()
+        got = stability.verdicts(H, d1, mode, step, taus)
+        assert len(calls) == 2
+        Ht = timescaled_hessian(H, taus, d1)
+        assert np.array_equal(calls[0], Ht)
+        # the Jacobian spectrum comes from the built J, not from spec(H_tau)
+        assert np.array_equal(calls[1], row.jacobian(Ht, step))
+        assert np.array_equal(got[-1].jac_eigs, eigvals(calls[1])[-1])
+
+
+def test_engine_selftest_trips_on_flipped_jacobian(monkeypatch):
+    monkeypatch.setattr(stability, "_mismatch_count", stability.mismatch_count())
+    row = stability.MODES["continuous"]
+    monkeypatch.setitem(stability.MODES, "continuous", dataclasses.replace(
+        row, jacobian=lambda Ht, s: -row.jacobian(Ht, s)))
+    before = stability.mismatch_count()
+    with pytest.raises(CriterionMismatchError, match=r"continuous verdict \(s=0.4, tau=1.0\)"):
+        stability.verdicts(hessian_of("bilinear"), 1, "continuous", 0.4,
+                           stability.DEFAULT_TAU_GRID)
+    assert stability.mismatch_count() == before + 1
+
+
+def test_engine_validates_step_once():
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match="eta must be positive"):
+        stability.verdicts(H, 1, "gda", 0.0, [1.0])
+    with pytest.raises(ValueError, match=r"requires s < 1/L \(s \* \|\|H\|\| < 1\)"):
+        stability.verdicts(H, 1, "continuous", 1.5, [1.0, 10.0])
+    assert stability.verdicts(H, 1, "continuous", 1.5, []) == []
+    with pytest.raises(ValueError, match="tau must be >= 1"):
+        stability.verdicts(H, 1, "gda", 0.5, [2.0, 0.5])
+    with pytest.raises(ValueError, match="unknown mode"):
+        stability.verdicts(H, 1, "nope", 0.5, [1.0])
 
 
 # --- characterize_equilibrium -----------------------------------------------------
