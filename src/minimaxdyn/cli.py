@@ -15,6 +15,7 @@ verdict contradicted by observation, or a dual-criterion self-test trip).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -441,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minimaxdyn",
         description="two-timescale minimax dynamics and stability classification",
     )
-    parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("classify", help="classify an equilibrium")
@@ -454,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-marginal", type=float, default=stability.MARGINAL_TOL)
     p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="run a trajectory ensemble")
     _add_problem_args(p)
@@ -474,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip the per-member trajectory CSVs")
     p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("avoidance", help="measure-zero avoidance experiment")
     _add_problem_args(p)
@@ -491,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diverge-norm", type=float, default=dynamics.DIVERGE_NORM_DEFAULT)
     p.add_argument("--target-tol", type=float, default=1e-4)
     p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_avoidance)
 
     p = sub.add_parser("sweep", help="eigencurve and verdict sweep")
     _add_problem_args(p)
@@ -503,23 +500,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", help="lo:hi:n geometric grid of continuous steps")
     p.add_argument("--eta-grid", help="lo:hi:n geometric grid of discrete steps")
     p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing leaves a parser unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; remap usage to 1
         return 0 if exc.code in (0, None) else 1
-    if args.func is None:
+    if args.command is None:
         parser.print_help()
         return 1
     try:
-        return args.func(args)
+        # looked up per call, as a fresh parser did, so a replaced cmd_* is used
+        return globals()[f"cmd_{args.command}"](args)
     except CriterionMismatchError as exc:
         print(f"criterion mismatch: {exc}", file=sys.stderr)
         return 2

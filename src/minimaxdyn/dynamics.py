@@ -451,6 +451,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     cols = ",".join(f"z_{i}" for i in range(d))
     with open(path, "w") as fh:
         fh.write(f"step,t,{cols},F_norm\n")
-        for i, (t, z, fn) in enumerate(zip(traj.times, traj.states, traj.f_norms)):
-            zs = ",".join(repr(float(v)) for v in z)
-            fh.write(f"{i},{float(t)!r},{zs},{float(fn)!r}\n")
+        rows = np.column_stack((traj.times, traj.states, traj.f_norms)).tolist()
+        for i, row in enumerate(rows):
+            fh.write(f"{i},{','.join(map(repr, row))}\n")

@@ -29,13 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .problems import symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EPS_GRID = np.geomspace(1e-1, 1e-9, 40)
+DEFAULT_EPS_GRID.setflags(write=False)  # shared by every default call
 SLOPE_BAND = 0.15
 HESSIAN_COND_LIMIT = 1e12
 
@@ -287,6 +286,8 @@ def mu_roots_oracle(blocks: CanonicalBlocks, beta_tol: float = 1e-8) -> np.ndarr
     These must coincide with spec(S_res) when H is invertible; the pencil
     route never forms S_res and serves as its independent oracle.
     """
+    import scipy.linalg
+
     Hc = blocks.hessian_canon()
     n = Hc.shape[0]
     cond = np.linalg.cond(Hc)
@@ -337,6 +338,15 @@ class EigenCurves:
         )
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimal-total-cost assignment of a square
+    cost matrix.  scipy is imported here, on first use, so that code paths
+    that track no curves (every ``simulate`` run) never load it."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)[1]
+
+
 def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
     """Eigenvalues at each grid point, matched between neighbours by
     minimal-total-distance assignment.
@@ -352,8 +362,8 @@ def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
     n = H.shape[0]
     m = len(eps_grid)
     lam = np.empty((n, m), dtype=complex)
-    for i, eps in enumerate(eps_grid):
-        vals = np.linalg.eigvals(timescaled_hessian(H, 1.0 / eps, d1))
+    spectra = np.linalg.eigvals(timescaled_hessian(H, 1.0 / eps_grid, d1))
+    for i, vals in enumerate(spectra):
         if i == 0:
             lam[:, 0] = vals[np.lexsort((vals.imag, vals.real))]
             continue
@@ -364,9 +374,7 @@ def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
                 eps_grid[i - 1] / eps_grid[i - 2])
             ratio = lam[:, i - 1] / lam[:, i - 2]
             pred = lam[:, i - 1] * ratio**beta
-        cost = np.abs(pred[:, None] - vals[None, :])
-        _, cols = linear_sum_assignment(cost)
-        lam[:, i] = vals[cols]
+        lam[:, i] = vals[_assign(np.abs(pred[:, None] - vals[None, :]))]
     return lam
 
 
@@ -435,10 +443,7 @@ def eigencurves(H, d1: int, eps_grid=None,
     if sqrt_idx:
         est = np.array([abs(lam[j, -1]) / np.sqrt(eps_grid[-1]) for j in sqrt_idx])
         targets = np.repeat(sigma, 2)
-        cost = np.abs(est[:, None] - targets[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        for a, b in zip(rows, cols):
-            sigma_by_curve[sqrt_idx[a]] = targets[b]
+        sigma_by_curve[sqrt_idx] = targets[_assign(np.abs(est[:, None] - targets[None, :]))]
 
     return EigenCurves(
         eps=eps_grid,

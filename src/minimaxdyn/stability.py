@@ -45,6 +45,7 @@ from .spectral import (
 
 MARGINAL_TOL = 1e-8
 DEFAULT_TAU_GRID = np.geomspace(1.0, 1e8, 33)
+DEFAULT_TAU_GRID.setflags(write=False)  # shared by every default call
 DEFAULT_K_TAIL = 5
 _CROSS_CHECK_GUARD = 1e-9
 

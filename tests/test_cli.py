@@ -279,3 +279,73 @@ def test_package_import_is_lazy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
+
+
+SCIPY_OFF_START_UP = """
+import os, sys
+import numpy as np
+import minimaxdyn.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+assert scipy_modules() == [], scipy_modules()
+sim = ["simulate", "--builtin", "bilinear", "--n", "2", "--max-iters", "40"]
+assert cli.main(sim + ["--method", "eg_tt", "--eta", "0.5", "--out", out + "/d"]) == 0
+assert cli.main(sim + ["--method", "ode_eg_tt", "--s", "0.4", "--dt", "0.2",
+                       "--out", out + "/o"]) == 0
+assert os.path.isfile(out + "/d/traj_0001.csv") and os.path.isfile(out + "/o/traj_0001.csv")
+assert scipy_modules() == [], scipy_modules()
+from minimaxdyn import spectral
+blocks = spectral.canonicalize([[2.0]], [[-1.0]], [[1.0]])
+assert np.allclose(spectral.mu_roots_oracle(blocks), [3.0])
+assert cli.main(["classify", "--builtin", "bilinear", "--out", out + "/c"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_stays_off_the_start_up_path(tmp_path):
+    result = subprocess.run([sys.executable, "-c", SCIPY_OFF_START_UP, str(tmp_path)],
+                            capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+
+
+def run_captured(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
+    import minimaxdyn.cli as cli
+
+    calls = [
+        ["classify", "--builtin", "scalar_degenerate", "--a", "2", "--c", "1",
+         "--tau-grid", "1:1e6:9", "--out", "c1"],
+        ["simulate", "--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.3",
+         "--tau", "2", "--n", "3", "--seed", "5", "--max-iters", "30", "--out", "s1"],
+        ["sweep", "--builtin", "bilinear", "--eps-grid", "0.5:1e-6:9",
+         "--s-grid", "0.01:0.2:3", "--out", "w1"],
+        ["simulate", "--builtin", "bilinear", "--method", "bogus"],
+        ["--help"],
+        ["simulate", "--builtin", "bilinear", "--eta", "0.5", "--max-iters", "20",
+         "--out", "s2"],
+        ["classify", "--builtin", "bilinear", "--out", "c2"],
+        [],
+        ["sweep", "--builtin", "strict_nonminimax_demo", "--out", "w2"],
+        ["simulate", "--help"],
+    ]
+    reused, runs = cli._parser, {}
+    for name, parser in (("reused", reused), ("fresh", cli.build_parser)):
+        monkeypatch.setattr(cli, "_parser", parser)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        runs[name] = [run_captured(capsys, argv) for argv in calls]
+        runs[name].append({str(p.relative_to(tmp_path / name)): p.read_bytes()
+                           for p in sorted((tmp_path / name).rglob("*")) if p.is_file()})
+    assert [r[0] for r in runs["reused"][:-1]] == [0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert len(runs["reused"][-1]) == 2 + 4 + 2 + 101 + 2  # reports, CSVs, summaries
+    assert runs["reused"] == runs["fresh"]
+    assert reused() is reused()
+    assert cli.build_parser() is not cli.build_parser()

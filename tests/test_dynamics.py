@@ -10,6 +10,8 @@ from minimaxdyn.dynamics import (
     MethodParams,
     NewtonError,
     SingularOperatorError,
+    Termination,
+    Trajectory,
     find_stationary,
     integrate,
     ode_field,
@@ -585,3 +587,36 @@ def test_trajectory_csv_format(tmp_path, bilinear):
     row = lines[-1].split(",")
     z = np.array([float(row[2]), float(row[3])])
     assert float(row[4]) == pytest.approx(np.linalg.norm(saddle_gradient(bilinear, z)))
+
+
+def reference_trajectory_csv(traj, path):
+    """The writer formatted one value at a time, as a fixed reference."""
+    d = traj.states.shape[1]
+    cols = ",".join(f"z_{i}" for i in range(d))
+    with open(path, "w") as fh:
+        fh.write(f"step,t,{cols},F_norm\n")
+        for i, (t, z, fn) in enumerate(zip(traj.times, traj.states, traj.f_norms)):
+            zs = ",".join(repr(float(v)) for v in z)
+            fh.write(f"{i},{float(t)!r},{zs},{float(fn)!r}\n")
+
+
+def test_trajectory_csv_matches_reference_writer(tmp_path, bilinear):
+    special = np.array([[-0.0, np.nan], [np.inf, -np.inf], [1e-300, -5e-324],
+                        [0.1, 1.0 / 3.0]])
+    trajs = [
+        run_discrete(bilinear, [1.0, 0.0], MethodParams(method="gda_tt", eta=0.5, tau=3.0),
+                     max_iters=40),
+        integrate(bilinear, "eg_tt", [1.0, 0.0], s=0.3, tau=2.0, dt=0.05, t_end=3.0),
+        integrate(dense_quadratic(3, 2, seed=7), "plain", np.ones(5), dt=0.1, t_end=1.0),
+        Trajectory(times=np.arange(4), states=special, f_norms=np.array([0.0, np.nan, np.inf, 2.0]),
+                   termination=Termination("nonfinite"), params=MethodParams(method="gda_tt")),
+        Trajectory(times=np.array([0.0, 0.1, 0.2, 1e300]), states=special[:, ::-1],
+                   f_norms=np.array([-0.0, 1e-300, 3.0, np.nan]),
+                   termination=Termination("nonfinite"), params=MethodParams(method="ode_plain")),
+    ]
+    assert trajs[0].times.dtype.kind == "i"
+    for k, traj in enumerate(trajs):
+        write_trajectory_csv(traj, tmp_path / f"new_{k}.csv")
+        reference_trajectory_csv(traj, tmp_path / f"ref_{k}.csv")
+        assert (tmp_path / f"new_{k}.csv").read_bytes() == (tmp_path / f"ref_{k}.csv").read_bytes()
+    assert "\n0,0.0,-0.0,nan,0.0\n" in (tmp_path / "new_3.csv").read_text()

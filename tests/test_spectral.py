@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import assemble_hessian, random_saddle_blocks
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from minimaxdyn.problems import builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import (
@@ -23,6 +26,7 @@ from minimaxdyn.spectral import (
     rsc_subspace_oracle,
     s_zero,
     second_order_necessary,
+    split_blocks,
     timescaled_hessian,
 )
 
@@ -239,6 +243,69 @@ def test_eigencurves_never_vanish():
         A, B, C = random_saddle_blocks(rng, d1, d2, r)
         curves = eigencurves(assemble_hessian(A, B, C), d1)
         assert np.min(np.abs(curves.lam)) > 0.0
+
+
+def reference_curves(H, d1, eps_grid, labels):
+    """lam and sigma_by_curve computed one eps at a time: one eigvals call per
+    grid point and scipy's assignment per step, with the same power-law
+    prediction as eigencurves.  Also returns the tracking cost matrices."""
+    n = H.shape[0]
+    lam = np.empty((n, len(eps_grid)), dtype=complex)
+    costs = []
+    for i, eps in enumerate(eps_grid):
+        vals = np.linalg.eigvals(timescaled_hessian(H, 1.0 / eps, d1))
+        if i == 0:
+            lam[:, 0] = vals[np.lexsort((vals.imag, vals.real))]
+            continue
+        if i == 1:
+            pred = lam[:, 0]
+        else:
+            beta = np.log(eps_grid[i] / eps_grid[i - 1]) / np.log(
+                eps_grid[i - 1] / eps_grid[i - 2])
+            pred = lam[:, i - 1] * (lam[:, i - 1] / lam[:, i - 2]) ** beta
+        costs.append(np.abs(pred[:, None] - vals[None, :]))
+        _, cols = linear_sum_assignment(costs[-1])
+        lam[:, i] = vals[cols]
+    C2 = canonicalize(*split_blocks(H, d1)).C2
+    sigma = np.linalg.svd(C2, compute_uv=False) if C2.size else np.array([])
+    sigma_by_curve = np.full(n, np.nan)
+    sqrt_idx = [j for j, lbl in enumerate(labels) if lbl == LABEL_SQRT]
+    if sqrt_idx:
+        est = np.array([abs(lam[j, -1]) / np.sqrt(eps_grid[-1]) for j in sqrt_idx])
+        targets = np.repeat(sigma, 2)
+        rows, cols = linear_sum_assignment(np.abs(est[:, None] - targets[None, :]))
+        for a, b in zip(rows, cols):
+            sigma_by_curve[sqrt_idx[a]] = targets[b]
+    return lam, sigma_by_curve, costs
+
+
+def has_tie(cost):
+    """True when more than one assignment attains the minimal total cost."""
+    rows = np.arange(cost.shape[0])
+    totals = [cost[rows, list(p)].sum() for p in itertools.permutations(rows)]
+    return totals.count(min(totals)) > 1
+
+
+def test_eigencurves_match_per_eps_reference():
+    cases = {
+        "bilinear": (hessian_of("bilinear"), 1),
+        "strict_nonminimax_demo": (hessian_of("strict_nonminimax_demo"), 2),
+        "scalar_degenerate": (hessian_of("scalar_degenerate", a=2.0, c=1.0), 1),
+        # two real curves meet and leave as a conjugate pair: a tracking tie
+        "tie": (hessian_of("scalar_degenerate", a=10.0, c=1.0), 1),
+    }
+    rng = np.random.default_rng(14)
+    for d1, d2, r in SHAPES:
+        for k in range(3):
+            cases[(d1, d2, r, k)] = (assemble_hessian(*random_saddle_blocks(rng, d1, d2, r)), d1)
+    for grid in (DEFAULT_EPS_GRID, np.geomspace(0.5, 1e-8, 17)):
+        for key, (H, d1) in cases.items():
+            curves = eigencurves(H, d1, eps_grid=grid)
+            lam, sigma_by_curve, costs = reference_curves(H, d1, grid, curves.labels)
+            assert np.array_equal(curves.lam, lam), key
+            assert np.array_equal(curves.sigma_by_curve, sigma_by_curve, equal_nan=True), key
+            if key == "tie":
+                assert any(has_tie(c) for c in costs)
 
 
 # --- mu-equation pencil oracle -------------------------------------------------

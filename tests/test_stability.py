@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from minimaxdyn import stability
+from minimaxdyn import spectral, stability
 from minimaxdyn.cli import main
 from minimaxdyn.dynamics import step_eg_tt
 from minimaxdyn.problems import builtin_problem
@@ -527,6 +527,19 @@ def test_characterize_rejects_nonstationary():
     p = builtin_problem("bilinear")
     with pytest.raises(ValueError, match="not stationary"):
         characterize_equilibrium(p, np.array([1.0, 1.0]))
+
+
+def test_default_grids_cannot_be_changed_through_a_report():
+    p = builtin_problem("bilinear")
+    rep = characterize_equilibrium(p, np.zeros(2))
+    with pytest.raises(ValueError, match="read-only"):
+        rep.curves.eps *= 10
+    with pytest.raises(ValueError, match="read-only"):
+        rep.observed["gda"].tau_grid[0] = 5.0
+    again = characterize_equilibrium(p, np.zeros(2))
+    assert np.array_equal(again.curves.eps, np.geomspace(1e-1, 1e-9, 40))
+    assert np.array_equal(again.observed["gda"].tau_grid, np.geomspace(1.0, 1e8, 33))
+    assert spectral.DEFAULT_EPS_GRID[0] == 0.1 and stability.DEFAULT_TAU_GRID[0] == 1.0
 
 
 def test_characterize_json_is_serializable():
