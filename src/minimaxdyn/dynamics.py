@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import MinimaxProblem, jacobian_F, saddle_gradient
+from .problems import MinimaxProblem, _grad, jacobian_F, saddle_gradient
 
 DISCRETE_METHODS = ("gda_tt", "eg_tt")
 FIELD_KINDS = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}  # method -> field
@@ -125,9 +125,9 @@ def _row_field(problem: MinimaxProblem):
 
     Quadratic problems use F = Z H' with H built once; for m = 1 this is the
     same BLAS product as saddle_gradient, so the two agree bit for bit.
-    Other problems call saddle_gradient on the rows selected by the mask
-    live (all by default) and leave NaN in the others, so a user's grad is
-    never called past the point where a member stops.
+    Other problems call grad on the rows selected by the mask live (all by
+    default) and leave NaN in the others, so a user's grad is never called
+    past the point where a member stops.
     """
     if problem.quadratic is not None:
         HT = problem.quadratic.hessian().T
@@ -136,7 +136,8 @@ def _row_field(problem: MinimaxProblem):
     def rows(Z, out=None, live=None):
         out = np.empty_like(Z) if out is None else out
         for i in range(len(Z)):
-            out[i] = saddle_gradient(problem, Z[i]) if live is None or live[i] else np.nan
+            out[i] = _grad(problem, Z[i]) if live is None or live[i] else np.nan
+        np.negative(out[:, problem.d1:], out=out[:, problem.d1:])
         return out
     return rows
 
@@ -188,42 +189,46 @@ def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.n
 
 
 def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(M)  # one per matrix of a stack
-    ok = cond <= SOLVE_COND_LIMIT  # False for NaN and inf too
-    if not ok.all():
-        raise SingularOperatorError(
-            f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})"
-        )
+    # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
+    # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
+    D = M - np.eye(M.shape[-1])
+    if not ((D * D).sum(axis=(-2, -1)) <= 0.25).all():
+        cond = np.linalg.cond(M)  # one per matrix of a stack
+        ok = cond <= SOLVE_COND_LIMIT  # False for NaN and inf too
+        if not ok.all():
+            raise SingularOperatorError(
+                f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
     return np.linalg.solve(M, rhs)
 
 
 def _field(problem: MinimaxProblem, kind: str, s: float | None = None, tau: float = 1.0):
-    """Evaluator z -> ode_field(problem, kind, z, s, tau) for one run.
+    """Evaluator (z, F=None) -> ode_field(problem, kind, z, s, tau) for one run.
 
-    On a quadratic problem the EG fields build I + s Lam_tau H once and
-    check its condition on the first call (a run that takes no step raises
-    nothing); each call then costs one saddle_gradient and one solve, the
-    same numpy calls as a fresh build, so every value is the same.
+    F, if given, is saddle_gradient(problem, z), which the caller already has.
+    On a quadratic problem the EG fields build I + s Lam_tau H once and check
+    its condition on the first call (a run that takes no step raises
+    nothing); each call then costs one solve, as a fresh build would.
     """
     if kind not in FIELD_KINDS.values():
         raise ValueError(f"unknown field kind {kind!r}")
     if kind == "plain":
-        return lambda z: -saddle_gradient(problem, z)
+        return lambda z, F=None: -(saddle_gradient(problem, z) if F is None else F)
     if s is None or s <= 0:
         raise ValueError("eg fields require s > 0")
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
     if problem.quadratic is None:
-        def field(z):
-            F = saddle_gradient(problem, z)
-            M = np.eye(problem.dim) + s * (lam[:, None] * jacobian_F(problem, z))
-            return -_solve_checked(M, lam * F)
+        eye, lam_col = np.eye(problem.dim), lam[:, None]
+
+        def field(z, F=None):
+            F = saddle_gradient(problem, z) if F is None else F
+            return -_solve_checked(eye + s * (lam_col * jacobian_F(problem, z)), lam * F)
         return field
     M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
     solve = _solve_checked  # checks the condition of M on the first call only
 
-    def field(z):
+    def field(z, F=None):
         nonlocal solve
-        v = -solve(M, lam * saddle_gradient(problem, z))
+        v = -solve(M, lam * (saddle_gradient(problem, z) if F is None else F))
         solve = np.linalg.solve
         return v
     return field
@@ -235,8 +240,8 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
     return _field(problem, kind, s, tau)(_as_states(problem, [z], "z")[0])
 
 
-def _rk4_step(field, z, dt) -> np.ndarray:
-    k1 = field(z)
+def _rk4_step(field, z, dt, F=None) -> np.ndarray:
+    k1 = field(z, F)
     k2 = field(z + 0.5 * dt * k1)
     k3 = field(z + 0.5 * dt * k2)
     k4 = field(z + dt * k3)
@@ -266,7 +271,8 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
 
     times = [0.0]
     states = [z.copy()]
-    fnorms = [float(np.linalg.norm(saddle_gradient(problem, z)))]
+    F = saddle_gradient(problem, z)  # reused by the next step's first stage
+    fnorms = [float(np.linalg.norm(F))]
     t = 0.0
     n_steps = int(round(t_end / dt))
     for k in range(n_steps + 1):
@@ -283,11 +289,12 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
         if k == n_steps:
             term = Termination("t_end", step=k)
             break
-        z = _rk4_step(field, z, dt)
+        z = _rk4_step(field, z, dt, F)
         t += dt
         times.append(t)
         states.append(z.copy())
-        fnorms.append(float(np.linalg.norm(saddle_gradient(problem, z))))
+        F = saddle_gradient(problem, z)
+        fnorms.append(float(np.linalg.norm(F)))
     return Trajectory(np.array(times), np.array(states), np.array(fnorms), term, params)
 
 

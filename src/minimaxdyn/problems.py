@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 SYMMETRY_TOL = 1e-8
+_CBRT_EPS = np.cbrt(np.finfo(float).eps)  # scale of the finite-difference step
 
 BUILTIN_NAMES = (
     "bilinear",
@@ -148,13 +149,24 @@ class QuadraticSpec:
         )
 
 
-def saddle_gradient(problem: MinimaxProblem, z) -> np.ndarray:
-    """F(z) = (grad_x f, -grad_y f) at z."""
+def _grad(problem: MinimaxProblem, z) -> np.ndarray:
+    """problem.grad(z) as a float array, checked to have the shape (d,) of z."""
+    g = np.asarray(problem.grad(z), dtype=float)
+    if g.shape != z.shape:
+        raise ValueError(f"grad must return shape {z.shape}, got {g.shape}")
+    return g
+
+
+def _point(problem: MinimaxProblem, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.dim,):
         raise ValueError(f"z must have length {problem.dim}, got shape {z.shape}")
-    g = np.asarray(problem.grad(z), dtype=float)
-    F = g.copy()
+    return z
+
+
+def saddle_gradient(problem: MinimaxProblem, z) -> np.ndarray:
+    """F(z) = (grad_x f, -grad_y f) at z."""
+    F = _grad(problem, _point(problem, z)).copy()
     F[problem.d1:] = -F[problem.d1:]
     return F
 
@@ -162,7 +174,7 @@ def saddle_gradient(problem: MinimaxProblem, z) -> np.ndarray:
 def default_fd_step(z) -> float:
     """Central-difference step: cbrt(machine eps) scaled to ||z||."""
     z = np.asarray(z, dtype=float)
-    return float(np.cbrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(z)))
+    return float(_CBRT_EPS * max(1.0, np.linalg.norm(z)))
 
 
 def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndarray:
@@ -178,14 +190,15 @@ def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndar
         B = symmetrize(B, "B")
         C = _as_matrix(C, "C")
         return np.block([[A, C], [-C.T, -B]])
-    n = problem.dim
+    z = _point(problem, z)
     h = default_fd_step(z) if h_fd is None else float(h_fd)
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        H[:, i] = (saddle_gradient(problem, z + e) - saddle_gradient(problem, z - e)) / (2 * h)
-    return H
+    if h_fd is not None and not 0.0 < h < np.inf:
+        raise ValueError(f"h_fd must be finite and > 0, got {h_fd}")
+    E = np.diag(np.full(len(z), h))  # exact zeros off the diagonal, unlike eye * inf
+    # columns 2i and 2i + 1 of G: grad at z + h e_i, then at z - h e_i
+    G = np.array([_grad(problem, w) for pair in zip(z + E, z - E) for w in pair]).T
+    G[problem.d1:] = -G[problem.d1:]  # negate before subtracting: keeps signed zeros
+    return np.subtract(G[:, 0::2], G[:, 1::2], order="C") / (2 * h)
 
 
 def hessian_blocks_at(problem: MinimaxProblem, z, h_fd: float | None = None):

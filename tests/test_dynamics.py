@@ -239,21 +239,138 @@ def test_quadratic_run_builds_and_checks_operator_once(monkeypatch):
     calls = {}
     monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    monkeypatch.setattr(dynamics, "_solve_checked",
+                        counting(calls, "checked", dynamics._solve_checked))
+    # ||s Lam H||_F <= 1/2 on both: the norm bound certifies M, so no cond
     for problem in (builtin_problem("bilinear"), dense_quadratic(3, 2, seed=7)):
         traj = integrate(problem, "eg_tt", np.ones(problem.dim), s=0.3 / problem.lipschitz_bound,
                          tau=4.0, dt=0.1, t_end=5.0)
         assert len(traj) == 51
-    assert calls == {"cond": 2}
+    assert calls == {"checked": 2}
+    # s ||H|| = 0.9 at tau = 1: M is not certified and cond runs, once per run
+    calls.clear()
+    problem = dense_quadratic(3, 2, seed=7)
+    traj = integrate(problem, "eg", np.ones(problem.dim), s=0.9 / problem.lipschitz_bound,
+                     dt=0.1, t_end=5.0)
+    assert len(traj) == 51
+    assert calls == {"checked": 1, "cond": 1}
 
 
 def test_general_problem_field_builds_operator_per_stage(monkeypatch):
-    calls = {}
+    calls, operators = {}, []
     monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, b: operators.append(M) or solve(M, b))
     traj = integrate(quartic_problem(), "eg_tt", [0.5, -0.4], s=0.05, tau=2.0, dt=0.1,
                      t_end=2.0)
     assert len(traj) == 21
-    assert calls == {"jacobian_F": 80, "cond": 80}
+    assert calls == {"jacobian_F": 80} and len(operators) == 80
+    # from [2, -2] the first operators have ||M - I||_F > 1/2 and need cond;
+    # near the origin the norm bound certifies them
+    calls.clear()
+    operators.clear()
+    traj = integrate(quartic_problem(), "eg_tt", [2.0, -2.0], s=0.05, tau=2.0, dt=0.1,
+                     t_end=2.0)
+    uncertified = sum(np.linalg.norm(M - np.eye(2)) > 0.5 for M in operators)
+    assert len(traj) == 21 and 0 < uncertified < 80
+    assert calls == {"jacobian_F": 80, "cond": uncertified}
+
+
+@pytest.mark.parametrize("kind", ["plain", "eg", "eg_tt"])
+def test_integrate_reuses_the_gradient_of_each_step(kind):
+    """Each step evaluates F at the new state once, for its norm, and the
+    next step's first stage reuses it: 3 + 1 gradient evaluations per step,
+    one fewer than four stages plus the norm."""
+    counter = [0]
+    problem = quartic_problem(counter)
+    traj = integrate(problem, kind, [0.5, -0.4], s=0.05, tau=2.0, dt=0.1, t_end=2.0)
+    steps = len(traj) - 1
+    fd_calls = 0 if kind == "plain" else 4 * 2 * problem.dim  # jacobian_F per stage
+    assert steps == 20
+    assert counter[0] == 1 + steps * (3 + 1 + fd_calls)
+    assert replay_deviation(problem, traj) == 0.0
+
+
+def test_quadratic_integrate_calls_saddle_gradient_four_times_per_step(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(dynamics, "saddle_gradient",
+                        counting(calls, "saddle_gradient", saddle_gradient))
+    traj = integrate(builtin_problem("bilinear"), "eg_tt", [1.0, 1.0], s=0.4, tau=10.0,
+                     dt=0.1, t_end=3.0)
+    assert calls == {"saddle_gradient": 1 + 4 * (len(traj) - 1)}
+
+
+# --- _solve_checked ---------------------------------------------------------
+
+
+def singular_error(M):
+    """The exception of a cond check on M: cond's own (its SVD fails on NaN)
+    or the SingularOperatorError it leads to."""
+    try:
+        cond = np.linalg.cond(M)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+    return SingularOperatorError, f"linear operator numerically singular (cond ~ {cond:.3e})"
+
+
+def test_solve_checked_skips_cond_on_certified_operators(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    rng = np.random.default_rng(8)
+    for d in range(1, 7):
+        for _ in range(20):
+            K = rng.standard_normal((d, d))
+            K *= rng.uniform(0.0, 0.5) / np.linalg.norm(K)  # ||K||_F <= 1/2
+            M, rhs = np.eye(d) + K, rng.standard_normal(d)
+            assert np.array_equal(dynamics._solve_checked(M, rhs), np.linalg.solve(M, rhs))
+            stack = np.eye(d) + K * rng.uniform(-1.0, 1.0, (3, 1, 1))
+            rhs = rng.standard_normal((3, d, 2))
+            assert np.array_equal(dynamics._solve_checked(stack, rhs),
+                                  np.linalg.solve(stack, rhs))
+    assert calls == {}
+
+
+def test_solve_checked_runs_cond_just_above_the_bound(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    K = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for scale, n_cond in ((0.5, 0), (np.nextafter(0.5, 1.0), 1), (0.5 + 1e-9, 2)):
+        M = np.eye(2) + scale * K  # ||M - I||_F = scale
+        assert np.array_equal(dynamics._solve_checked(M, np.ones(2)),
+                              np.linalg.solve(M, np.ones(2)))
+        assert calls.get("cond", 0) == n_cond
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 0.0], [0.0, 1e-13]],
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[1.0, 0.0], [np.inf, 1.0]],
+])
+def test_solve_checked_still_raises_on_singular_operators(M):
+    M = np.array(M)
+    with np.errstate(invalid="ignore"):
+        kind, message = singular_error(M)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            dynamics._solve_checked(M, np.ones(2))
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_solve_checked_names_the_first_failing_member_of_a_stack(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
+    good = np.eye(2) + 0.1
+    wide = np.diag([3.0, 1.0])  # not certified, but well conditioned
+    bad1, bad2 = np.diag([1.0, 1e-13]), np.diag([1.0, 1e-15])
+    rhs = np.ones((3, 2, 1))
+    assert np.array_equal(dynamics._solve_checked(np.stack([good, wide, good]), rhs),
+                          np.linalg.solve(np.stack([good, wide, good]), rhs))
+    assert calls == {"cond": 1}
+    with pytest.raises(SingularOperatorError) as info:
+        dynamics._solve_checked(np.stack([good, bad1, wide, bad2]), np.ones((4, 2, 1)))
+    assert (type(info.value), str(info.value)) == singular_error(bad1)
 
 
 def test_singular_operator_raises_only_once_stepped():
@@ -488,6 +605,22 @@ def test_batch_rejects_bad_shape(bilinear):
     with pytest.raises(ValueError):
         run_discrete_batch(bilinear, np.zeros((3, 3)), params)
     assert run_discrete_batch(bilinear, np.zeros((0, 2)), params) == []
+
+
+@pytest.mark.parametrize("bad", [lambda z: np.ones(3), lambda z: 1.0,
+                                 lambda z: np.ones((2, 1))])
+def test_grad_of_wrong_shape_is_rejected_by_every_entry_point(bad):
+    p = dataclasses.replace(quartic_problem(), grad=bad)
+    z0 = [0.5, -0.4]
+    calls = [lambda kind=kind: integrate(p, kind, z0, s=0.05, dt=0.1, t_end=1.0)
+             for kind in ("plain", "eg", "eg_tt")]
+    calls += [lambda m=m: run_discrete(p, z0, MethodParams(method=m, eta=0.1, tau=2.0))
+              for m in ("gda_tt", "eg_tt")]
+    calls += [lambda: run_discrete_batch(p, [z0, z0], MethodParams(method="eg_tt", eta=0.1)),
+              lambda: find_stationary(p, z0), lambda: ode_field(p, "eg", z0, s=0.05)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"grad must return shape \(2,\), got"):
+            call()
 
 
 # --- non-finite termination -------------------------------------------------

@@ -12,6 +12,7 @@ from minimaxdyn.problems import (
     MinimaxProblem,
     QuadraticSpec,
     builtin_problem,
+    default_fd_step,
     hessian_blocks_at,
     jacobian_F,
     load_problem,
@@ -130,6 +131,100 @@ def test_jacobian_matches_finite_differences(name, params):
         H_fd = jacobian_F(fd_twin, z)
         scale = max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(H - H_fd)) <= 1e-5 * scale
+
+
+def reference_fd_jacobian(problem, z, h):
+    """One column per loop pass, each from two saddle_gradient calls."""
+    n = problem.dim
+    H = np.empty((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        H[:, i] = (saddle_gradient(problem, z + e) - saddle_gradient(problem, z - e)) / (2 * h)
+    return H
+
+
+def polynomial_problem(rng, d1, d2, seen=None):
+    """grad = Q z + c * z^3 with sparse Q and c, so that some second
+    derivatives are exactly zero; seen, if given, records every grad point."""
+    d = d1 + d2
+    Q = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.5)
+    c = rng.standard_normal(d) * (rng.random(d) < 0.5)
+
+    def grad(z):
+        if seen is not None:
+            seen.append(np.array(z))
+        return (Q + Q.T) @ z + c * z ** 3
+    return MinimaxProblem(d1=d1, d2=d2, value=lambda z: 0.0, grad=grad, lipschitz_bound=1.0)
+
+
+def test_fd_jacobian_equals_per_column_reference():
+    rng = np.random.default_rng(2024)
+    for d1 in range(1, 5):
+        for d2 in range(1, 5):
+            for _ in range(6):
+                seen = []
+                p = polynomial_problem(rng, d1, d2, seen)
+                z = rng.standard_normal(d1 + d2) * (rng.random(d1 + d2) < 0.7)
+                z[rng.random(d1 + d2) < 0.3] = -0.0
+                for h_fd in (None, 1e-3, 10.0 ** rng.uniform(-8, 0)):
+                    h = default_fd_step(z) if h_fd is None else h_fd
+                    seen.clear()
+                    H = jacobian_F(p, z, h_fd=h_fd)
+                    got_points = list(seen)
+                    seen.clear()
+                    want = reference_fd_jacobian(p, z, h)
+                    assert H.flags.c_contiguous
+                    assert np.array_equal(H, want)
+                    assert np.array_equal(np.signbit(H), np.signbit(want))
+                    # grad sees the same points in the same order
+                    assert len(got_points) == len(seen) == 2 * (d1 + d2)
+                    for a, b in zip(got_points, seen):
+                        assert np.array_equal(a, b)
+                        assert np.array_equal(np.signbit(a), np.signbit(b))
+                A, B, C = hessian_blocks_at(p, z)
+                H = reference_fd_jacobian(p, z, default_fd_step(z))
+                assert np.array_equal(A, (H[:d1, :d1] + H[:d1, :d1].T) / 2.0)
+                assert np.array_equal(C, (H[:d1, d1:] - H[d1:, :d1].T) / 2.0)
+
+
+def test_fd_jacobian_keeps_nonfinite_points_local():
+    # at z = (inf, 1, -2) the default step is inf; each perturbed point must
+    # differ from z in one coordinate only, so grad, which ignores z_0,
+    # stays finite at z +- h e_0 (eye * inf would put NaN in every coordinate)
+    p = MinimaxProblem(d1=1, d2=2, value=lambda z: 0.0, lipschitz_bound=1.0,
+                       grad=lambda z: np.array([1.0, z[1] ** 2, z[1] * z[2]]))
+    z = np.array([np.inf, 1.0, -2.0])
+    with np.errstate(invalid="ignore"):
+        H = jacobian_F(p, z)
+        assert np.array_equal(H, reference_fd_jacobian(p, z, default_fd_step(z)), equal_nan=True)
+    assert np.array_equal(H[:, 0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("h_fd", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+def test_bad_fd_step_is_rejected(h_fd):
+    p = x2y_problem()
+    with pytest.raises(ValueError, match="h_fd"):
+        jacobian_F(p, [1.0, 1.0], h_fd=h_fd)
+    with pytest.raises(ValueError, match="h_fd"):
+        hessian_blocks_at(p, [1.0, 1.0], h_fd=h_fd)
+
+
+@pytest.mark.parametrize("bad", [lambda z: np.ones(3), lambda z: 1.0,
+                                 lambda z: np.ones((2, 1))])
+def test_grad_of_wrong_shape_is_rejected(bad):
+    p = dataclasses.replace(x2y_problem(), grad=bad)
+    for call in (lambda: saddle_gradient(p, [1.0, 1.0]), lambda: jacobian_F(p, [1.0, 1.0]),
+                 lambda: hessian_blocks_at(p, [1.0, 1.0])):
+        with pytest.raises(ValueError, match=r"grad must return shape \(2,\), got"):
+            call()
+
+
+def test_fd_jacobian_rejects_bad_point():
+    p = x2y_problem()
+    for z in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="z must have length 2"):
+            jacobian_F(p, z)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
