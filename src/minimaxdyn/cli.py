@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dynamics, problems, spectral, stability
-from .dynamics import MethodParams, NewtonError, integrate, run_discrete, run_discrete_batch
+from .dynamics import MethodParams, NewtonError
 from .problems import MinimaxProblem, builtin_problem, load_problem
 from .stability import ClassifyConfig, CriterionMismatchError
 
@@ -178,23 +178,20 @@ def _cluster_points(points: list[np.ndarray], tol: float):
 def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool):
     """The members' trajectories, in index order.
 
-    Discrete methods without recording run as one lockstep batch.  Otherwise
-    members run one at a time, so callers can write each trajectory out
-    before the next one is computed.
+    Members run in lockstep blocks, one dynamics.run_batch call each.  A
+    block holds as many members as LOCKSTEP_BUFFER floats of kept samples
+    allow (every sample when recording, else the first and last), so callers
+    can write a block's trajectories out before the next block is computed.
     """
     inits = _sample_inits(config, problem.dim)
-    if config.method in dynamics.DISCRETE_METHODS:
-        params = MethodParams(method=config.method, eta=config.eta, tau=config.tau)
-        options = dict(tol_conv=config.tol_conv, max_iters=config.max_iters,
-                       diverge_norm=config.diverge_norm)
-        if not record:
-            return run_discrete_batch(problem, inits, params, **options)
-        return (run_discrete(problem, z0, params, record=True, **options) for z0 in inits)
-    kind = dynamics.FIELD_KINDS[config.method]
-    dt = config.dt if config.dt is not None else 1e-2
-    return (integrate(problem, kind, z0, s=config.s, tau=config.tau, dt=dt,
-                      t_end=dt * config.max_iters, tol_conv=config.tol_conv,
-                      diverge_norm=config.diverge_norm) for z0 in inits)
+    params = MethodParams(method=config.method, eta=config.eta, s=config.s, tau=config.tau,
+                          dt=config.dt)
+    kept = (max(config.max_iters, 0) * record + 2) * (problem.dim + 1)
+    size = max(1, dynamics.LOCKSTEP_BUFFER // kept)
+    for lo in range(0, max(config.n, 1), size):  # an empty ensemble still validates
+        yield from dynamics.run_batch(problem, inits[lo:lo + size], params,
+                                      tol_conv=config.tol_conv, max_iters=config.max_iters,
+                                      diverge_norm=config.diverge_norm, record=record)
 
 
 def cmd_simulate(args) -> int:

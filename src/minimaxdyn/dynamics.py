@@ -1,4 +1,4 @@
-"""Discrete steppers, ODE fields, trajectory drivers, and a Newton solver.
+"""Discrete steppers, ODE fields, one lockstep driver, and a Newton solver.
 
 Methods, with timescale weights Lam_tau = diag{(1/tau) I_d1, I_d2}:
 
@@ -8,13 +8,18 @@ Methods, with timescale weights Lam_tau = diag{(1/tau) I_d1, I_d2}:
     ode_eg     dz/dt = -(I + s DF(z))^{-1} F(z)
     ode_eg_tt  dz/dt = -(I + s Lam_tau DF(z))^{-1} Lam_tau F(z)
 
-ode_eg is ode_eg_tt at tau = 1.  Integration is fixed-step classical RK4;
-the fields are smooth and desk-scale, so reproducibility beats adaptivity.
+ode_eg is ode_eg_tt at tau = 1.  The ODE methods take fixed classical RK4
+steps of dt (DT_DEFAULT when unset); the fields are smooth and desk-scale,
+so reproducibility beats adaptivity.
 
-The discrete methods run on a lockstep engine: an (m, d) array of members is
-stepped in chunks of LOCKSTEP_CHUNK steps with no checks inside a chunk, and
-each member's stopping index is found afterwards from the chunk's buffers.
-A single run is a batch of one.
+All five methods run on one lockstep engine, run_batch: an (m, d) array of
+members is stepped in chunks of LOCKSTEP_CHUNK steps, and each member's
+stopping index is found after each chunk from the chunk's buffers.  The
+only per-method part is the stepper: one descent (two for EG) for the
+discrete methods, one RK4 step over the rows for the ODE methods.
+run_discrete and integrate are batches of one; step_gda_tt, step_eg_tt and
+replay_deviation take single steps of the same stepper, and ode_field is
+one evaluation of its velocity.
 """
 
 from __future__ import annotations
@@ -32,13 +37,14 @@ METHODS = DISCRETE_METHODS + tuple(FIELD_KINDS)
 
 TOL_CONV_DEFAULT = 1e-10
 DIVERGE_NORM_DEFAULT = 1e8
+DT_DEFAULT = 1e-2
 SOLVE_COND_LIMIT = 1e12
 LOCKSTEP_CHUNK = 64           # steps between termination checks
 LOCKSTEP_BUFFER = 1 << 20     # floats per chunk buffer (at least two samples)
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
-    """A linear solve hit a numerically singular operator.
+    """A linear solve hit a numerically singular or non-finite operator.
 
     For the EG fields this signals s ||DF|| too close to 1.
     """
@@ -54,7 +60,7 @@ class MethodParams:
 
     eta: discrete step size; s: continuous step (s = eta/2 matches one EG
     step to first order); tau >= 1: timescale separation; dt: integrator
-    step for the ODE methods.
+    step for the ODE methods (DT_DEFAULT when None).
     """
 
     method: str
@@ -82,8 +88,8 @@ class MethodParams:
                 raise ValueError(
                     f"{self.method} requires 0 < s < 1/L = {1.0 / L:.6g}, got {self.s}"
                 )
-        if self.method.startswith("ode") and self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.method.startswith("ode") and self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -142,6 +148,106 @@ def _row_field(problem: MinimaxProblem):
     return rows
 
 
+def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
+    # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
+    D = M - np.eye(M.shape[-1])
+    if not ((D * D).sum(axis=(-2, -1)) <= 0.25).all():
+        if not np.isfinite(M).all():  # cond's SVD would fail on it
+            raise SingularOperatorError("linear operator has non-finite entries")
+        cond = np.linalg.cond(M)  # one per matrix of a stack
+        ok = cond <= SOLVE_COND_LIMIT
+        if not ok.all():
+            raise SingularOperatorError(
+                f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
+    return np.linalg.solve(M, rhs)
+
+
+def _velocity(problem: MinimaxProblem, params: MethodParams, field):
+    """Evaluator v(Y, F=None, live=None) of the method's ODE field on the rows of Y.
+
+    F, if given, is field(Y), which the caller already has.  On a quadratic
+    problem every row is evaluated, and the EG fields build M = I + s Lam_tau H
+    once and check its condition on the first call (a run that takes no step
+    raises nothing); each call then makes one stacked solve against M.  Other
+    problems solve against I + s Lam_tau DF(y) row by row; rows where live is
+    false get NaN and cost no grad call.
+    """
+    kind = FIELD_KINDS[params.method]
+    if kind == "plain":
+        return lambda Y, F=None, live=None: np.negative(field(Y, live=live) if F is None else F)
+    s = params.s
+    if s is None or s <= 0:
+        raise ValueError("eg fields require s > 0")
+    lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
+    if problem.quadratic is None:
+        eye, lam_col = np.eye(problem.dim), lam[:, None]
+
+        def rows(Y, F=None, live=None):
+            F = field(Y, live=live) if F is None else F
+            out = np.empty_like(Y)
+            for i, y in enumerate(Y):
+                out[i] = (-_solve_checked(eye + s * (lam_col * jacobian_F(problem, y)), lam * F[i])
+                          if live is None or live[i] else np.nan)
+            return out
+        return rows
+    M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
+    solve = _solve_checked  # checks the condition of M on the first call only
+
+    def stacked(Y, F=None, live=None):
+        nonlocal solve
+        out = solve(M, (lam * (field(Y) if F is None else F))[..., None])[..., 0]
+        solve = np.linalg.solve
+        return np.negative(out, out)
+    return stacked
+
+
+def _descend(z, F, eta, lam, out):
+    """out = z - eta * (lam * F), in this operation order, without temporaries.
+
+    eta and lam come as arrays of the shape of z: same-shape operands skip
+    the broadcasting set-up that dominates ufunc calls on a few rows.
+    """
+    np.multiply(lam, F, out)
+    np.multiply(eta, out, out)
+    return np.subtract(z, out, out)
+
+
+def _stepper(problem: MinimaxProblem, params: MethodParams, field):
+    """The method's one step, as rows(m) -> step(Z, F, out, live).
+
+    step writes into out the states one step after the m rows of Z, given
+    F = field(Z), and evaluates field only on the rows where live is true
+    (all when live is None).  rows(m) is called once per chunk; what it
+    builds around (eta, lam, the EG velocity and its checked operator) is
+    built once per run.
+    """
+    if params.method in DISCRETE_METHODS:
+        eta, d = float(params.eta), problem.dim
+        lam = timescale_weights(problem.d1, problem.d2, float(params.tau))
+        is_eg = params.method == "eg_tt"
+
+        def rows(m):
+            eta_m, lam_m, F_mid = np.full((m, d), eta), lam * np.ones((m, 1)), np.empty((m, d))
+
+            def step(Z, F, out, live):
+                _descend(Z, F, eta_m, lam_m, out)
+                if is_eg:  # out holds the midpoint
+                    field(out, F_mid, live)
+                    _descend(Z, F_mid, eta_m, lam_m, out)
+            return step
+        return rows
+    v, dt = _velocity(problem, params, field), params.dt or DT_DEFAULT
+
+    def rk4(Z, F, out, live):
+        k1 = v(Z, F, live)
+        k2 = v(Z + 0.5 * dt * k1, None, live)
+        k3 = v(Z + 0.5 * dt * k2, None, live)
+        k4 = v(Z + dt * k3, None, live)
+        np.add(Z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out)
+    return lambda m: rk4
+
+
 def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
     """Per row, whether the stopping rule lets it take another step.
 
@@ -156,17 +262,6 @@ def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
     return moving
 
 
-def _descend(z, F, eta, lam, out):
-    """out = z - eta * (lam * F), in this operation order, without temporaries.
-
-    eta and lam come as arrays of the shape of z: same-shape operands skip
-    the broadcasting set-up that dominates ufunc calls on a few rows.
-    """
-    np.multiply(lam, F, out)
-    np.multiply(eta, out, out)
-    return np.subtract(z, out, out)
-
-
 def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
     Z = np.array(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != problem.dim:
@@ -174,161 +269,37 @@ def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
     return Z
 
 
-def step_gda_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    z = _as_states(problem, [z], "z")
-    lam = timescale_weights(problem.d1, problem.d2, tau)
-    return (z - eta * (lam * _row_field(problem)(z)))[0]
-
-
-def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    z = _as_states(problem, [z], "z")
-    lam = timescale_weights(problem.d1, problem.d2, tau)
-    field = _row_field(problem)
-    mid = z - eta * (lam * field(z))
-    return (z - eta * (lam * field(mid)))[0]
-
-
-def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
-    # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
-    D = M - np.eye(M.shape[-1])
-    if not ((D * D).sum(axis=(-2, -1)) <= 0.25).all():
-        cond = np.linalg.cond(M)  # one per matrix of a stack
-        ok = cond <= SOLVE_COND_LIMIT  # False for NaN and inf too
-        if not ok.all():
-            raise SingularOperatorError(
-                f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
-    return np.linalg.solve(M, rhs)
-
-
-def _field(problem: MinimaxProblem, kind: str, s: float | None = None, tau: float = 1.0):
-    """Evaluator (z, F=None) -> ode_field(problem, kind, z, s, tau) for one run.
-
-    F, if given, is saddle_gradient(problem, z), which the caller already has.
-    On a quadratic problem the EG fields build I + s Lam_tau H once and check
-    its condition on the first call (a run that takes no step raises
-    nothing); each call then costs one solve, as a fresh build would.
-    """
-    if kind not in FIELD_KINDS.values():
-        raise ValueError(f"unknown field kind {kind!r}")
-    if kind == "plain":
-        return lambda z, F=None: -(saddle_gradient(problem, z) if F is None else F)
-    if s is None or s <= 0:
-        raise ValueError("eg fields require s > 0")
-    lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
-    if problem.quadratic is None:
-        eye, lam_col = np.eye(problem.dim), lam[:, None]
-
-        def field(z, F=None):
-            F = saddle_gradient(problem, z) if F is None else F
-            return -_solve_checked(eye + s * (lam_col * jacobian_F(problem, z)), lam * F)
-        return field
-    M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
-    solve = _solve_checked  # checks the condition of M on the first call only
-
-    def field(z, F=None):
-        nonlocal solve
-        v = -solve(M, lam * (saddle_gradient(problem, z) if F is None else F))
-        solve = np.linalg.solve
-        return v
-    return field
-
-
-def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
-              tau: float = 1.0) -> np.ndarray:
-    """Vector field of the named continuous system at z."""
-    return _field(problem, kind, s, tau)(_as_states(problem, [z], "z")[0])
-
-
-def _rk4_step(field, z, dt, F=None) -> np.ndarray:
-    k1 = field(z, F)
-    k2 = field(z + 0.5 * dt * k1)
-    k3 = field(z + 0.5 * dt * k2)
-    k4 = field(z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
-              tau: float = 1.0, dt: float = 1e-2, t_end: float = 10.0,
-              tol_conv: float = TOL_CONV_DEFAULT,
-              diverge_norm: float = DIVERGE_NORM_DEFAULT) -> Trajectory:
-    """Classical RK4 on the chosen field, sampled every step.
-
-    Stops with the rule of run_discrete_batch; the state at t_end is tested for
-    convergence and non-finiteness only.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    z = np.asarray(z0, dtype=float).copy()
-    method = next((m for m, k in FIELD_KINDS.items() if k == kind), None)
-    if method is None:
-        raise ValueError(f"unknown field kind {kind!r}")
-    params = MethodParams(method=method, s=s, tau=tau, dt=dt)
-    params.validate(problem)
-    field = _field(problem, kind, s, tau)
-
-    times = [0.0]
-    states = [z.copy()]
-    F = saddle_gradient(problem, z)  # reused by the next step's first stage
-    fnorms = [float(np.linalg.norm(F))]
-    t = 0.0
-    n_steps = int(round(t_end / dt))
-    for k in range(n_steps + 1):
-        znorm = float(np.linalg.norm(z))
-        if fnorms[-1] <= tol_conv:
-            term = Termination("converged", point=z.copy(), residual=fnorms[-1], step=k)
-            break
-        if k < n_steps and znorm >= diverge_norm:
-            term = Termination("diverged", threshold=diverge_norm, step=k)
-            break
-        if not math.isfinite(fnorms[-1] + znorm):
-            term = Termination("nonfinite", step=k)
-            break
-        if k == n_steps:
-            term = Termination("t_end", step=k)
-            break
-        z = _rk4_step(field, z, dt, F)
-        t += dt
-        times.append(t)
-        states.append(z.copy())
-        F = saddle_gradient(problem, z)
-        fnorms.append(float(np.linalg.norm(F)))
-    return Trajectory(np.array(times), np.array(states), np.array(fnorms), term, params)
-
-
-_REASONS = ("converged", "diverged", "nonfinite", "max_iters")
-
-
-def run_discrete_batch(problem: MinimaxProblem, Z0, params: MethodParams,
-                       tol_conv: float = TOL_CONV_DEFAULT, max_iters: int = 10000,
-                       diverge_norm: float = DIVERGE_NORM_DEFAULT,
-                       record: bool = False) -> list[Trajectory]:
-    """Run each row of Z0 as one member of a discrete method, all in lockstep.
+def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
+              tol_conv: float = TOL_CONV_DEFAULT, max_iters: int = 10000,
+              diverge_norm: float = DIVERGE_NORM_DEFAULT,
+              record: bool = False) -> list[Trajectory]:
+    """Run each row of Z0 as one member of the method, all in lockstep.
 
     A member stops at its first index k with, in this order of precedence,
     ||F(z_k)|| <= tol_conv (converged), ||z_k|| >= diverge_norm (diverged),
     or a non-finite ||F(z_k)|| or ||z_k|| (nonfinite).  The state reached
     after max_iters steps is tested for convergence and non-finiteness
-    only, and otherwise ends the run at max_iters.  Live members advance
+    only, and otherwise ends the run at max_iters (t_end for the ODE
+    methods, whose times are the running sum of dt).  Live members advance
     through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d); after
-    each chunk the stopped ones are dropped.  A member's float operations do
-    not depend on the batch, except for BLAS summation order in F = Z H'
+    each chunk the stopped ones are dropped.  A member's float operations
+    do not depend on the batch, except for BLAS summation order in F = Z H'
     with a dense H.  With record=False a trajectory keeps only its initial
     and final states.
     """
-    if params.method not in DISCRETE_METHODS:
-        raise ValueError(f"run_discrete needs a discrete method, got {params.method!r}")
     params.validate(problem)
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     Z0 = _as_states(problem, Z0, "Z0")
     n, d = Z0.shape
-    eta = float(params.eta)
-    lam = timescale_weights(problem.d1, problem.d2, float(params.tau))
     field = _row_field(problem)
-    quadratic = problem.quadratic is not None  # F is cheap and total: no masking
-    is_eg = params.method == "eg_tt"
-    K = max(int(max_iters), 0)
+    rows = _stepper(problem, params, field)
+    discrete = params.method in DISCRETE_METHODS
+    # a discrete step on a quadratic costs about as much as a check, so such
+    # members are not checked before each step; every other batch stops as
+    # soon as all its members have (quadratic evaluators ignore the mask)
+    checked = problem.quadratic is None or not discrete
+    K = int(max_iters)
 
     steps, codes = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     Z_end, f_end, f_start = np.empty_like(Z0), np.empty(n), np.empty(n)
@@ -340,17 +311,15 @@ def run_discrete_batch(problem: MinimaxProblem, Z0, params: MethodParams,
             c = min(LOCKSTEP_CHUNK, max(1, LOCKSTEP_BUFFER // (m * d) - 1), K - k0)
             Zb, Fb = np.empty((c + 1, m, d)), np.empty((c + 1, m, d))
             Zb[0], Fb[0] = Z, F
-            Zr, Fr, F_mid = list(Zb), list(Fb), np.empty((m, d))
-            eta_m, lam_m = np.full((m, d), eta), lam * np.ones((m, 1))
+            Zr, Fr, step = list(Zb), list(Fb), rows(m)
             for i in range(c):
-                live = None if quadratic else _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
-                if live is not None and not any(live):  # all stopped by sample i
-                    Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
-                    break
-                _descend(Zr[i], Fr[i], eta_m, lam_m, Zr[i + 1])
-                if is_eg:  # Zr[i + 1] holds the midpoint
-                    field(Zr[i + 1], F_mid, live)
-                    _descend(Zr[i], F_mid, eta_m, lam_m, Zr[i + 1])
+                live = None
+                if checked:
+                    live = _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
+                    if not any(live):  # all stopped by sample i
+                        Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
+                        break
+                step(Zr[i], Fr[i], Zr[i + 1], live)
                 field(Zr[i + 1], Fr[i + 1], live)
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
@@ -375,20 +344,24 @@ def run_discrete_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 ids, Z, F = ids[~ended], Z[~ended], F[~ended]
             k0 += c
 
+    reasons = ("converged", "diverged", "nonfinite", "max_iters" if discrete else "t_end")
+    top = int(steps.max(initial=0))  # times: step indices or the running sum of dt
+    T = (np.arange(top + 1) if discrete
+         else np.cumsum(np.r_[0.0, np.full(top, params.dt or DT_DEFAULT)]))
     out = []
     for i, k in enumerate(steps.tolist()):
-        term = Termination(_REASONS[codes[i]], step=k)
+        term = Termination(reasons[codes[i]], step=k)
         if term.reason == "converged":
             term.point, term.residual = Z_end[i].copy(), float(f_end[i])
         elif term.reason == "diverged":
             term.threshold = diverge_norm
         if record:  # a chunk's last sample is also the next one's first
             parts = history[i][:-1]
-            times = np.arange(k + 1)
+            times = T[:k + 1]
             states = np.concatenate([z[:-1] for z, _ in parts] + [history[i][-1][0]])[:k + 1]
             fnorms = np.concatenate([f[:-1] for _, f in parts] + [history[i][-1][1]])[:k + 1]
         else:
-            times = np.array([0, k] if k else [0])
+            times = T[[0, k] if k else [0]]
             states = np.array([Z0[i], Z_end[i]])[:len(times)]
             fnorms = np.array([f_start[i], f_end[i]])[:len(times)]
         out.append(Trajectory(times, states, fnorms, term, params))
@@ -399,15 +372,61 @@ def run_discrete(problem: MinimaxProblem, z0, params: MethodParams,
                  tol_conv: float = TOL_CONV_DEFAULT, max_iters: int = 10000,
                  diverge_norm: float = DIVERGE_NORM_DEFAULT,
                  record: bool = True) -> Trajectory:
-    """Iterate a discrete stepper until convergence, divergence, or max_iters.
+    """Iterate a stepper until convergence, divergence, or max_iters.
 
-    The stopping rule is that of run_discrete_batch, of which this is a
-    batch of one.  With record=False only the initial and final states are
-    kept.
+    A batch of one of run_batch.  With record=False only the initial and
+    final states are kept.
     """
-    return run_discrete_batch(problem, [z0], params, tol_conv=tol_conv,
-                              max_iters=max_iters, diverge_norm=diverge_norm,
-                              record=record)[0]
+    return run_batch(problem, [z0], params, tol_conv=tol_conv, max_iters=max_iters,
+                     diverge_norm=diverge_norm, record=record)[0]
+
+
+def _ode_method(kind: str) -> str:
+    if kind not in FIELD_KINDS.values():
+        raise ValueError(f"unknown field kind {kind!r}")
+    return f"ode_{kind}"
+
+
+def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
+              tau: float = 1.0, dt: float = DT_DEFAULT, t_end: float = 10.0,
+              tol_conv: float = TOL_CONV_DEFAULT,
+              diverge_norm: float = DIVERGE_NORM_DEFAULT) -> Trajectory:
+    """Classical RK4 on the chosen field for round(t_end / dt) steps, sampled every step.
+
+    A recorded batch of one of run_batch, so it stops with the same rule;
+    the state at t_end is tested for convergence and non-finiteness only.
+    """
+    params = MethodParams(method=_ode_method(kind), s=s, tau=tau, dt=dt)
+    params.validate(problem)  # dt divides t_end below
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    return run_batch(problem, [z0], params, tol_conv=tol_conv, max_iters=round(t_end / dt),
+                     diverge_norm=diverge_norm, record=True)[0]
+
+
+def _steps_from(problem: MinimaxProblem, params: MethodParams, states):
+    """The state one step of the method after each given state, each as a batch of one."""
+    field = _row_field(problem)
+    step = _stepper(problem, params, field)(1)
+    for z in _as_states(problem, states, "z")[:, None]:
+        out = np.empty_like(z)
+        step(z, field(z), out, None)
+        yield out[0]
+
+
+def step_gda_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
+    return next(_steps_from(problem, MethodParams(method="gda_tt", eta=eta, tau=tau), [z]))
+
+
+def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
+    return next(_steps_from(problem, MethodParams(method="eg_tt", eta=eta, tau=tau), [z]))
+
+
+def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
+              tau: float = 1.0) -> np.ndarray:
+    """Vector field of the named continuous system at z."""
+    params = MethodParams(method=_ode_method(kind), s=s, tau=tau)
+    return _velocity(problem, params, _row_field(problem))(_as_states(problem, [z], "z"))[0]
 
 
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
@@ -430,26 +449,13 @@ def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
 
 
 def replay_deviation(problem: MinimaxProblem, traj: Trajectory) -> float:
-    """Max deviation when re-applying the update rule to each recorded state.
+    """Max deviation when re-applying the method's step to each recorded state.
 
-    Zero for trajectories recorded every step, since the same float ops are
-    replayed.
+    Zero for trajectories recorded every step by a batch of one, since the
+    same float ops are replayed.
     """
-    p = traj.params
-    if p.method in DISCRETE_METHODS:
-        step = step_gda_tt if p.method == "gda_tt" else step_eg_tt
-
-        def advance(z):
-            return step(problem, z, p.eta, p.tau)
-    else:
-        field = _field(problem, FIELD_KINDS[p.method], p.s, p.tau)
-
-        def advance(z):
-            return _rk4_step(field, z, p.dt)
-    worst = 0.0
-    for a, b in zip(traj.states[:-1], traj.states[1:]):
-        worst = max(worst, float(np.max(np.abs(advance(a) - b))))
-    return worst
+    steps = _steps_from(problem, traj.params, traj.states[:-1])
+    return max([0.0, *(float(np.max(np.abs(a - b))) for a, b in zip(steps, traj.states[1:]))])
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

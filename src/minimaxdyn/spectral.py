@@ -240,17 +240,10 @@ def second_order_necessary(blocks: CanonicalBlocks,
 
 
 def is_strict_non_minimax(blocks: CanonicalBlocks, tol: float | None = None) -> bool:
-    """True iff lambda_min(S_res) < -tol or lambda_min(-B) < -tol."""
-    eig_B = np.diag(blocks.B_diag)
-    lam_min_negB = float(np.min(-eig_B)) if eig_B.size else 0.0
-    tol_B = default_psd_tol(blocks.B_diag) if tol is None else tol
-    if lam_min_negB < -tol_B:
-        return True
-    rsc = restricted_schur(blocks)
-    if rsc.vacuous:
-        return False
-    tol_S = default_psd_tol(rsc.S_res) if tol is None else tol
-    return float(np.min(rsc.eigenvalues())) < -tol_S
+    """True iff lambda_min(S_res) < -tol or lambda_min(-B) < -tol: under the
+    same tolerances, the complement of second_order_necessary."""
+    so = second_order_necessary(blocks, psd_tol=tol)
+    return not (so.B_nsd and so.Sres_psd)
 
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:

@@ -36,7 +36,6 @@ from .spectral import (
     eigencurves,
     generalized_schur,
     hemicurvature,
-    is_strict_non_minimax,
     restricted_schur,
     s_zero,
     second_order_necessary,
@@ -496,7 +495,6 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
     blocks = canonicalize(A, B, C, rank_tol=config.rank_tol)
     rsc = restricted_schur(blocks)
     so = second_order_necessary(blocks, psd_tol=config.psd_tol)
-    snm = is_strict_non_minimax(blocks, tol=config.psd_tol)
 
     H = np.block([[A, C], [-C.T, -B]])
     curves = eigencurves(H, problem.d1, eps_grid=config.eps_grid,
@@ -567,7 +565,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         iota=iota_by_sigma,
         s0=float(s0),
         second_order=so,
-        strict_non_minimax=snm,
+        strict_non_minimax=not necessary,
         s_eval=s_eval,
         eta_eval=eta_eval,
         distinct_sigma=bool(distinct),

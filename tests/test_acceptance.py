@@ -15,7 +15,7 @@ from conftest import (
 
 from minimaxdyn import stability
 from minimaxdyn.cli import main as cli_main
-from minimaxdyn.dynamics import MethodParams, run_discrete, run_discrete_batch
+from minimaxdyn.dynamics import MethodParams, run_discrete, run_batch
 from minimaxdyn.problems import builtin_problem
 from minimaxdyn.spectral import (
     LABEL_LINEAR,
@@ -76,7 +76,7 @@ def test_criterion_02_bilinear_dynamics():
 
     eg_params = MethodParams(method="eg_tt", eta=0.5, tau=10.0)
     eg_hits = 0
-    for traj in run_discrete_batch(p, inits, eg_params, tol_conv=1e-8, max_iters=100_000):
+    for traj in run_batch(p, inits, eg_params, tol_conv=1e-8, max_iters=100_000):
         if traj.termination.reason == "converged" \
                 and np.linalg.norm(traj.states[-1]) <= 1e-6:
             eg_hits += 1
@@ -89,7 +89,7 @@ def test_criterion_02_bilinear_dynamics():
     worst_drop = np.inf
     for tau in (1.0, 10.0, 100.0):
         params = MethodParams(method="gda_tt", eta=0.5, tau=tau)
-        for traj in run_discrete_batch(p, inits, params, max_iters=100_000, record=True):
+        for traj in run_batch(p, inits, params, max_iters=100_000, record=True):
             if traj.termination.reason == "converged":
                 gda_converged += 1
             w = np.sqrt(tau * traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2)

@@ -349,3 +349,66 @@ def test_reused_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
     assert runs["reused"] == runs["fresh"]
     assert reused() is reused()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def per_member_run_members(problem, config, record):
+    """simulate's members one at a time, each a single run_discrete or integrate."""
+    from minimaxdyn import cli, dynamics
+
+    options = dict(tol_conv=config.tol_conv, diverge_norm=config.diverge_norm)
+    for z0 in cli._sample_inits(config, problem.dim):
+        if config.method in dynamics.DISCRETE_METHODS:
+            params = dynamics.MethodParams(method=config.method, eta=config.eta, tau=config.tau)
+            yield dynamics.run_discrete(problem, z0, params, max_iters=config.max_iters,
+                                        record=record, **options)
+        else:
+            dt = 1e-2 if config.dt is None else config.dt  # simulate's default step
+            yield dynamics.integrate(problem, dynamics.FIELD_KINDS[config.method], z0,
+                                     s=config.s, tau=config.tau, dt=dt,
+                                     t_end=dt * config.max_iters, **options)
+
+
+SIMULATE_ENSEMBLES = {  # members stop at different steps, several in each block
+    "gda_bil": ["--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.5", "--tau", "3",
+                "--diverge-norm", "3"],
+    "eg_bil": ["--builtin", "bilinear", "--method", "eg_tt", "--eta", "0.5", "--tau", "10",
+               "--tol-conv", "0.3"],
+    "eg_snm": ["--builtin", "strict_nonminimax_demo", "--method", "eg_tt", "--eta", "0.2",
+               "--tau", "4", "--diverge-norm", "30"],
+    "gda_sd": ["--builtin", "scalar_degenerate", "--a", "2", "--c", "1", "--method", "gda_tt",
+               "--eta", "0.2", "--tol-conv", "0.05"],
+    "plain_sd": ["--builtin", "scalar_degenerate", "--a", "2", "--c", "1", "--method",
+                 "ode_plain", "--dt", "0.05", "--tol-conv", "0.05"],
+    "egtt_bil": ["--builtin", "bilinear", "--method", "ode_eg_tt", "--s", "0.4", "--tau", "10",
+                 "--dt", "0.2", "--tol-conv", "0.5"],
+    "egtt_snm": ["--builtin", "strict_nonminimax_demo", "--method", "ode_eg_tt", "--s", "0.2",
+                 "--tau", "4", "--diverge-norm", "30", "--dt", "0.2"],
+    "eg_sd": ["--builtin", "scalar_degenerate", "--a", "2", "--c", "1", "--method", "ode_eg",
+              "--s", "0.3", "--max-iters", "400", "--tol-conv", "0.3"],  # default dt
+}
+
+
+@pytest.mark.parametrize("csv", [True, False])
+@pytest.mark.parametrize("name", SIMULATE_ENSEMBLES)
+def test_simulate_blocks_match_per_member_runs(tmp_path, monkeypatch, name, csv):
+    import minimaxdyn.cli as cli
+    from minimaxdyn import dynamics
+
+    argv = ["simulate", "--n", "12", "--seed", "4", "--box", "2", "--max-iters", "150",
+            "--tol-conv", "1e-3", *SIMULATE_ENSEMBLES[name]]
+    argv += [] if csv else ["--no-trajectories"]
+    runs = {}
+    # the default buffer (one block), a small one (blocks of a few members
+    # and short chunks), and the per-member reference
+    for label, buffer in (("one_block", None), ("blocks", 2000), ("reference", None)):
+        if buffer:
+            monkeypatch.setattr(dynamics, "LOCKSTEP_BUFFER", buffer)
+        if label == "reference":
+            monkeypatch.setattr(cli, "_run_members", per_member_run_members)
+        out = tmp_path / label
+        assert main(argv + ["--out", str(out)]) == 0
+        runs[label] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        monkeypatch.undo()
+    assert len(runs["reference"]) == (13 if csv else 1)
+    assert runs["one_block"] == runs["reference"]
+    assert runs["blocks"] == runs["reference"]

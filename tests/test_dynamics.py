@@ -17,7 +17,7 @@ from minimaxdyn.dynamics import (
     ode_field,
     replay_deviation,
     run_discrete,
-    run_discrete_batch,
+    run_batch,
     step_eg_tt,
     step_gda_tt,
     write_trajectory_csv,
@@ -158,6 +158,16 @@ def test_integrate_zero_horizon(bilinear):
     assert traj.termination.reason == "t_end"
 
 
+def test_integrate_times_are_the_running_sum_of_dt(bilinear):
+    traj = integrate(bilinear, "plain", [1.0, 0.0], dt=0.1, t_end=5.0)
+    t, times = 0.0, [0.0]
+    for _ in range(50):
+        t += 0.1
+        times.append(t)
+    assert traj.times.tolist() == times
+    assert (traj.termination.reason, traj.termination.step) == ("t_end", 50)
+
+
 # --- build-once ODE evaluator ----------------------------------------------
 
 
@@ -293,24 +303,35 @@ def test_integrate_reuses_the_gradient_of_each_step(kind):
 
 
 def test_quadratic_integrate_calls_saddle_gradient_four_times_per_step(monkeypatch):
-    calls = {}
-    monkeypatch.setattr(dynamics, "saddle_gradient",
-                        counting(calls, "saddle_gradient", saddle_gradient))
+    """The engine evaluates F = Z H' once at the start and four times per
+    step: three RK4 stages and the new state, whose F the next step's first
+    stage reuses."""
+    calls = [0]
+    row_field = dynamics._row_field
+
+    def counted_row_field(problem):
+        field = row_field(problem)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return field(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(dynamics, "_row_field", counted_row_field)
     traj = integrate(builtin_problem("bilinear"), "eg_tt", [1.0, 1.0], s=0.4, tau=10.0,
                      dt=0.1, t_end=3.0)
-    assert calls == {"saddle_gradient": 1 + 4 * (len(traj) - 1)}
+    assert len(traj) == 31
+    assert calls[0] == 1 + 4 * (len(traj) - 1)
 
 
 # --- _solve_checked ---------------------------------------------------------
 
 
 def singular_error(M):
-    """The exception of a cond check on M: cond's own (its SVD fails on NaN)
-    or the SingularOperatorError it leads to."""
-    try:
-        cond = np.linalg.cond(M)
-    except np.linalg.LinAlgError as exc:
-        return type(exc), str(exc)
+    """The exception the check raises on M: a named non-finite operator, or
+    the SingularOperatorError of a cond check."""
+    if not np.all(np.isfinite(M)):
+        return SingularOperatorError, "linear operator has non-finite entries"
+    cond = np.linalg.cond(M)
     return SingularOperatorError, f"linear operator numerically singular (cond ~ {cond:.3e})"
 
 
@@ -351,11 +372,9 @@ def test_solve_checked_runs_cond_just_above_the_bound(monkeypatch):
 ])
 def test_solve_checked_still_raises_on_singular_operators(M):
     M = np.array(M)
-    with np.errstate(invalid="ignore"):
-        kind, message = singular_error(M)
-        with pytest.raises(np.linalg.LinAlgError) as info:
-            dynamics._solve_checked(M, np.ones(2))
-    assert (type(info.value), str(info.value)) == (kind, message)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        dynamics._solve_checked(M, np.ones(2))
+    assert (type(info.value), str(info.value)) == singular_error(M)
 
 
 def test_solve_checked_names_the_first_failing_member_of_a_stack(monkeypatch):
@@ -544,7 +563,7 @@ def assert_same_members(batch, singles):
 def test_batch_equals_batches_of_one_and_reference(method, max_iters):
     problem, Z0, options = mixed_ensemble()
     params = MethodParams(method=method, eta=0.5, tau=3.0)
-    batch = run_discrete_batch(problem, Z0, params, max_iters=max_iters, **options)
+    batch = run_batch(problem, Z0, params, max_iters=max_iters, **options)
     singles = [run_discrete(problem, z0, params, max_iters=max_iters, record=False,
                             **options) for z0 in Z0]
     assert_same_members(batch, singles)
@@ -568,7 +587,7 @@ def test_batch_record_equals_recorded_batches_of_one(monkeypatch):
     singles = [run_discrete(problem, z0, params, max_iters=150, **options) for z0 in Z0]
     # a buffer cap below one chunk of this batch forces shorter chunks
     monkeypatch.setattr(dynamics, "LOCKSTEP_BUFFER", 7 * len(Z0) * 2)
-    batch = run_discrete_batch(problem, Z0, params, max_iters=150, record=True, **options)
+    batch = run_batch(problem, Z0, params, max_iters=150, record=True, **options)
     assert_same_members(batch, singles)
     for traj in batch:
         assert_allclose(traj.times, np.arange(traj.termination.step + 1))
@@ -587,7 +606,7 @@ def test_batch_general_problem_calls_grad_like_reference(method):
                          [[10.0, -10.0], [0.9, 0.9], [np.nan, 0.0]]])
     params = MethodParams(method=method, eta=0.1, tau=2.0)
     options = dict(tol_conv=1e-10, max_iters=260, diverge_norm=1e3)
-    batch = run_discrete_batch(problem, Z0, params, **options)
+    batch = run_batch(problem, Z0, params, **options)
     batch_calls = counter[0]
     counter[0] = 0
     for traj, z0 in zip(batch, Z0):
@@ -600,11 +619,103 @@ def test_batch_general_problem_calls_grad_like_reference(method):
                                                     "max_iters"}
 
 
+ODE_METHODS = ["ode_plain", "ode_eg", "ode_eg_tt"]
+
+
+@pytest.mark.parametrize("method", ODE_METHODS)
+@pytest.mark.parametrize("max_iters", [0, 1, LOCKSTEP_CHUNK - 1, LOCKSTEP_CHUNK,
+                                       LOCKSTEP_CHUNK + 1, 2 * LOCKSTEP_CHUNK + 3])
+def test_ode_batch_equals_batches_of_one(method, max_iters):
+    problem, Z0, options = mixed_ensemble()
+    params = MethodParams(method=method, s=10.0, tau=3.0, dt=0.5)
+    batch = run_batch(problem, Z0, params, max_iters=max_iters, **options)
+    singles = [run_batch(problem, [z0], params, max_iters=max_iters, **options)[0]
+               for z0 in Z0]
+    assert_same_members(batch, singles)
+    for a, b in zip(batch, singles):
+        assert np.array_equal(a.times, b.times)
+    reasons = {t.termination.reason for t in batch}
+    assert {"nonfinite", "t_end"} <= reasons
+    if max_iters > 2 * LOCKSTEP_CHUNK:
+        assert {"converged", "diverged"} <= reasons
+        second = [t.termination.reason for t in batch
+                  if LOCKSTEP_CHUNK < t.termination.step < 2 * LOCKSTEP_CHUNK]
+        assert second.count("converged") >= 2 and second.count("diverged") >= 2
+
+
+@pytest.mark.parametrize("method", ODE_METHODS)
+def test_ode_batch_record_equals_integrate(monkeypatch, method):
+    problem, Z0, options = mixed_ensemble()
+    kind = dynamics.FIELD_KINDS[method]
+    singles = [integrate(problem, kind, z0, s=10.0, tau=3.0, dt=0.5, t_end=75.0, **options)
+               for z0 in Z0]
+    # a buffer cap below one chunk of this batch forces shorter chunks
+    monkeypatch.setattr(dynamics, "LOCKSTEP_BUFFER", 7 * len(Z0) * 2)
+    params = MethodParams(method=method, s=10.0, tau=3.0, dt=0.5)
+    batch = run_batch(problem, Z0, params, max_iters=150, record=True, **options)
+    assert_same_members(batch, singles)
+    assert {t.termination.reason for t in batch} == {"converged", "diverged", "nonfinite",
+                                                    "t_end"}
+    for traj, single in zip(batch, singles):
+        assert np.array_equal(traj.times, single.times)  # the running sum of dt
+        assert len(traj) == traj.termination.step + 1
+        if np.all(np.isfinite(traj.states)):
+            assert replay_deviation(problem, traj) == 0.0
+
+
+@pytest.mark.parametrize("method", ODE_METHODS)
+def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
+    counter = [0]
+    problem = quartic_problem(counter)
+    rng = np.random.default_rng(11)
+    Z0 = np.concatenate([rng.uniform(-1e-3, 1e-3, (6, 2)),
+                         [[10.0, -10.0], [0.9, 0.9], [np.nan, 0.0]]])
+    params = MethodParams(method=method, s=0.05, tau=2.0, dt=0.1)
+    options = dict(tol_conv=1e-6, diverge_norm=1e3)
+    batch = run_batch(problem, Z0, params, max_iters=120, **options)
+    batch_calls = counter[0]
+    counter[0] = 0
+    singles = [integrate(problem, dynamics.FIELD_KINDS[method], z0, s=0.05, tau=2.0, dt=0.1,
+                         t_end=12.0, **options) for z0 in Z0]
+    for traj, single in zip(batch, singles):
+        assert traj.termination.reason == single.termination.reason
+        assert traj.termination.step == single.termination.step
+        assert np.array_equal(traj.states[-1], single.states[-1], equal_nan=True)
+    # the user's grad is never called past the point where a member stops
+    assert batch_calls == counter[0]
+    assert {"converged", "nonfinite", "t_end"} <= {t.termination.reason for t in batch}
+
+
+def test_ode_run_that_takes_no_step_raises_nothing():
+    # I + s H is singular; a batch whose members all stop at their first
+    # sample never builds a stage, so the operator is never checked
+    p = dataclasses.replace(
+        builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]]),
+        lipschitz_bound=1.0)
+    params = MethodParams(method="ode_eg", s=0.5, dt=0.1)
+    batch = run_batch(p, [[0.0, 0.0], [np.nan, 0.0], [1e9, 0.0]], params, max_iters=10)
+    assert [t.termination.reason for t in batch] == ["converged", "nonfinite", "diverged"]
+    with pytest.raises(SingularOperatorError):
+        run_batch(p, [[0.0, 0.0], [1.0, 1.0]], params, max_iters=10)
+
+
+def test_eg_field_on_nan_gradient_names_the_non_finite_operator():
+    with pytest.raises(SingularOperatorError, match="non-finite entries"):
+        integrate(nan_beyond_two(), "eg", [1.0, 1.0], s=0.5, dt=0.1, t_end=10.0)
+
+
+def test_batch_rejects_negative_max_iters(bilinear):
+    for method in ("gda_tt", "ode_plain"):
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            run_batch(bilinear, [[1.0, 0.0]], MethodParams(method=method, eta=0.5),
+                      max_iters=-1)
+
+
 def test_batch_rejects_bad_shape(bilinear):
     params = MethodParams(method="gda_tt", eta=0.5)
     with pytest.raises(ValueError):
-        run_discrete_batch(bilinear, np.zeros((3, 3)), params)
-    assert run_discrete_batch(bilinear, np.zeros((0, 2)), params) == []
+        run_batch(bilinear, np.zeros((3, 3)), params)
+    assert run_batch(bilinear, np.zeros((0, 2)), params) == []
 
 
 @pytest.mark.parametrize("bad", [lambda z: np.ones(3), lambda z: 1.0,
@@ -616,7 +727,7 @@ def test_grad_of_wrong_shape_is_rejected_by_every_entry_point(bad):
              for kind in ("plain", "eg", "eg_tt")]
     calls += [lambda m=m: run_discrete(p, z0, MethodParams(method=m, eta=0.1, tau=2.0))
               for m in ("gda_tt", "eg_tt")]
-    calls += [lambda: run_discrete_batch(p, [z0, z0], MethodParams(method="eg_tt", eta=0.1)),
+    calls += [lambda: run_batch(p, [z0, z0], MethodParams(method="eg_tt", eta=0.1)),
               lambda: find_stationary(p, z0), lambda: ode_field(p, "eg", z0, s=0.05)]
     for call in calls:
         with pytest.raises(ValueError, match=r"grad must return shape \(2,\), got"):

@@ -16,6 +16,7 @@ from minimaxdyn.spectral import (
     LABEL_SQRT,
     SingularHessianError,
     canonicalize,
+    default_psd_tol,
     eigencurves,
     generalized_schur,
     hemicurvature,
@@ -129,6 +130,35 @@ def test_strict_non_minimax_examples():
     bad = canonicalize(np.diag([3.0, -5.0]), [[0.0]], [[1.0], [0.0]])
     assert is_strict_non_minimax(bad) is True
     assert is_strict_non_minimax(blocks_of("strict_nonminimax_demo")) is True
+
+
+def reference_strict_non_minimax(blocks, tol=None):
+    """The direct test: lambda_min(-B) < -tol, else lambda_min(S_res) < -tol."""
+    eig_B = np.diag(blocks.B_diag)
+    lam_min_negB = float(np.min(-eig_B)) if eig_B.size else 0.0
+    if lam_min_negB < -(default_psd_tol(blocks.B_diag) if tol is None else tol):
+        return True
+    rsc = restricted_schur(blocks)
+    if rsc.vacuous:
+        return False
+    return float(np.min(rsc.eigenvalues())) < -(default_psd_tol(rsc.S_res) if tol is None else tol)
+
+
+def test_strict_non_minimax_is_the_complement_of_the_necessary_condition():
+    rng = np.random.default_rng(21)
+    cases = [blocks_of(n) for n in ("bilinear", "strict_nonminimax_demo")]
+    cases += [blocks_of("scalar_degenerate", a=a, c=1.0) for a in (-1.0, 0.0, 2.0)]
+    for d1, d2, r in SHAPES + [(2, 2, 2)]:
+        for _ in range(25):
+            A, B, C = random_saddle_blocks(rng, d1, d2, r)
+            cases.append(canonicalize(A, B if rng.random() < 0.7 else -B, C))
+    verdicts = set()
+    for blocks in cases:
+        for tol in (None, 0.0, 1e-8, 0.3):
+            snm = is_strict_non_minimax(blocks, tol)
+            assert snm is reference_strict_non_minimax(blocks, tol)
+            verdicts.add(snm)
+    assert verdicts == {True, False}
 
 
 # --- timescaled Hessian -------------------------------------------------------
