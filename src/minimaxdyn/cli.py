@@ -56,7 +56,7 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _parse_grid(text: str, geometric: bool = True) -> np.ndarray:
+def _parse_grid(text: str) -> np.ndarray:
     """Parse 'lo:hi:n' into a geometric grid (empty for n = 0)."""
     try:
         lo_s, hi_s, n_s = text.split(":")
@@ -69,11 +69,9 @@ def _parse_grid(text: str, geometric: bool = True) -> np.ndarray:
         return np.array([])
     if n == 1:
         return np.array([lo])
-    if geometric:
-        if lo <= 0 or hi <= 0:
-            raise ValueError("geometric grid needs positive endpoints")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if lo <= 0 or hi <= 0:
+        raise ValueError("geometric grid needs positive endpoints")
+    return np.geomspace(lo, hi, n)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -229,11 +227,10 @@ def cmd_simulate(args) -> int:
     summary = {
         "config": config.to_dict(),
         "n": config.n,
-        "fraction_converged": outcomes.count("converged") / n if config.n else 0.0,
-        "fraction_diverged": outcomes.count("diverged") / n if config.n else 0.0,
-        "fraction_max_iters": (outcomes.count("max_iters") + outcomes.count("t_end")) / n
-        if config.n else 0.0,
-        "fraction_nonfinite": outcomes.count("nonfinite") / n if config.n else 0.0,
+        "fraction_converged": outcomes.count("converged") / n,
+        "fraction_diverged": outcomes.count("diverged") / n,
+        "fraction_max_iters": (outcomes.count("max_iters") + outcomes.count("t_end")) / n,
+        "fraction_nonfinite": outcomes.count("nonfinite") / n,
         "clusters": [
             {
                 "center": [float(v) for v in cl["center"]],
@@ -323,8 +320,7 @@ def cmd_avoidance(args) -> int:
         diverge_norm=args.diverge_norm,
         target_tol=args.target_tol,
     )
-    hits = 0
-    n_diverged = n_nonfinite = 0
+    hits = n_diverged = n_nonfinite = 0
     for traj in _run_members(problem, config, record=False):
         if traj.termination.reason == "diverged":
             n_diverged += 1
@@ -365,51 +361,44 @@ def cmd_sweep(args) -> int:
     z_star = _resolve_target(problem, args, args.tol_stationary)
     A, B, C = problems.hessian_blocks_at(problem, z_star)
     H = np.block([[A, C], [-C.T, -B]])
-    os.makedirs(args.out, exist_ok=True)
 
-    eps_grid = (_parse_grid(args.eps_grid) if args.eps_grid
-                else spectral.DEFAULT_EPS_GRID)
+    # everything is validated and computed before either file is opened
+    eps_grid = _parse_grid(args.eps_grid) if args.eps_grid else spectral.DEFAULT_EPS_GRID
+    curves = spectral.eigencurves(H, problem.d1, eps_grid=eps_grid) if len(eps_grid) else None
+    tau_grid = _parse_grid(args.tau_grid) if args.tau_grid else stability.DEFAULT_TAU_GRID
+    L = problem.lipschitz_bound
+    s_values = _parse_grid(args.s_grid) if args.s_grid else [0.5 / L if args.s is None else args.s]
+    eta_values = (_parse_grid(args.eta_grid) if args.eta_grid
+                  else [0.5 / L if args.eta is None else args.eta])
+    for name, vals in (("s", s_values), ("eta", eta_values)):
+        if not all(0.0 < v < 1.0 / L for v in vals):
+            raise ValueError(f"{name} grid must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
+    pairs = [(mode, float(p)) for mode, m in stability.MODES.items()
+             for p in (s_values if m.step == "s" else eta_values)]
+    table = stability.verdict_table(H, problem.d1, pairs, tau_grid)
+
+    os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "eigencurves.csv")
     with open(curve_path, "w") as fh:
         fh.write("eps,j,re,im,label\n")
-        if len(eps_grid):
-            curves = spectral.eigencurves(H, problem.d1, eps_grid=eps_grid)
-            for j in range(curves.lam.shape[0]):
-                for i, eps in enumerate(curves.eps):
-                    lam = curves.lam[j, i]
-                    fh.write(f"{float(eps)!r},{j},{float(lam.real)!r},"
-                             f"{float(lam.imag)!r},{curves.labels[j]}\n")
-
-    tau_grid = (_parse_grid(args.tau_grid) if args.tau_grid
-                else stability.DEFAULT_TAU_GRID)
-    L = problem.lipschitz_bound
-    s_values = (_parse_grid(args.s_grid) if args.s_grid
-                else [args.s if args.s is not None else 0.5 / L])
-    eta_values = (_parse_grid(args.eta_grid) if args.eta_grid
-                  else [args.eta if args.eta is not None else 0.5 / L])
-    for name, vals in (("s", s_values), ("eta", eta_values)):
-        for v in vals:
-            if not 0.0 < v < 1.0 / L:
-                raise ValueError(f"{name} grid must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
+        if curves is not None:
+            eps = curves.eps.tolist()
+            for j, (re, im, label) in enumerate(zip(curves.lam.real.tolist(),
+                                                    curves.lam.imag.tolist(), curves.labels)):
+                fh.writelines(f"{e!r},{j},{x!r},{y!r},{label}\n"
+                              for e, x, y in zip(eps, re, im))
     verdict_path = os.path.join(args.out, "verdicts.csv")
-    rows = []
     with open(verdict_path, "w") as fh:
         fh.write("mode,param,tau,stable\n")
-        # one engine call per (mode, step); rows stay tau-major
-        table = [(mode, float(p), stability.verdicts(H, problem.d1, mode, float(p), tau_grid))
-                 for mode, m in stability.MODES.items()
-                 for p in (s_values if m.step == "s" else eta_values)]
-        for i, tau in enumerate(tau_grid):
-            for mode, param, vs in table:
-                rows.append((mode, param, float(tau), vs[i].stable))
-                fh.write(f"{mode},{param!r},{float(tau)!r},{vs[i].stable}\n")
+        for i, tau in enumerate(tau_grid.tolist()):  # tau-major rows
+            fh.writelines(f"{mode},{param!r},{tau!r},{vs[i].stable}\n"
+                          for (mode, param), vs in zip(pairs, table))
     if len(tau_grid) and (args.s_grid or args.eta_grid):
-        tau_max = float(tau_grid[-1])
         for mode in stability.MODES:
-            stable_params = [p for m, p, t, st in rows
-                             if m == mode and t == tau_max and st == "stable"]
+            stable_params = [p for (m, p), vs in zip(pairs, table)
+                             if m == mode and vs[-1].stable == "stable"]
             if stable_params:
-                print(f"  {mode}: smallest tested stable step at tau={tau_max:g}: "
+                print(f"  {mode}: smallest tested stable step at tau={tau_grid[-1]:g}: "
                       f"{min(stable_params):.6g}")
     print(f"wrote {curve_path} and {verdict_path}")
     return 0

@@ -250,6 +250,8 @@ def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
     gives the stack of H_tau."""
     tau = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("tau must be finite")
     if np.any(tau < 1.0):
         raise ValueError("tau must be >= 1")
     H = np.asarray(H, dtype=float)

@@ -12,10 +12,10 @@ below one.  Each region test has an equivalent inverse form
 
 which stays well conditioned as the eigenvalues collapse toward the origin
 with growing tau, so verdict margins are measured in inverse form.  MODES
-holds both sides of each equivalence, and verdicts() evaluates one mode over
-a tau grid: it also computes the Jacobian-side criterion directly and raises
-CriterionMismatchError if the two sides disagree outside their marginal
-bands; the criterion equivalences thus run as permanent self-tests.
+holds both sides of each equivalence, and verdict_table() evaluates (mode,
+step) pairs over one tau grid, computing both sides as array operations; it
+raises CriterionMismatchError where they disagree outside their marginal
+bands, so the criterion equivalences run as permanent self-tests.
 """
 
 from __future__ import annotations
@@ -230,12 +230,12 @@ class VerdictMode:
     criterion: str
     region_margin: Callable  # (spec(H_tau), step) -> inverse-form margins
     jacobian: Callable       # (H_tau stack, step) -> Jacobian stack
-    jac_margin: Callable     # spec(J) at one tau -> margin, positive = stable
+    jac_margin: Callable     # spec(J) stack -> margin per tau, positive = stable
     lipschitz: bool          # requires step * ||H|| < 1
 
 
-def _rho_margin(jac_eigs) -> float:
-    return float(1.0 - np.max(np.abs(jac_eigs)))
+def _rho_margin(jac_eigs) -> np.ndarray:
+    return 1.0 - np.abs(jac_eigs).max(axis=-1)
 
 
 MODES = {
@@ -244,7 +244,7 @@ MODES = {
         "spec(H_tau) outside disk <=> spec(J) in open left half-plane",
         _inverse_margin,  # Re(1/lam) + s
         eg_jacobian_continuous,
-        lambda jac_eigs: float(-np.max(jac_eigs.real)), True),
+        lambda jac_eigs: -jac_eigs.real.max(axis=-1), True),
     "discrete": VerdictMode(
         "eg_tt_discrete", "eta",
         "spec(H_tau) inside peanut <=> rho(J) < 1",
@@ -258,50 +258,60 @@ MODES = {
 }
 
 
-def _classify(margins, tol: float) -> str:
-    m = float(np.min(margins))
-    if m > tol:
-        return "stable"
-    if m < -tol:
-        return "unstable"
-    return "marginal"
+def _labels(margins, tol: float) -> np.ndarray:
+    return np.where(margins > tol, "stable", np.where(margins < -tol, "unstable", "marginal"))
+
+
+def verdict_table(H, d1: int, pairs, taus,
+                  marginal_tol: float = MARGINAL_TOL) -> list[list[StabilityVerdict]]:
+    """One verdict per tau for each (mode, step) pair, mode a key of MODES.
+
+    The spectrum of the H_tau stack and ||H||_2 are computed once, on first
+    need, for all pairs; each pair adds one stacked Jacobian spectrum.
+    Pairs are validated and evaluated in order, so a failing pair raises
+    what verdicts() for it alone raises.
+    """
+    Ht = lams = norm = None
+    table = []
+    for mode, step in pairs:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        m = MODES[mode]
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"{m.step} must be positive and finite")
+        if not len(taus):
+            table.append([])
+            continue
+        if m.lipschitz:
+            norm = np.linalg.norm(H, 2) if norm is None else norm
+            if step * norm >= 1.0:
+                raise ValueError(f"requires {m.step} < 1/L ({m.step} * ||H|| < 1)")
+        if Ht is None:
+            Ht = timescaled_hessian(H, taus, d1)
+            lams = np.linalg.eigvals(Ht)
+        margins = m.region_margin(lams, step)
+        jac_eigs = np.linalg.eigvals(m.jacobian(Ht, step))
+        jac_margin = m.jac_margin(jac_eigs)
+        region = _labels(margins.min(axis=-1), marginal_tol)
+        jac = _labels(jac_margin, marginal_tol)
+        bad = np.flatnonzero((region != jac) & (region != "marginal") & (jac != "marginal"))
+        if bad.size:
+            i = bad[0]
+            raise CriterionMismatchError(
+                f"{mode} verdict ({m.step}={step}, tau={taus[i]}): region criterion "
+                f"says {region[i]}, Jacobian criterion says {jac[i]}")
+        table.append([
+            StabilityVerdict(m.method, label, {m.step: float(step), "tau": tau}, *witnesses,
+                             m.criterion)
+            for label, tau, *witnesses in zip(region.tolist(), np.asarray(taus, float).tolist(),
+                                              lams, margins, jac_eigs, jac_margin.tolist())])
+    return table
 
 
 def verdicts(H, d1: int, mode: str, step: float, taus,
              marginal_tol: float = MARGINAL_TOL) -> list[StabilityVerdict]:
-    """One verdict per tau for mode ("continuous", "discrete" or "gda").
-
-    Builds the H_tau stack once and takes one stacked spectrum per side:
-    eigvals of every H_tau for the region criterion and eigvals of every
-    built Jacobian for the direct one; raises CriterionMismatchError where
-    the two disagree outside their marginal bands.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    m = MODES[mode]
-    if not 0.0 < step:
-        raise ValueError(f"{m.step} must be positive")
-    if not len(taus):
-        return []
-    if m.lipschitz and step * np.linalg.norm(H, 2) >= 1.0:
-        raise ValueError(f"requires {m.step} < 1/L ({m.step} * ||H|| < 1)")
-    Ht = timescaled_hessian(H, taus, d1)
-    lams = np.linalg.eigvals(Ht)
-    margins = m.region_margin(lams, step)
-    jac_eigs = np.linalg.eigvals(m.jacobian(Ht, step))
-    out = []
-    for tau, lam, margin, jac_eig in zip(taus, lams, margins, jac_eigs):
-        jac_margin = m.jac_margin(jac_eig)
-        region = _classify(margin, marginal_tol)
-        jac = _classify([jac_margin], marginal_tol)
-        if region != jac and "marginal" not in (region, jac):
-            raise CriterionMismatchError(
-                f"{mode} verdict ({m.step}={step}, tau={tau}): region criterion "
-                f"says {region}, Jacobian criterion says {jac}"
-            )
-        out.append(StabilityVerdict(m.method, region, {m.step: float(step), "tau": float(tau)},
-                                    lam, margin, jac_eig, jac_margin, m.criterion))
-    return out
+    """One verdict per tau for mode: a verdict table of one pair."""
+    return verdict_table(H, d1, [(mode, step)], taus, marginal_tol)[0]
 
 
 def stability_continuous(H, s: float, tau: float, d1: int,
@@ -341,6 +351,27 @@ class InfinityVerdict:
     labels: list[str]
 
 
+def _tau_grid(tau_grid) -> np.ndarray:
+    """The validated tau grid of an infinity verdict (the default if None)."""
+    tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1 or not tau_grid.size:
+        raise ValueError(f"tau_grid must be a non-empty 1-d grid, got shape {tau_grid.shape}")
+    if not np.all(np.isfinite(tau_grid)):
+        raise ValueError("tau_grid must be finite")
+    if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 1.0:
+        raise ValueError("tau_grid must be increasing with tau >= 1")
+    return tau_grid
+
+
+def _terminal_run(mode: str, param: float, tau_grid, vs, k_tail: int) -> InfinityVerdict:
+    """The infinity verdict of one mode's per-tau verdicts vs on tau_grid."""
+    labels = [v.stable for v in vs]
+    run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != labels[-1]), len(labels))
+    if labels[-1] in ("stable", "unstable") and run >= k_tail:
+        return InfinityVerdict(mode, param, labels[-1], float(tau_grid[-run]), tau_grid, labels)
+    return InfinityVerdict(mode, param, "inconclusive", None, tau_grid, labels)
+
+
 def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
                         tau_grid=None, k_tail: int = DEFAULT_K_TAIL,
                         marginal_tol: float = MARGINAL_TOL) -> InfinityVerdict:
@@ -349,18 +380,9 @@ def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
     mode is "continuous" (disk criterion at step s), "discrete" (peanut
     criterion at step eta), or "gda".
     """
-    tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    if tau_grid.ndim != 1 or not tau_grid.size:
-        raise ValueError(f"tau_grid must be a non-empty 1-d grid, got shape {tau_grid.shape}")
-    if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 1.0:
-        raise ValueError("tau_grid must be increasing with tau >= 1")
-    labels = [v.stable for v in verdicts(H, d1, mode, s_or_eta, tau_grid, marginal_tol)]
-    tail = labels[-1]
-    run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != tail), len(labels))
-    if tail in ("stable", "unstable") and run >= k_tail:
-        return InfinityVerdict(mode, s_or_eta, tail,
-                               float(tau_grid[len(labels) - run]), tau_grid, labels)
-    return InfinityVerdict(mode, s_or_eta, "inconclusive", None, tau_grid, labels)
+    tau_grid = _tau_grid(tau_grid)
+    vs = verdicts(H, d1, mode, s_or_eta, tau_grid, marginal_tol)
+    return _terminal_run(mode, s_or_eta, tau_grid, vs, k_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +465,9 @@ class EquilibriumReport:
             "thm_infty_discrete": self.thm_infty_discrete,
             "stable_for_all_steps": self.stable_for_all_steps,
             "predictions": dict(self.predictions),
-            "verdicts": [
-                {
-                    "method": mode,
-                    "param": num(v.param),
-                    "tau_star": None if v.tau_star is None else num(v.tau_star),
-                    "stable": v.verdict,
-                }
-                for mode, v in self.observed.items()
-            ],
+            "verdicts": [{"method": mode, "param": num(v.param),
+                          "tau_star": None if v.tau_star is None else num(v.tau_star),
+                          "stable": v.verdict} for mode, v in self.observed.items()],
             "mismatches": list(self.mismatches),
         }
 
@@ -510,10 +526,9 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
     L = problem.lipschitz_bound
     s_eval = 0.5 / L if config.s is None else float(config.s)
     eta_eval = 0.5 / L if config.eta is None else float(config.eta)
-    if not 0.0 < s_eval < 1.0 / L:
-        raise ValueError(f"s must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
-    if not 0.0 < eta_eval < 1.0 / L:
-        raise ValueError(f"eta must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
+    for name, value in (("s", s_eval), ("eta", eta_eval)):
+        if not 0.0 < value < 1.0 / L:
+            raise ValueError(f"{name} must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
 
     S = generalized_schur(blocks)
     distinct = True
@@ -537,21 +552,15 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         stable_for_all_steps = bool(necessary and all(v >= -tol_u for v in u_S_u))
 
     predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
-    steps = {"s": s_eval, "eta": eta_eval}
-    observed = {
-        mode: infinity_eg_verdict(H, problem.d1, steps[m.step], mode,
-                                  tau_grid=config.tau_grid, k_tail=config.k_tail,
-                                  marginal_tol=config.marginal_tol)
-        for mode, m in MODES.items()
-    }
-    mismatches = []
-    for mode in predictions:
-        pred, obs = predictions[mode], observed[mode].verdict
-        if pred in ("stable", "unstable") and obs in ("stable", "unstable") and pred != obs:
-            mismatches.append(
-                f"{mode}: predicted {pred} but observed {obs} "
-                f"(param {observed[mode].param:.6g})"
-            )
+    pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
+    tau_grid = _tau_grid(config.tau_grid)
+    table = verdict_table(H, problem.d1, pairs, tau_grid, config.marginal_tol)
+    observed = {mode: _terminal_run(mode, step, tau_grid, vs, config.k_tail)
+                for (mode, step), vs in zip(pairs, table)}
+    mismatches = [f"{mode}: predicted {pred} but observed {observed[mode].verdict} "
+                  f"(param {observed[mode].param:.6g})"
+                  for mode, pred in predictions.items()
+                  if {pred, observed[mode].verdict} == {"stable", "unstable"}]
 
     return EquilibriumReport(
         point=z,

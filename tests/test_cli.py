@@ -239,6 +239,73 @@ def test_classify_rejects_bad_tau_grid(tmp_path, capsys, grid, reason):
     assert capsys.readouterr().err.startswith(f"error: {reason}")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["classify", "--tau-grid", "nan:1:1"], "tau_grid must be finite"),
+    (["classify", "--tau-grid", "1:inf:3"], "tau_grid must be finite"),
+    (["sweep", "--tau-grid", "inf:inf:1"], "tau must be finite"),
+    (["sweep", "--tau-grid", "nan:1:1"], "tau must be finite"),
+])
+def test_non_finite_tau_grid_is_rejected(tmp_path, capsys, argv, reason):
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--builtin", "strict_nonminimax_demo", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, reason", [
+    (["--s-grid", "5:6:2"], "s grid must lie in (0, 1/L) = (0, 0.381966)"),
+    (["--tau-grid", "0.5:2:3"], "tau must be >= 1"),
+    (["--eps-grid", "1e-1:1e-9:3"], "eps_grid must be a 1-d grid with at least 4 points"),
+])
+def test_sweep_writes_nothing_on_bad_grids(tmp_path, capsys, grid, reason):
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--builtin", "strict_nonminimax_demo", *grid, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+def reference_eigencurves_csv(curves):
+    """eigencurves.csv as formatted element by element from numpy scalars."""
+    lines = ["eps,j,re,im,label\n"]
+    for j in range(curves.lam.shape[0]):
+        for i, eps in enumerate(curves.eps):
+            lam = curves.lam[j, i]
+            lines.append(f"{float(eps)!r},{j},{float(lam.real)!r},"
+                         f"{float(lam.imag)!r},{curves.labels[j]}\n")
+    return "".join(lines)
+
+
+def test_eigencurves_csv_matches_per_element_writer(tmp_path):
+    from minimaxdyn import problems, spectral
+
+    rng = np.random.default_rng(11)
+    d1, d2 = 3, 3
+    Q = np.linalg.qr(rng.standard_normal((d2, d2)))[0]
+    A = rng.standard_normal((d1, d1))
+    spec = {"kind": "quadratic", "A": (A + A.T).tolist(),
+            "B": (Q[:, :2] @ np.diag([1.5, -0.7]) @ Q[:, :2].T).tolist(),
+            "C": rng.standard_normal((d1, d2)).tolist()}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(spec))
+    cases = [(["--problem", str(path)], problems.load_problem(path))]
+    for name, extra in (("bilinear", []), ("strict_nonminimax_demo", []),
+                        ("scalar_degenerate", ["--a", "-2", "--c", "1"])):
+        params = dict(zip(("a", "c"), map(float, extra[1::2])))
+        cases.append((["--builtin", name, *extra], problems.builtin_problem(name, **params)))
+    for k, (args, problem) in enumerate(cases):
+        for eps in (None, "1e-1:1e-7:9"):
+            out = tmp_path / f"run{k}{eps is None}"
+            grid = [] if eps is None else ["--eps-grid", eps]
+            assert run_cli("sweep", *args, *grid, "--out", str(out)) == 0
+            A, B, C = problems.hessian_blocks_at(problem, np.zeros(problem.dim))
+            curves = spectral.eigencurves(
+                np.block([[A, C], [-C.T, -B]]), problem.d1,
+                eps_grid=None if eps is None else np.geomspace(1e-1, 1e-7, 9))
+            assert (out / "eigencurves.csv").read_text() == reference_eigencurves_csv(curves)
+
+
 def test_problem_file_round_trip(tmp_path):
     spec = {"kind": "quadratic", "A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}
     path = tmp_path / "prob.json"

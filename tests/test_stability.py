@@ -432,7 +432,8 @@ def test_sweep_rows_match_reference(tmp_path, grid):
     assert taus == sorted(taus, reverse=True)
 
 
-def test_engine_takes_one_stacked_spectrum_per_side(monkeypatch):
+def counting_eigvals(monkeypatch):
+    """Replace np.linalg.eigvals by a wrapper; returns the list of arguments."""
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -441,6 +442,12 @@ def test_engine_takes_one_stacked_spectrum_per_side(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+def test_engine_takes_one_stacked_spectrum_per_side(monkeypatch):
+    eigvals = np.linalg.eigvals
+    calls = counting_eigvals(monkeypatch)
     H, d1 = engine_instances()[-1]
     taus = stability.DEFAULT_TAU_GRID
     step = 0.3 / np.linalg.norm(H, 2)
@@ -478,6 +485,120 @@ def test_engine_validates_step_once():
         stability.verdicts(H, 1, "gda", 0.5, [2.0, 0.5])
     with pytest.raises(ValueError, match="unknown mode"):
         stability.verdicts(H, 1, "nope", 0.5, [1.0])
+
+
+def mixed_pairs(H):
+    L = np.linalg.norm(H, 2)
+    return [("continuous", 0.3 / L), ("gda", 0.4 / L), ("discrete", 0.5 / L),
+            ("continuous", 0.8 / L), ("gda", 0.4 / L), ("discrete", 0.1 / L)]
+
+
+def test_verdict_table_equals_separate_verdicts():
+    taus = stability.DEFAULT_TAU_GRID
+    for H, d1 in engine_instances()[::5]:
+        pairs = mixed_pairs(H)
+        table = stability.verdict_table(H, d1, pairs, taus)
+        assert len(table) == len(pairs)
+        for (mode, step), got in zip(pairs, table):
+            want = stability.verdicts(H, d1, mode, step, taus)
+            assert len(got) == len(want) == len(taus)
+            for v, w in zip(got, want):
+                assert np.array_equal(v.h_eigs, w.h_eigs)
+                assert np.array_equal(v.margins, w.margins)
+                assert np.array_equal(v.jac_eigs, w.jac_eigs)
+                assert (v.method, v.stable, v.jac_margin, v.params, v.criterion) == \
+                    (w.method, w.stable, w.jac_margin, w.params, w.criterion)
+                assert type(v.stable) is str and type(v.jac_margin) is float
+                assert all(type(x) is float for x in v.params.values())
+
+
+def test_verdict_table_takes_one_spectrum_per_pair_and_one_norm(monkeypatch):
+    H, d1 = engine_instances()[-1]
+    taus = stability.DEFAULT_TAU_GRID
+    pairs = mixed_pairs(H)
+    calls = counting_eigvals(monkeypatch)
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or norm(*a, **k))
+    for k in range(1, len(pairs) + 1):
+        calls.clear()
+        norms.clear()
+        stability.verdict_table(H, d1, pairs[:k], taus)
+        assert len(calls) == 1 + k
+        assert np.array_equal(calls[0], timescaled_hessian(H, taus, d1))
+        assert len(norms) == 1
+    # gda alone needs no Lipschitz check
+    norms.clear()
+    stability.verdict_table(H, d1, [("gda", 0.1), ("gda", 0.2)], taus)
+    assert norms == []
+    assert stability.verdict_table(H, d1, pairs, []) == [[]] * len(pairs)
+
+
+def test_verdict_table_stops_at_flipped_second_pair(monkeypatch):
+    monkeypatch.setattr(stability, "_mismatch_count", stability.mismatch_count())
+    H, taus = hessian_of("bilinear"), stability.DEFAULT_TAU_GRID
+    pairs = [("gda", 0.5), ("continuous", 0.4), ("discrete", 0.5)]
+    row = stability.MODES["continuous"]
+    monkeypatch.setitem(stability.MODES, "continuous", dataclasses.replace(
+        row, jacobian=lambda Ht, s: -row.jacobian(Ht, s)))
+    # the sequential per-mode calls: the first passes, the second trips
+    before = stability.mismatch_count()
+    stability.verdicts(H, 1, *pairs[0], taus)
+    with pytest.raises(CriterionMismatchError) as sequential:
+        stability.verdicts(H, 1, *pairs[1], taus)
+    assert stability.mismatch_count() == before + 1
+    assert str(sequential.value) == ("continuous verdict (s=0.4, tau=1.0): region "
+                                     "criterion says stable, Jacobian criterion says unstable")
+    built = []
+    discrete = stability.MODES["discrete"]
+    monkeypatch.setitem(stability.MODES, "discrete", dataclasses.replace(
+        discrete, jacobian=lambda Ht, eta: built.append(eta) or discrete.jacobian(Ht, eta)))
+    calls = counting_eigvals(monkeypatch)
+    with pytest.raises(CriterionMismatchError) as table:
+        stability.verdict_table(H, 1, pairs, taus)
+    assert type(table.value) is type(sequential.value)
+    assert str(table.value) == str(sequential.value)
+    assert stability.mismatch_count() == before + 2
+    assert len(calls) == 3 and built == []
+
+
+def test_verdict_table_validates_pairs_in_order():
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match="unknown mode"):
+        stability.verdict_table(H, 1, [("gda", 0.5), ("nope", 0.5)], [1.0])
+    # as in sequential verdicts() calls, the first pair's step is checked
+    # before the grid is, and the grid before the second pair's step
+    with pytest.raises(ValueError, match=r"requires s < 1/L"):
+        stability.verdict_table(H, 1, [("continuous", 1.5), ("gda", 0.5)], [2.0, 0.5])
+    with pytest.raises(ValueError, match="tau must be >= 1"):
+        stability.verdict_table(H, 1, [("gda", 0.5), ("continuous", 1.5)], [2.0, 0.5])
+    with pytest.raises(ValueError, match=r"requires s < 1/L"):
+        stability.verdict_table(H, 1, [("gda", 0.5), ("continuous", 1.5)], [2.0, 3.0])
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan, -np.inf])
+def test_engine_rejects_non_finite_steps(step):
+    H = hessian_of("strict_nonminimax_demo")
+    for mode, m in stability.MODES.items():
+        reason = f"{m.step} must be positive and finite"
+        with pytest.raises(ValueError, match=reason):
+            stability.verdicts(H, 2, mode, step, [1.0])
+
+
+@pytest.mark.parametrize("taus", [[np.nan], [1.0, np.inf], [np.inf, np.inf], [2.0, np.nan]])
+def test_engine_rejects_non_finite_taus(taus):
+    H = hessian_of("strict_nonminimax_demo")
+    with pytest.raises(ValueError, match="tau must be finite"):
+        timescaled_hessian(H, np.array(taus), 2)
+    for mode in stability.MODES:
+        with pytest.raises(ValueError, match="tau must be finite"):
+            stability.verdicts(H, 2, mode, 0.1, taus)
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [1.0, np.inf, np.inf], [1.0, 2.0, np.inf]])
+def test_infinity_verdict_rejects_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="tau_grid must be finite"):
+        infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "continuous", tau_grid=grid)
 
 
 # --- characterize_equilibrium -----------------------------------------------------
@@ -527,6 +648,33 @@ def test_characterize_rejects_nonstationary():
     p = builtin_problem("bilinear")
     with pytest.raises(ValueError, match="not stationary"):
         characterize_equilibrium(p, np.array([1.0, 1.0]))
+
+
+def test_characterize_makes_one_verdict_table(monkeypatch):
+    p = builtin_problem("strict_nonminimax_demo")
+    H = p.quadratic.hessian()
+    taus = np.geomspace(1.0, 1e6, 17)  # 17 rows: no eps-grid stack has them
+    config = ClassifyConfig(tau_grid=taus)
+    want = {mode: infinity_eg_verdict(H, 2, step, mode, tau_grid=taus)
+            for mode, step in (("continuous", 0.5 / p.lipschitz_bound),
+                               ("discrete", 0.5 / p.lipschitz_bound),
+                               ("gda", 0.5 / p.lipschitz_bound))}
+    calls = counting_eigvals(monkeypatch)
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: norms.append(
+        (np.array(x), a, k)) or norm(x, *a, **k))
+    rep = characterize_equilibrium(p, np.zeros(4), config)
+    on_grid = [a for a in calls if a.shape[:1] == (len(taus),)]
+    assert len(on_grid) == 4  # spec(H_tau) once, one Jacobian spectrum per mode
+    assert np.array_equal(on_grid[0], timescaled_hessian(H, taus, 2))
+    assert sum(1 for x, a, k in norms
+               if np.array_equal(x, H) and (a == (2,) or k.get("ord") == 2)) == 1
+    for mode, v in rep.observed.items():
+        assert (v.mode, v.param, v.verdict, v.tau_star, v.labels) == \
+            (want[mode].mode, want[mode].param, want[mode].verdict,
+             want[mode].tau_star, want[mode].labels)
+        assert np.array_equal(v.tau_grid, taus)
 
 
 def test_default_grids_cannot_be_changed_through_a_report():
