@@ -56,8 +56,12 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'lo:hi:n' into a geometric grid (empty for n = 0)."""
+def _parse_grid(args, name: str, default=None):
+    """The grid option args.<name>, 'lo:hi:n', as a geometric grid (empty for
+    n = 0); default when the option is unset."""
+    text = getattr(args, name)
+    if not text:
+        return default
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -69,6 +73,8 @@ def _parse_grid(text: str) -> np.ndarray:
         return np.array([])
     if n == 1:
         return np.array([lo])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite")
     if lo <= 0 or hi <= 0:
         raise ValueError("geometric grid needs positive endpoints")
     return np.geomspace(lo, hi, n)
@@ -133,7 +139,7 @@ def cmd_classify(args) -> int:
         psd_tol=args.tol_psd,
         marginal_tol=args.tol_marginal,
         rank_tol=args.rank_tol,
-        tau_grid=_parse_grid(args.tau_grid) if args.tau_grid else None,
+        tau_grid=_parse_grid(args, "tau_grid"),
         s=args.s,
         eta=args.eta,
     )
@@ -363,13 +369,12 @@ def cmd_sweep(args) -> int:
     H = np.block([[A, C], [-C.T, -B]])
 
     # everything is validated and computed before either file is opened
-    eps_grid = _parse_grid(args.eps_grid) if args.eps_grid else spectral.DEFAULT_EPS_GRID
+    eps_grid = _parse_grid(args, "eps_grid", spectral.DEFAULT_EPS_GRID)
     curves = spectral.eigencurves(H, problem.d1, eps_grid=eps_grid) if len(eps_grid) else None
-    tau_grid = _parse_grid(args.tau_grid) if args.tau_grid else stability.DEFAULT_TAU_GRID
+    tau_grid = _parse_grid(args, "tau_grid", stability.DEFAULT_TAU_GRID)
     L = problem.lipschitz_bound
-    s_values = _parse_grid(args.s_grid) if args.s_grid else [0.5 / L if args.s is None else args.s]
-    eta_values = (_parse_grid(args.eta_grid) if args.eta_grid
-                  else [0.5 / L if args.eta is None else args.eta])
+    s_values = _parse_grid(args, "s_grid", [0.5 / L if args.s is None else args.s])
+    eta_values = _parse_grid(args, "eta_grid", [0.5 / L if args.eta is None else args.eta])
     for name, vals in (("s", s_values), ("eta", eta_values)):
         if not all(0.0 < v < 1.0 / L for v in vals):
             raise ValueError(f"{name} grid must lie in (0, 1/L) = (0, {1.0 / L:.6g})")

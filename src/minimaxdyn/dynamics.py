@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .problems import MinimaxProblem, _grad, jacobian_F, saddle_gradient
 
@@ -72,6 +73,8 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if self.tau < 1.0:
             raise ValueError("tau must be >= 1")
 
@@ -148,6 +151,22 @@ def _row_field(problem: MinimaxProblem):
     return rows
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(M, rhs) for float64 arrays, without its type dispatch.
+
+    Calls the same LAPACK gesv gufunc under the same error state, so the
+    bits and the singular-matrix LinAlgError are those of np.linalg.solve.
+    """
+    gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    return gufunc(M, rhs, signature="dd->d")
+
+
 def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
     # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
@@ -160,7 +179,7 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if not ok.all():
             raise SingularOperatorError(
                 f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
-    return np.linalg.solve(M, rhs)
+    return _solve(M, rhs)
 
 
 def _velocity(problem: MinimaxProblem, params: MethodParams, field):
@@ -197,7 +216,7 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     def stacked(Y, F=None, live=None):
         nonlocal solve
         out = solve(M, (lam * (field(Y) if F is None else F))[..., None])[..., 0]
-        solve = np.linalg.solve
+        solve = _solve
         return np.negative(out, out)
     return stacked
 

@@ -88,7 +88,8 @@ class QuadraticSpec:
     """Quadratic objective f(x, y) = x'Ax/2 + x'Cy + y'By/2.
 
     The Hessian blocks are constant and equal (A, B, C) exactly, and the
-    Lipschitz bound is the spectral norm of H.
+    Lipschitz bound is the spectral norm of H.  H is built once, at
+    construction, and hessian() returns that one read-only array.
     """
 
     A: np.ndarray
@@ -103,6 +104,9 @@ class QuadraticSpec:
             raise ValueError(
                 f"C must be {self.d1}x{self.d2}, got {self.C.shape}"
             )
+        H = np.block([[self.A, self.C], [-self.C.T, -self.B]])
+        H.flags.writeable = False
+        object.__setattr__(self, "_H", H)
 
     @property
     def d1(self) -> int:
@@ -113,8 +117,8 @@ class QuadraticSpec:
         return self.B.shape[0]
 
     def hessian(self) -> np.ndarray:
-        """The saddle Jacobian H = [[A, C], [-C', -B]]."""
-        return np.block([[self.A, self.C], [-self.C.T, -self.B]])
+        """The saddle Jacobian H = [[A, C], [-C', -B]] (shared, read-only)."""
+        return self._H
 
     def gradient_matrix(self) -> np.ndarray:
         """G with grad f(z) = G z, i.e. [[A, C], [C', B]]."""

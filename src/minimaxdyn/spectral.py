@@ -260,21 +260,6 @@ def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     return out
 
 
-def split_blocks(H, d1: int, tol: float = 1e-8):
-    """(A, B, C) from a matrix in saddle block form; validates the structure."""
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    if H.shape != (n, n) or not 0 < d1 <= n:
-        raise ValueError("H must be square with 0 < d1 <= n")
-    A = H[:d1, :d1]
-    C = H[:d1, d1:]
-    B = -H[d1:, d1:]
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if C.size and float(np.max(np.abs(H[d1:, :d1] + C.T))) > tol * scale:
-        raise ValueError("H is not in saddle block form: lower-left != -C'")
-    return symmetrize(A, "A"), symmetrize(B, "B"), C
-
-
 def mu_roots_oracle(blocks: CanonicalBlocks, beta_tol: float = 1e-8) -> np.ndarray:
     """Finite roots of det(mu * diag(I, 0) - H) = 0 via a QZ matrix pencil.
 
@@ -382,13 +367,21 @@ def eigencurves(H, d1: int, eps_grid=None,
     constraint is a hard consistency check, never a relabeling heuristic).
     """
     H = np.asarray(H, dtype=float)
-    A, B, C = split_blocks(H, d1)
+    n = H.shape[0]
+    if H.shape != (n, n) or not 0 < d1 <= n:
+        raise ValueError("H must be square with 0 < d1 <= n")
+    C = H[:d1, d1:]
+    if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > 1e-8 * max(1.0, np.max(np.abs(H))):
+        raise ValueError("H is not in saddle block form: lower-left != -C'")
+    A, B = symmetrize(H[:d1, :d1], "A"), symmetrize(-H[d1:, d1:], "B")
     cond = np.linalg.cond(H)
     if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
         raise SingularHessianError(f"H numerically singular (cond ~ {cond:.3e})")
     eps_grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or len(eps_grid) < 4:
         raise ValueError("eps_grid must be a 1-d grid with at least 4 points")
+    if not np.isfinite(eps_grid).all():
+        raise ValueError("eps_grid must be finite")
     if np.any(eps_grid <= 0) or np.any(eps_grid > 1.0) or np.any(np.diff(eps_grid) >= 0):
         raise ValueError("eps_grid must be strictly decreasing within (0, 1]")
 

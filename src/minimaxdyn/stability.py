@@ -193,11 +193,6 @@ def eg_jacobian_discrete(H, eta: float, tau: float, d1: int) -> np.ndarray:
     return _eg_discrete_jacobian(timescaled_hessian(H, tau, d1), eta)
 
 
-def gda_jacobian(H, eta: float, tau: float, d1: int) -> np.ndarray:
-    """J = I - eta H_tau, the two-timescale GDA Jacobian."""
-    return _gda_jacobian(timescaled_hessian(H, tau, d1), eta)
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -312,25 +307,6 @@ def verdicts(H, d1: int, mode: str, step: float, taus,
              marginal_tol: float = MARGINAL_TOL) -> list[StabilityVerdict]:
     """One verdict per tau for mode: a verdict table of one pair."""
     return verdict_table(H, d1, [(mode, step)], taus, marginal_tol)[0]
-
-
-def stability_continuous(H, s: float, tau: float, d1: int,
-                         marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
-    """Continuous tau-EG verdict: disk-disjointness vs max Re spec(J) < 0."""
-    return verdicts(H, d1, "continuous", s, [tau], marginal_tol)[0]
-
-
-def stability_discrete(H, eta: float, tau: float, d1: int,
-                       marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
-    """Discrete tau-EG verdict: peanut membership vs rho(J) < 1."""
-    return verdicts(H, d1, "discrete", eta, [tau], marginal_tol)[0]
-
-
-def gda_stability(H, eta: float, tau: float, d1: int,
-                  marginal_tol: float = MARGINAL_TOL) -> StabilityVerdict:
-    """Two-timescale GDA verdict: rho(I - eta H_tau) vs 1, with the
-    per-eigenvalue Re(1/lambda) vs eta/2 form reported alongside."""
-    return verdicts(H, d1, "gda", eta, [tau], marginal_tol)[0]
 
 
 @dataclass

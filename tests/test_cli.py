@@ -244,6 +244,12 @@ def test_classify_rejects_bad_tau_grid(tmp_path, capsys, grid, reason):
     (["classify", "--tau-grid", "1:inf:3"], "tau_grid must be finite"),
     (["sweep", "--tau-grid", "inf:inf:1"], "tau must be finite"),
     (["sweep", "--tau-grid", "nan:1:1"], "tau must be finite"),
+    # endpoints of a grid of n >= 2 points are checked by the grid's name
+    (["sweep", "--eps-grid", "nan:1e-3:5"], "eps_grid must be finite"),
+    (["sweep", "--eps-grid", "1e-1:-inf:5"], "eps_grid must be finite"),
+    (["sweep", "--tau-grid", "1:nan:4"], "tau_grid must be finite"),
+    (["sweep", "--s-grid", "0.1:inf:3"], "s_grid must be finite"),
+    (["sweep", "--eta-grid", "nan:0.1:2"], "eta_grid must be finite"),
 ])
 def test_non_finite_tau_grid_is_rejected(tmp_path, capsys, argv, reason):
     out = tmp_path / "run"
@@ -251,6 +257,16 @@ def test_non_finite_tau_grid_is_rejected(tmp_path, capsys, argv, reason):
     assert code == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_simulate_rejects_non_finite_tau(tmp_path, capsys, tau):
+    out = tmp_path / "run"
+    code = run_cli("simulate", "--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.3",
+                   "--tau", tau, "--n", "3", "--no-trajectories", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: tau must be finite, got {tau}\n"
+    assert not (out / "simulate_summary.json").exists()
 
 
 @pytest.mark.parametrize("grid, reason", [

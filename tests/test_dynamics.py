@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -270,8 +271,8 @@ def test_general_problem_field_builds_operator_per_stage(monkeypatch):
     calls, operators = {}, []
     monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda M, b: operators.append(M) or solve(M, b))
+    solve = dynamics._solve
+    monkeypatch.setattr(dynamics, "_solve", lambda M, b: operators.append(M) or solve(M, b))
     traj = integrate(quartic_problem(), "eg_tt", [0.5, -0.4], s=0.05, tau=2.0, dt=0.1,
                      t_end=2.0)
     assert len(traj) == 21
@@ -333,6 +334,32 @@ def singular_error(M):
         return SingularOperatorError, "linear operator has non-finite entries"
     cond = np.linalg.cond(M)
     return SingularOperatorError, f"linear operator numerically singular (cond ~ {cond:.3e})"
+
+
+def test_solve_is_numpy_solve_bit_for_bit():
+    """The engine's solve calls numpy's gesv gufunc directly: same bits and
+    same singular-matrix error as np.linalg.solve, error state restored."""
+    rng = np.random.default_rng(11)
+    errstate = np.geterr()
+    for d in range(1, 9):
+        for scale in (0.4, 4.0):  # ||M - I||_F up to 0.4 (certified) or up to 4
+            K = rng.standard_normal((d, d))
+            M = np.eye(d) + K * (rng.uniform(0.0, scale) / np.linalg.norm(K))
+            stack = np.eye(d) + K * rng.uniform(-scale, scale, (5, 1, 1)) / np.linalg.norm(K)
+            for A, rhs in ((M, rng.standard_normal(d)), (M, rng.standard_normal((5, d, 1))),
+                           (M, rng.standard_normal((5, d, 3))),
+                           (stack, rng.standard_normal((5, d, 2)))):
+                ours, numpys = dynamics._solve(A, rhs), np.linalg.solve(A, rhs)
+                assert ours.dtype == numpys.dtype and np.array_equal(ours, numpys)
+    for M in (np.zeros((2, 2)), np.ones((3, 3))):
+        for rhs in (np.ones(len(M)), np.ones((4, len(M), 1))):
+            with pytest.raises(np.linalg.LinAlgError) as ours:
+                dynamics._solve(M, rhs)
+            with pytest.raises(np.linalg.LinAlgError) as numpys:
+                np.linalg.solve(M, rhs)
+            assert type(ours.value) is type(numpys.value) is np.linalg.LinAlgError
+            assert str(ours.value) == str(numpys.value) == "Singular matrix"
+    assert np.geterr() == errstate
 
 
 def test_solve_checked_skips_cond_on_certified_operators(monkeypatch):
@@ -442,6 +469,9 @@ def test_method_params_validation(bilinear):
         MethodParams(method="gda_tt", eta=0.5, tau=0.5)  # tau < 1
     with pytest.raises(ValueError):
         MethodParams(method="mystery", eta=0.5)
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tau must be finite, got {tau}$"):
+            MethodParams(method="gda_tt", eta=0.5, tau=tau)
     params = MethodParams(method="eg_tt", eta=1.5, tau=1.0)  # eta >= 1/L = 1
     with pytest.raises(ValueError):
         run_discrete(bilinear, [1.0, 0.0], params)

@@ -247,6 +247,17 @@ def test_lipschitz_bound_is_spectral_norm():
         assert abs(p.lipschitz_bound - np.linalg.norm(spec_q.hessian(), 2)) <= 1e-10
 
 
+def test_quadratic_hessian_is_built_once_and_read_only():
+    rng = np.random.default_rng(2)
+    A, B = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+    spec_q = QuadraticSpec(A=A + A.T, B=B + B.T, C=rng.standard_normal((3, 2)))
+    H = spec_q.hessian()
+    assert np.array_equal(H, np.block([[spec_q.A, spec_q.C], [-spec_q.C.T, -spec_q.B]]))
+    assert spec_q.hessian() is H and not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 1.0
+
+
 def test_symmetrize_rejects_asymmetric_blocks():
     with pytest.raises(ValueError, match="asymmetric"):
         QuadraticSpec(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0, 0.0], [0.0, 0.0]],

@@ -27,7 +27,6 @@ from minimaxdyn.spectral import (
     rsc_subspace_oracle,
     s_zero,
     second_order_necessary,
-    split_blocks,
     timescaled_hessian,
 )
 
@@ -228,6 +227,9 @@ def test_eigencurves_rejects_bad_grid():
         eigencurves(H, 1, eps_grid=np.array([1e-3, 1e-2, 1e-1, 1.0]))  # increasing
     with pytest.raises(ValueError):
         eigencurves(H, 1, eps_grid=np.array([2.0, 1.0, 0.5, 0.25]))  # leaves (0, 1]
+    for grid in ([np.nan, 1e-1, 1e-2, 1e-3], [1e-1, 1e-2, np.nan, 1e-3], [np.inf, 1.0, 0.5, 0.25]):
+        with pytest.raises(ValueError, match="^eps_grid must be finite$"):
+            eigencurves(H, 1, eps_grid=np.array(grid))
 
 
 def test_eigencurves_label_error_on_coarse_grid():
@@ -296,7 +298,7 @@ def reference_curves(H, d1, eps_grid, labels):
         costs.append(np.abs(pred[:, None] - vals[None, :]))
         _, cols = linear_sum_assignment(costs[-1])
         lam[:, i] = vals[cols]
-    C2 = canonicalize(*split_blocks(H, d1)).C2
+    C2 = canonicalize(H[:d1, :d1], -H[d1:, d1:], H[:d1, d1:]).C2
     sigma = np.linalg.svd(C2, compute_uv=False) if C2.size else np.array([])
     sigma_by_curve = np.full(n, np.nan)
     sqrt_idx = [j for j, lbl in enumerate(labels) if lbl == LABEL_SQRT]

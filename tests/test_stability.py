@@ -24,20 +24,21 @@ from minimaxdyn.stability import (
     disk_gap,
     eg_jacobian_continuous,
     eg_jacobian_discrete,
-    gda_jacobian,
-    gda_stability,
     in_disk,
     in_peanut,
     infinity_eg_verdict,
     mobius_map,
     peanut_gap,
-    stability_continuous,
-    stability_discrete,
 )
 
 
 def hessian_of(name, **params):
     return builtin_problem(name, **params).quadratic.hessian()
+
+
+def verdict(mode, H, step, tau, d1):
+    """The verdict of mode for H at one tau."""
+    return stability.verdicts(H, d1, mode, step, [tau])[0]
 
 
 # --- regions -----------------------------------------------------------------
@@ -173,44 +174,44 @@ def test_eg_jacobian_discrete_matches_finite_difference():
 
 
 def test_stability_continuous_examples():
-    v = stability_continuous(hessian_of("bilinear"), 0.4, 100.0, 1)
+    v = verdict("continuous", hessian_of("bilinear"), 0.4, 100.0, 1)
     assert v.stable == "stable"
     # B = +1 sends an order-one eigenvalue to -1, inside every disk with s < 1/L
     H = assemble_hessian([[2.0]], [[1.0]], [[1.0]])
-    v = stability_continuous(H, 0.3, 1e6, 1)
+    v = verdict("continuous", H, 0.3, 1e6, 1)
     assert v.stable == "unstable"
-    v = stability_continuous(np.array([[1.0]]), 0.5, 1.0, 1)
+    v = verdict("continuous", np.array([[1.0]]), 0.5, 1.0, 1)
     assert v.stable == "stable"
 
 
 def test_stability_continuous_rejects_large_s():
     with pytest.raises(ValueError):
-        stability_continuous(hessian_of("bilinear"), 1.5, 1.0, 1)
+        verdict("continuous", hessian_of("bilinear"), 1.5, 1.0, 1)
 
 
 def test_stability_discrete_examples():
-    v = stability_discrete(hessian_of("bilinear"), 0.5, 4.0, 1)
+    v = verdict("discrete", hessian_of("bilinear"), 0.5, 4.0, 1)
     assert v.stable == "stable"
     H = hessian_of("scalar_degenerate", a=-2.0, c=1.0)
-    v = stability_discrete(H, 0.3, 1e6, 1)
+    v = verdict("discrete", H, 0.3, 1e6, 1)
     assert v.stable == "unstable"
     # negative real eigenvalue is outside the peanut for any eta
-    v = stability_discrete(np.array([[-0.1]]), 0.5, 1.0, 1)
+    v = verdict("discrete", np.array([[-0.1]]), 0.5, 1.0, 1)
     assert v.stable == "unstable"
 
 
 def test_gda_stability_examples():
     for tau in (1.0, 10.0, 100.0):
-        v = gda_stability(hessian_of("bilinear"), 0.5, tau, 1)
+        v = verdict("gda", hessian_of("bilinear"), 0.5, tau, 1)
         assert v.stable == "unstable"
-    assert gda_stability(np.array([[1.0]]), 0.5, 1.0, 1).stable == "stable"
-    assert gda_stability(np.array([[-1.0]]), 0.5, 1.0, 1).stable == "unstable"
+    assert verdict("gda", np.array([[1.0]]), 0.5, 1.0, 1).stable == "stable"
+    assert verdict("gda", np.array([[-1.0]]), 0.5, 1.0, 1).stable == "unstable"
 
 
 def test_verdict_margins_respect_invariant():
-    v = stability_continuous(hessian_of("bilinear"), 0.4, 100.0, 1)
+    v = verdict("continuous", hessian_of("bilinear"), 0.4, 100.0, 1)
     assert np.min(v.margins) > stability.MARGINAL_TOL
-    v = gda_stability(hessian_of("bilinear"), 0.5, 10.0, 1)
+    v = verdict("gda", hessian_of("bilinear"), 0.5, 10.0, 1)
     assert np.min(v.margins) < -stability.MARGINAL_TOL
 
 
@@ -274,7 +275,8 @@ def test_nonsingularity_bounds():
             continue
         tau = float(np.exp(rng.uniform(0, np.log(100))))
         eta = rng.uniform(0.05, 0.99) / L
-        assert abs(np.linalg.det(gda_jacobian(H, eta, tau, d1))) > 0
+        J_gda = np.eye(d1 + d2) - eta * timescaled_hessian(H, tau, d1)
+        assert abs(np.linalg.det(J_gda)) > 0
         # EG map Jacobian away from equilibria, via finite differences
         eta_eg = rng.uniform(0.05, 0.99) * golden / L
         spec_q = builtin_problem(
@@ -399,16 +401,6 @@ def test_engine_matches_per_tau_reference(mode):
             assert np.array_equal(v.margins, margins)
             assert v.jac_margin == jac_margin
             assert v.stable == reference_label(margins)
-
-
-def test_single_tau_routines_are_engine_calls():
-    H = hessian_of("strict_nonminimax_demo")
-    for func, mode in ((stability_continuous, "continuous"),
-                       (stability_discrete, "discrete"), (gda_stability, "gda")):
-        v = func(H, 0.2, 30.0, 2)
-        (w,) = stability.verdicts(H, 2, mode, 0.2, [30.0])
-        assert v.stable == w.stable and np.array_equal(v.margins, w.margins)
-        assert np.array_equal(v.h_eigs, w.h_eigs) and v.h_eigs.dtype == w.h_eigs.dtype
 
 
 @pytest.mark.parametrize("grid", ["1e6:1:9", "5:5:1"])
