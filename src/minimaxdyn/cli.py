@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -180,22 +181,27 @@ def _cluster_points(points: list[np.ndarray], tol: float):
 
 
 def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool):
-    """The members' trajectories, in index order.
+    """An iterator over the members' trajectories, in index order.
 
     Members run in lockstep blocks, one dynamics.run_batch call each.  A
     block holds as many members as LOCKSTEP_BUFFER floats of kept samples
     allow (every sample when recording, else the first and last), so callers
     can write a block's trajectories out before the next block is computed.
+    The first block runs before this returns, so every run parameter has
+    been checked before the caller writes anything.
     """
+    if not 0.0 < config.box < math.inf:
+        raise ValueError(f"box must be finite and > 0, got {config.box}")
     inits = _sample_inits(config, problem.dim)
     params = MethodParams(method=config.method, eta=config.eta, s=config.s, tau=config.tau,
                           dt=config.dt)
     kept = (max(config.max_iters, 0) * record + 2) * (problem.dim + 1)
     size = max(1, dynamics.LOCKSTEP_BUFFER // kept)
-    for lo in range(0, max(config.n, 1), size):  # an empty ensemble still validates
-        yield from dynamics.run_batch(problem, inits[lo:lo + size], params,
-                                      tol_conv=config.tol_conv, max_iters=config.max_iters,
-                                      diverge_norm=config.diverge_norm, record=record)
+    blocks = (dynamics.run_batch(problem, inits[lo:lo + size], params,
+                                 tol_conv=config.tol_conv, max_iters=config.max_iters,
+                                 diverge_norm=config.diverge_norm, record=record)
+              for lo in range(0, max(config.n, 1), size))  # an empty ensemble still validates
+    return itertools.chain(next(blocks), itertools.chain.from_iterable(blocks))
 
 
 def cmd_simulate(args) -> int:
@@ -216,11 +222,12 @@ def cmd_simulate(args) -> int:
         diverge_norm=args.diverge_norm,
         cluster_tol=args.cluster_tol,
     )
-    os.makedirs(args.out, exist_ok=True)
     record = not args.no_trajectories
+    members = _run_members(problem, config, record)
+    os.makedirs(args.out, exist_ok=True)
     outcomes = []
     converged_points = []
-    for i, traj in enumerate(_run_members(problem, config, record)):
+    for i, traj in enumerate(members):
         if record:
             dynamics.write_trajectory_csv(
                 traj, os.path.join(args.out, f"traj_{i:04d}.csv"))
@@ -260,11 +267,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_avoidance(args) -> int:
     problem = _load_problem_from_args(args)
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
+    if not 0.0 < args.target_tol < math.inf:
+        raise ValueError(f"target_tol must be finite and > 0, got {args.target_tol}")
     L = problem.lipschitz_bound
     method = args.method
-    if method not in ("eg_tt", "gda_tt"):
-        raise ValueError("avoidance supports --method eg_tt or gda_tt")
-
     if args.eta is not None:
         eta = args.eta
     elif method == "eg_tt":
@@ -342,8 +350,8 @@ def cmd_avoidance(args) -> int:
         "tau": tau,
         "tau_star": None if sweep.tau_star is None else float(sweep.tau_star),
         "n": config.n,
-        "fraction_to_target": hits / config.n if config.n else 0.0,
-        "acceptance_threshold": 1.0 / config.n if config.n else None,
+        "fraction_to_target": hits / config.n,
+        "acceptance_threshold": 1.0 / config.n,
         "n_diverged": n_diverged,
         "n_nonfinite": n_nonfinite,
         "cutoff": config.target_tol,
@@ -365,8 +373,7 @@ def cmd_avoidance(args) -> int:
 def cmd_sweep(args) -> int:
     problem = _load_problem_from_args(args)
     z_star = _resolve_target(problem, args, args.tol_stationary)
-    A, B, C = problems.hessian_blocks_at(problem, z_star)
-    H = np.block([[A, C], [-C.T, -B]])
+    H = problems.block_hessian(*problems.hessian_blocks_at(problem, z_star))
 
     # everything is validated and computed before either file is opened
     eps_grid = _parse_grid(args, "eps_grid", spectral.DEFAULT_EPS_GRID)

@@ -114,10 +114,6 @@ class Trajectory:
     termination: Termination
     params: MethodParams
 
-    @property
-    def points(self):
-        return list(zip(self.times, self.states))
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -52,6 +52,11 @@ def symmetrize(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def block_hessian(A, B, C) -> np.ndarray:
+    """The saddle Jacobian H = [[A, C], [-C', -B]] assembled from its blocks."""
+    return np.block([[A, C], [-C.T, -B]])
+
+
 @dataclass(frozen=True)
 class MinimaxProblem:
     """Evaluator bundle for one min-max objective.
@@ -104,7 +109,7 @@ class QuadraticSpec:
             raise ValueError(
                 f"C must be {self.d1}x{self.d2}, got {self.C.shape}"
             )
-        H = np.block([[self.A, self.C], [-self.C.T, -self.B]])
+        H = block_hessian(self.A, self.B, self.C)
         H.flags.writeable = False
         object.__setattr__(self, "_H", H)
 
@@ -187,13 +192,8 @@ def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndar
     Uses analytic Hessian blocks when the problem carries them, otherwise
     central finite differences of the saddle gradient.
     """
-    z = np.asarray(z, dtype=float)
     if problem.hessian_blocks is not None:
-        A, B, C = problem.hessian_blocks(z)
-        A = symmetrize(A, "A")
-        B = symmetrize(B, "B")
-        C = _as_matrix(C, "C")
-        return np.block([[A, C], [-C.T, -B]])
+        return block_hessian(*hessian_blocks_at(problem, z))
     z = _point(problem, z)
     h = default_fd_step(z) if h_fd is None else float(h_fd)
     if h_fd is not None and not 0.0 < h < np.inf:

@@ -26,17 +26,18 @@ Eigenvalue families for invertible H, with r = rank(B):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import symmetrize
+from .problems import block_hessian, symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EPS_GRID = np.geomspace(1e-1, 1e-9, 40)
 DEFAULT_EPS_GRID.setflags(write=False)  # shared by every default call
 SLOPE_BAND = 0.15
 HESSIAN_COND_LIMIT = 1e12
+SIGMA_SEP_TOL = 1e-6  # singular values closer than this, relative, count as repeated
 
 LABEL_SQRT = "sqrt_eps_pair"
 LABEL_LINEAR = "linear_eps"
@@ -72,7 +73,6 @@ class CanonicalBlocks:
     r: int
     C1: np.ndarray
     C2: np.ndarray
-    rank_tol: float
 
     @property
     def d1(self) -> int:
@@ -86,22 +86,20 @@ class CanonicalBlocks:
     def D(self) -> np.ndarray:
         return -np.diag(self.B_diag)[: self.r]
 
-    @property
-    def C_canon(self) -> np.ndarray:
-        return np.hstack([self.C1, self.C2])
-
     def hessian_canon(self) -> np.ndarray:
-        C = self.C_canon
-        return np.block([[self.A, C], [-C.T, -self.B_diag]])
+        return block_hessian(self.A, self.B_diag, np.hstack([self.C1, self.C2]))
 
 
 @dataclass(frozen=True)
 class RestrictedSchur:
-    """U spans range(C2)^perp; S = A - C B^+ C'; S_res = U' S U (w x w)."""
+    """U spans range(C2)^perp; S = A - C B^+ C'; S_res = U' S U (w x w);
+    U_sigma holds the left singular vectors u_j of C2 and spectrum spec(S_res)."""
 
     U: np.ndarray
     S: np.ndarray
     S_res: np.ndarray
+    U_sigma: np.ndarray
+    spectrum: np.ndarray
 
     @property
     def w(self) -> int:
@@ -112,9 +110,7 @@ class RestrictedSchur:
         return self.w == 0
 
     def eigenvalues(self) -> np.ndarray:
-        if self.vacuous:
-            return np.array([])
-        return np.linalg.eigvalsh(self.S_res)
+        return self.spectrum
 
 
 def canonicalize(A, B, C, rank_tol: float | None = None) -> CanonicalBlocks:
@@ -146,7 +142,6 @@ def canonicalize(A, B, C, rank_tol: float | None = None) -> CanonicalBlocks:
         r=r,
         C1=C_canon[:, :r],
         C2=C_canon[:, r:],
-        rank_tol=rank_tol,
     )
 
 
@@ -158,20 +153,16 @@ def generalized_schur(blocks: CanonicalBlocks) -> np.ndarray:
     return blocks.A + (blocks.C1 * Dinv) @ blocks.C1.T
 
 
-def _orthonormal_complement(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(M)^perp inside R^{rows}."""
-    rows = M.shape[0]
-    if M.size == 0:
-        return np.eye(rows)
-    U, sv, _ = np.linalg.svd(M, full_matrices=True)
-    tol = max(M.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > tol))
-    return U[:, rank:]
-
-
 def restricted_schur(blocks: CanonicalBlocks) -> RestrictedSchur:
-    """Restricted Schur complement; a 0 x 0 result is vacuously PSD."""
-    U = _orthonormal_complement(blocks.C2)
+    """Restricted Schur complement (a 0 x 0 one is vacuously PSD); one full
+    SVD of C2 gives both the basis of range(C2)^perp and the u_j."""
+    C2 = blocks.C2
+    if C2.size:
+        V, sv, _ = np.linalg.svd(C2, full_matrices=True)
+        rank = int(np.count_nonzero(sv > max(C2.shape) * np.finfo(float).eps * sv[0]))
+    else:
+        V, sv, rank = np.eye(blocks.d1), [], 0
+    U = V[:, rank:]
     S = generalized_schur(blocks)
     S_res = U.T @ S @ U
     if S_res.size:
@@ -179,7 +170,10 @@ def restricted_schur(blocks: CanonicalBlocks) -> RestrictedSchur:
         if asym > 1e-10 * max(1.0, float(np.max(np.abs(S_res)))):
             raise ValueError(f"restricted Schur complement asymmetric: {asym:.3e}")
         S_res = (S_res + S_res.T) / 2.0
-    return RestrictedSchur(U=U, S=S, S_res=S_res)
+    # the thin SVD's layout, whose column strides set the bits of u' S u
+    U_sigma = np.ascontiguousarray(V[:, :len(sv)])
+    spectrum = np.linalg.eigvalsh(S_res) if S_res.size else np.array([])
+    return RestrictedSchur(U=U, S=S, S_res=S_res, U_sigma=U_sigma, spectrum=spectrum)
 
 
 def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200,
@@ -223,6 +217,7 @@ class SecondOrderVerdict:
     Sres_psd: bool
     lambda_max_B: float
     lambda_min_Sres: float | None  # None when S_res is 0 x 0
+    rsc: RestrictedSchur = field(repr=False, compare=False)  # the S_res judged
 
 
 def second_order_necessary(blocks: CanonicalBlocks,
@@ -233,17 +228,10 @@ def second_order_necessary(blocks: CanonicalBlocks,
     tol_B = default_psd_tol(blocks.B_diag) if psd_tol is None else psd_tol
     rsc = restricted_schur(blocks)
     if rsc.vacuous:
-        return SecondOrderVerdict(lam_max_B <= tol_B, True, lam_max_B, None)
-    lam_min = float(np.min(rsc.eigenvalues()))
+        return SecondOrderVerdict(lam_max_B <= tol_B, True, lam_max_B, None, rsc)
+    lam_min = float(np.min(rsc.spectrum))
     tol_S = default_psd_tol(rsc.S_res) if psd_tol is None else psd_tol
-    return SecondOrderVerdict(lam_max_B <= tol_B, lam_min >= -tol_S, lam_max_B, lam_min)
-
-
-def is_strict_non_minimax(blocks: CanonicalBlocks, tol: float | None = None) -> bool:
-    """True iff lambda_min(S_res) < -tol or lambda_min(-B) < -tol: under the
-    same tolerances, the complement of second_order_necessary."""
-    so = second_order_necessary(blocks, psd_tol=tol)
-    return not (so.B_nsd and so.Sres_psd)
+    return SecondOrderVerdict(lam_max_B <= tol_B, lam_min >= -tol_S, lam_max_B, lam_min, rsc)
 
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
@@ -374,6 +362,11 @@ def eigencurves(H, d1: int, eps_grid=None,
     if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > 1e-8 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H is not in saddle block form: lower-left != -C'")
     A, B = symmetrize(H[:d1, :d1], "A"), symmetrize(-H[d1:, d1:], "B")
+    return _eigencurves(H, canonicalize(A, B, C, rank_tol=rank_tol), eps_grid)
+
+
+def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> EigenCurves:
+    """eigencurves of H, whose canonical blocks are already at hand."""
     cond = np.linalg.cond(H)
     if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
         raise SingularHessianError(f"H numerically singular (cond ~ {cond:.3e})")
@@ -385,8 +378,7 @@ def eigencurves(H, d1: int, eps_grid=None,
     if np.any(eps_grid <= 0) or np.any(eps_grid > 1.0) or np.any(np.diff(eps_grid) >= 0):
         raise ValueError("eps_grid must be strictly decreasing within (0, 1]")
 
-    blocks = canonicalize(A, B, C, rank_tol=rank_tol)
-    d2, r = blocks.d2, blocks.r
+    d1, d2, r = blocks.d1, blocks.d2, blocks.r
     lam = _track_curves(H, d1, eps_grid)
 
     # slope of log|lambda| vs log eps over the finest decade
@@ -425,6 +417,7 @@ def eigencurves(H, d1: int, eps_grid=None,
             f"label counts {got} inconsistent with structural counts {expected}"
         )
 
+    # values only: with vectors, LAPACK returns sigma with other last bits
     sigma = np.linalg.svd(blocks.C2, compute_uv=False) if blocks.C2.size else np.array([])
     sigma_by_curve = np.full(lam.shape[0], np.nan)
     sqrt_idx = [j for j, lbl in enumerate(labels) if lbl == LABEL_SQRT]
@@ -476,8 +469,18 @@ def hemicurvature(curves: EigenCurves, j: int) -> float:
     return float(total)
 
 
-def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int,
-                              sep_tol: float = 1e-6) -> float:
+def _repeated_sigma_gap(sigma) -> float | None:
+    """The smallest gap between two of the descending singular values sigma
+    when it is within SIGMA_SEP_TOL of max(1, sigma_0); None when they are
+    pairwise distinct."""
+    if len(sigma) < 2:
+        return None
+    gaps = np.abs(np.subtract.outer(sigma, sigma))
+    min_gap = float(np.min(gaps[~np.eye(len(sigma), dtype=bool)]))
+    return min_gap if min_gap <= SIGMA_SEP_TOL * max(1.0, float(sigma[0])) else None
+
+
+def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int) -> float:
     """Closed-form hemicurvature (u_j' S u_j) / (2 sigma_j^2).
 
     Valid only when the singular values of C2 are pairwise distinct; u_j is
@@ -486,13 +489,9 @@ def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int,
     if blocks.C2.size == 0:
         raise ValueError("no sqrt-order curves: C2 is empty")
     U2, sv, _ = np.linalg.svd(blocks.C2, full_matrices=False)
-    if len(sv) > 1:
-        gaps = np.abs(np.subtract.outer(sv, sv))
-        min_gap = float(np.min(gaps[~np.eye(len(sv), dtype=bool)]))
-        if min_gap <= sep_tol * max(1.0, float(sv[0])):
-            raise ValueError(
-                f"singular values of C2 not distinct (min gap {min_gap:.3e})"
-            )
+    min_gap = _repeated_sigma_gap(sv)
+    if min_gap is not None:
+        raise ValueError(f"singular values of C2 not distinct (min gap {min_gap:.3e})")
     if not 0 <= j < len(sv):
         raise ValueError(f"no singular value with index {j}")
     S = generalized_schur(blocks)

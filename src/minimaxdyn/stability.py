@@ -28,15 +28,14 @@ import numpy as np
 
 from . import spectral
 from .dynamics import _solve_checked
-from .problems import MinimaxProblem, hessian_blocks_at, saddle_gradient
+from .problems import MinimaxProblem, block_hessian, hessian_blocks_at, saddle_gradient
 from .spectral import (
     EigenCurves,
+    _eigencurves,
+    _repeated_sigma_gap,
     canonicalize,
     default_psd_tol,
-    eigencurves,
-    generalized_schur,
     hemicurvature,
-    restricted_schur,
     s_zero,
     second_order_necessary,
     timescaled_hessian,
@@ -45,7 +44,7 @@ from .spectral import (
 MARGINAL_TOL = 1e-8
 DEFAULT_TAU_GRID = np.geomspace(1.0, 1e8, 33)
 DEFAULT_TAU_GRID.setflags(write=False)  # shared by every default call
-DEFAULT_K_TAIL = 5
+K_TAIL = 5  # grid points in a terminal run that decides an infinity verdict
 _CROSS_CHECK_GUARD = 1e-9
 
 _mismatch_count = 0
@@ -66,11 +65,6 @@ class CriterionMismatchError(RuntimeError):
 
 def mismatch_count() -> int:
     return _mismatch_count
-
-
-def reset_mismatch_count() -> None:
-    global _mismatch_count
-    _mismatch_count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +297,16 @@ def verdict_table(H, d1: int, pairs, taus,
     return table
 
 
-def verdicts(H, d1: int, mode: str, step: float, taus,
-             marginal_tol: float = MARGINAL_TOL) -> list[StabilityVerdict]:
+def verdicts(H, d1: int, mode: str, step: float, taus) -> list[StabilityVerdict]:
     """One verdict per tau for mode: a verdict table of one pair."""
-    return verdict_table(H, d1, [(mode, step)], taus, marginal_tol)[0]
+    return verdict_table(H, d1, [(mode, step)], taus)[0]
 
 
 @dataclass
 class InfinityVerdict:
     """Empirical infinity-EG verdict along a tau grid.
 
-    stable/unstable comes from a terminal run of at least k_tail grid
+    stable/unstable comes from a terminal run of at least K_TAIL grid
     points with that verdict; tau_star is the smallest grid point opening
     the run.  The verdict is empirical: the underlying statements hold for
     all tau beyond an unquantified threshold.
@@ -339,26 +332,25 @@ def _tau_grid(tau_grid) -> np.ndarray:
     return tau_grid
 
 
-def _terminal_run(mode: str, param: float, tau_grid, vs, k_tail: int) -> InfinityVerdict:
+def _terminal_run(mode: str, param: float, tau_grid, vs) -> InfinityVerdict:
     """The infinity verdict of one mode's per-tau verdicts vs on tau_grid."""
     labels = [v.stable for v in vs]
     run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != labels[-1]), len(labels))
-    if labels[-1] in ("stable", "unstable") and run >= k_tail:
+    if labels[-1] in ("stable", "unstable") and run >= K_TAIL:
         return InfinityVerdict(mode, param, labels[-1], float(tau_grid[-run]), tau_grid, labels)
     return InfinityVerdict(mode, param, "inconclusive", None, tau_grid, labels)
 
 
 def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
-                        tau_grid=None, k_tail: int = DEFAULT_K_TAIL,
-                        marginal_tol: float = MARGINAL_TOL) -> InfinityVerdict:
+                        tau_grid=None) -> InfinityVerdict:
     """Sweep tau and report the terminal-run verdict.
 
     mode is "continuous" (disk criterion at step s), "discrete" (peanut
     criterion at step eta), or "gda".
     """
     tau_grid = _tau_grid(tau_grid)
-    vs = verdicts(H, d1, mode, s_or_eta, tau_grid, marginal_tol)
-    return _terminal_run(mode, s_or_eta, tau_grid, vs, k_tail)
+    vs = verdicts(H, d1, mode, s_or_eta, tau_grid)
+    return _terminal_run(mode, s_or_eta, tau_grid, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +365,9 @@ class ClassifyConfig:
     rank_tol: float | None = None
     psd_tol: float | None = None
     marginal_tol: float = MARGINAL_TOL
-    eps_grid: np.ndarray | None = None
     tau_grid: np.ndarray | None = None
-    k_tail: int = DEFAULT_K_TAIL
     s: float | None = None      # default 0.5/L
     eta: float | None = None    # default 0.5/L
-    sigma_sep_tol: float = 1e-6
 
 
 @dataclass
@@ -391,7 +380,7 @@ class EquilibriumReport:
     spec_Sres: list
     spec_negB: list
     sigma: list
-    iota: list           # one value per sigma, averaged over the +- pair
+    iota: list           # one value per sigma: the mean over its curves
     s0: float
     second_order: spectral.SecondOrderVerdict
     strict_non_minimax: bool
@@ -485,12 +474,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         )
     A, B, C = hessian_blocks_at(problem, z)
     blocks = canonicalize(A, B, C, rank_tol=config.rank_tol)
-    rsc = restricted_schur(blocks)
     so = second_order_necessary(blocks, psd_tol=config.psd_tol)
+    rsc = so.rsc
 
-    H = np.block([[A, C], [-C.T, -B]])
-    curves = eigencurves(H, problem.d1, eps_grid=config.eps_grid,
-                         rank_tol=config.rank_tol)
+    H = block_hessian(A, B, C)
+    curves = _eigencurves(H, blocks)
     sigma = curves.sigma
     iota_by_sigma = []
     for sg in sigma:
@@ -506,32 +494,22 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         if not 0.0 < value < 1.0 / L:
             raise ValueError(f"{name} must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
 
-    S = generalized_schur(blocks)
-    distinct = True
-    if len(sigma) > 1:
-        gaps = np.abs(np.subtract.outer(sigma, sigma))
-        min_gap = float(np.min(gaps[~np.eye(len(sigma), dtype=bool)]))
-        distinct = min_gap > config.sigma_sep_tol * max(1.0, float(sigma[0]))
-    u_S_u = None
-    if len(sigma) and distinct:
-        U2, sv, _ = np.linalg.svd(blocks.C2, full_matrices=False)
-        u_S_u = [float(U2[:, k] @ S @ U2[:, k]) for k in range(len(sv))]
+    distinct = _repeated_sigma_gap(sigma) is None
+    u_S_u = [float(u @ rsc.S @ u) for u in rsc.U_sigma.T] if distinct else None
 
     necessary = so.B_nsd and so.Sres_psd
     thm_infty_continuous = bool(necessary and s0 < 1.0 / L)
     thm_infty_discrete = bool(necessary and s0 < 1.0 / (2.0 * L))
     stable_for_all_steps = None
-    if not len(sigma):
-        stable_for_all_steps = necessary
-    elif distinct:
-        tol_u = default_psd_tol(S)
+    if distinct:  # also without sigma, where u_S_u is empty and excludes no step
+        tol_u = default_psd_tol(rsc.S)
         stable_for_all_steps = bool(necessary and all(v >= -tol_u for v in u_S_u))
 
     predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
     pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
     tau_grid = _tau_grid(config.tau_grid)
     table = verdict_table(H, problem.d1, pairs, tau_grid, config.marginal_tol)
-    observed = {mode: _terminal_run(mode, step, tau_grid, vs, config.k_tail)
+    observed = {mode: _terminal_run(mode, step, tau_grid, vs)
                 for (mode, step), vs in zip(pairs, table)}
     mismatches = [f"{mode}: predicted {pred} but observed {observed[mode].verdict} "
                   f"(param {observed[mode].param:.6g})"
@@ -544,7 +522,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         lipschitz=L,
         r=blocks.r,
         w=rsc.w,
-        spec_Sres=[float(v) for v in rsc.eigenvalues()],
+        spec_Sres=[float(v) for v in rsc.spectrum],
         spec_negB=[float(v) for v in -np.diag(blocks.B_diag)],
         sigma=[float(v) for v in sigma],
         iota=iota_by_sigma,
@@ -554,7 +532,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
         s_eval=s_eval,
         eta_eval=eta_eval,
         distinct_sigma=bool(distinct),
-        u_S_u=u_S_u,
+        u_S_u=u_S_u if len(sigma) else None,
         thm_infty_continuous=thm_infty_continuous,
         thm_infty_discrete=thm_infty_discrete,
         stable_for_all_steps=stable_for_all_steps,

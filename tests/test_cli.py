@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import minimaxdyn
+from minimaxdyn import stability
 from minimaxdyn.cli import main
 
 # child processes import the same package as this one, installed or not
@@ -151,6 +152,24 @@ def test_avoidance_refuses_stable_target(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra, reason", [
+    (["--n", "0"], "n must be >= 1, got 0"),
+    (["--n", "-3"], "n must be >= 1, got -3"),
+    (["--n", "20", "--target-tol", "nan"], "target_tol must be finite and > 0, got nan"),
+    (["--n", "20", "--target-tol", "0"], "target_tol must be finite and > 0, got 0.0"),
+])
+def test_avoidance_refuses_runs_that_test_no_member(tmp_path, capsys, monkeypatch, extra, reason):
+    def classify(*args):
+        raise AssertionError("classification ran")
+
+    monkeypatch.setattr(stability, "characterize_equilibrium", classify)
+    out = tmp_path / "run"
+    code = run_cli("avoidance", "--builtin", "strict_nonminimax_demo", *extra, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
 def test_avoidance_refuses_gda_on_nondegenerate(tmp_path):
     code = run_cli("avoidance", "--builtin", "nondegenerate_quadratic",
                    "--method", "gda_tt", "--n", "5", "--out", str(tmp_path))
@@ -266,7 +285,17 @@ def test_simulate_rejects_non_finite_tau(tmp_path, capsys, tau):
                    "--tau", tau, "--n", "3", "--no-trajectories", "--out", str(out))
     assert code == 1
     assert capsys.readouterr().err == f"error: tau must be finite, got {tau}\n"
-    assert not (out / "simulate_summary.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("box", ["nan", "inf", "-1", "0"])
+def test_simulate_rejects_bad_box_before_writing(tmp_path, capsys, box):
+    out = tmp_path / "run"
+    code = run_cli("simulate", "--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.3",
+                   "--box", box, "--n", "3", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: box must be finite and > 0, got {float(box)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, reason", [
@@ -495,3 +524,18 @@ def test_simulate_blocks_match_per_member_runs(tmp_path, monkeypatch, name, csv)
     assert len(runs["reference"]) == (13 if csv else 1)
     assert runs["one_block"] == runs["reference"]
     assert runs["blocks"] == runs["reference"]
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script, extra", [
+    ("avoidance_experiment.py", ["--n", "2"]),
+    ("bilinear_phenomena.py", ["--n", "2"]),
+    ("eigencurve_sweep.py", []),
+])
+def test_scripts_run(tmp_path, script, extra):
+    result = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *extra,
+                             "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert result.returncode == 0, result.stderr

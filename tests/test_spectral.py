@@ -21,7 +21,6 @@ from minimaxdyn.spectral import (
     generalized_schur,
     hemicurvature,
     hemicurvature_closed_form,
-    is_strict_non_minimax,
     mu_roots_oracle,
     restricted_schur,
     rsc_subspace_oracle,
@@ -40,6 +39,12 @@ def blocks_of(name, **params):
 
 def hessian_of(name, **params):
     return builtin_problem(name, **params).quadratic.hessian()
+
+
+def is_strict_non_minimax(blocks, tol=None):
+    """The complement of second_order_necessary under the same tolerances."""
+    so = second_order_necessary(blocks, psd_tol=tol)
+    return not (so.B_nsd and so.Sres_psd)
 
 
 # --- canonicalize -----------------------------------------------------------

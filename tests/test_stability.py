@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from numpy.testing import assert_allclose
 from minimaxdyn import spectral, stability
 from minimaxdyn.cli import main
 from minimaxdyn.dynamics import step_eg_tt
-from minimaxdyn.problems import builtin_problem
+from minimaxdyn.problems import MinimaxProblem, QuadraticSpec, builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import timescaled_hessian
 from minimaxdyn.stability import (
     ClassifyConfig,
@@ -667,6 +669,71 @@ def test_characterize_makes_one_verdict_table(monkeypatch):
             (want[mode].mode, want[mode].param, want[mode].verdict,
              want[mode].tau_star, want[mode].labels)
         assert np.array_equal(v.tau_grid, taus)
+
+
+def fd_grad(z):
+    """Gradient of a non-quadratic objective with stationary origin and B = 0 there."""
+    x1, x2, y1, y2 = z
+    return np.array([x1 + x1**3 / 3 + y1, -x2 + y2 / 2 + x2**2, x1 + x2 / 2 + x1**2,
+                     0.3 * x1 - x2])
+
+
+def repeated_sigma_probe(seed):
+    """A random quadratic with B = 0 and sigma = (1.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, 4))
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    return QuadraticSpec(A=(M + M.T) / 2, B=np.zeros((2, 2)), C=1.5 * Q[:, :2]).to_problem()
+
+
+REPORT_PROBLEMS = {
+    "strict_nonminimax_demo": lambda: builtin_problem("strict_nonminimax_demo"),
+    "distinct_sigma": lambda: QuadraticSpec(
+        A=[[1.0, 0.2, 0.0], [0.2, -0.5, 0.3], [0.0, 0.3, 2.0]], B=np.zeros((2, 2)),
+        C=[[1.0, 0.5], [0.0, 2.0], [0.3, -0.4]]).to_problem(),
+    "repeated_sigma_seed3": lambda: repeated_sigma_probe(3),
+    "finite_difference": lambda: MinimaxProblem(d1=2, d2=2, value=lambda z: 0.0, grad=fd_grad,
+                                                lipschitz_bound=3.0),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_PROBLEMS)
+def test_characterize_report_is_pinned(name):
+    """The JSON report, bit for bit, as first recorded in tests/pinned_reports.json."""
+    with open(os.path.join(os.path.dirname(__file__), "pinned_reports.json")) as fh:
+        want = json.load(fh)[name]
+    problem = REPORT_PROBLEMS[name]()
+    got = characterize_equilibrium(problem, np.zeros(problem.dim)).to_json_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["strict_nonminimax_demo", "distinct_sigma"])
+def test_characterize_decomposes_blocks_once(monkeypatch, name):
+    problem = REPORT_PROBLEMS[name]()
+    blocks = spectral.canonicalize(*hessian_blocks_at(problem, np.zeros(problem.dim)))
+    C2, S_res = blocks.C2, spectral.restricted_schur(blocks).S_res
+    calls = {}
+
+    def counting(fn, key, counted=lambda *a, **k: True):
+        def wrapper(*args, **kwargs):
+            if counted(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fname in ("canonicalize", "generalized_schur", "restricted_schur"):
+        wrapper = counting(getattr(spectral, fname), fname)
+        for module in (spectral, stability):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, wrapper)
+    monkeypatch.setattr(np.linalg, "svd", counting(
+        np.linalg.svd, "svd(C2) with vectors",
+        lambda a, *args, compute_uv=True, **kw: compute_uv and np.array_equal(a, C2)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(
+        np.linalg.eigvalsh, "eigvalsh(S_res)", lambda a, *args, **kw: np.array_equal(a, S_res)))
+    characterize_equilibrium(problem, np.zeros(problem.dim))
+    assert calls == {"canonicalize": 1, "generalized_schur": 1, "restricted_schur": 1,
+                     "svd(C2) with vectors": 1, "eigvalsh(S_res)": 1}
 
 
 def test_default_grids_cannot_be_changed_through_a_report():
