@@ -53,6 +53,10 @@ class ExperimentConfig:
     target_tol: float = 1e-4
     cluster_tol: float = 1e-3
 
+    def __post_init__(self):
+        dynamics.check_ranges(n=self.n, box=self.box, seed=self.seed, target_tol=self.target_tol,
+                              cluster_tol=self.cluster_tol)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -190,8 +194,6 @@ def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool
     The first block runs before this returns, so every run parameter has
     been checked before the caller writes anything.
     """
-    if not 0.0 < config.box < math.inf:
-        raise ValueError(f"box must be finite and > 0, got {config.box}")
     inits = _sample_inits(config, problem.dim)
     params = MethodParams(method=config.method, eta=config.eta, s=config.s, tau=config.tau,
                           dt=config.dt)
@@ -269,8 +271,7 @@ def cmd_avoidance(args) -> int:
     problem = _load_problem_from_args(args)
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
-    if not 0.0 < args.target_tol < math.inf:
-        raise ValueError(f"target_tol must be finite and > 0, got {args.target_tol}")
+    dynamics.check_ranges(target_tol=args.target_tol)
     L = problem.lipschitz_bound
     method = args.method
     if args.eta is not None:
@@ -283,8 +284,6 @@ def cmd_avoidance(args) -> int:
         raise ValueError(
             f"eg_tt avoidance requires 0 < eta < (sqrt(5)-1)/(2L) = {GOLDEN_STEP_FACTOR / L:.6g}"
         )
-    if method == "gda_tt" and not 0.0 < eta < 1.0 / L:
-        raise ValueError(f"gda_tt avoidance requires 0 < eta < 1/L = {1.0 / L:.6g}")
 
     cls_config = ClassifyConfig(eta=eta, stationarity_tol=args.tol_stationary)
     z_star = _resolve_target(problem, args, cls_config.stationarity_tol)
@@ -372,6 +371,7 @@ def cmd_avoidance(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = _load_problem_from_args(args)
+    dynamics.check_ranges(stationarity_tol=args.tol_stationary)
     z_star = _resolve_target(problem, args, args.tol_stationary)
     H = problems.block_hessian(*problems.hessian_blocks_at(problem, z_star))
 
@@ -382,11 +382,10 @@ def cmd_sweep(args) -> int:
     L = problem.lipschitz_bound
     s_values = _parse_grid(args, "s_grid", [0.5 / L if args.s is None else args.s])
     eta_values = _parse_grid(args, "eta_grid", [0.5 / L if args.eta is None else args.eta])
-    for name, vals in (("s", s_values), ("eta", eta_values)):
-        if not all(0.0 < v < 1.0 / L for v in vals):
-            raise ValueError(f"{name} grid must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
     pairs = [(mode, float(p)) for mode, m in stability.MODES.items()
              for p in (s_values if m.step == "s" else eta_values)]
+    for mode, p in pairs:
+        dynamics.check_step(stability.MODES[mode].step, p, L)
     table = stability.verdict_table(H, problem.d1, pairs, tau_grid)
 
     os.makedirs(args.out, exist_ok=True)

@@ -55,6 +55,34 @@ class NewtonError(RuntimeError):
     """Newton iteration failed to reach the requested residual."""
 
 
+# one row per scalar run parameter: its test (NaN passes none) and its wording
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+RANGES = {
+    "tau": (lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
+    **dict.fromkeys(("dt", "box", "cluster_tol", "target_tol"), _POSITIVE),
+    **dict.fromkeys(("tol_conv", "stationarity_tol", "rank_tol", "psd_tol", "marginal_tol",
+                     "t_end"), _NONNEGATIVE),
+    "diverge_norm": (lambda v: v > 0.0, "> 0"),  # inf: never
+    **dict.fromkeys(("max_iters", "n", "seed"), (lambda v: v >= 0, ">= 0")),
+}
+OPTIONAL = {"dt", "rank_tol", "psd_tol"}  # None stands for the default
+
+
+def check_ranges(**values) -> None:
+    """Raise a ValueError naming the first value outside its row of RANGES."""
+    for name, v in values.items():
+        test, wording = RANGES[name]
+        if not (name in OPTIONAL if v is None else test(v)):
+            raise ValueError(f"{name} must be {wording}, got {v}")
+
+
+def check_step(name: str, step, L: float) -> None:
+    """The step-size hypothesis of every method: 0 < step < 1/L."""
+    if step is None or not 0.0 < step < 1.0 / L:
+        raise ValueError(f"{name} must lie in (0, 1/L) = (0, {1.0 / L:.6g}), got {step}")
+
+
 @dataclass(frozen=True)
 class MethodParams:
     """Parameter bundle for one method run.
@@ -73,34 +101,18 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
-        if self.tau < 1.0:
-            raise ValueError("tau must be >= 1")
+        check_ranges(tau=self.tau, dt=self.dt)
 
     def validate(self, problem: MinimaxProblem) -> None:
-        """Check the step-size hypotheses against the problem's L."""
-        L = problem.lipschitz_bound
-        if self.method in DISCRETE_METHODS:
-            if self.eta is None or not (0.0 < self.eta < 1.0 / L):
-                raise ValueError(
-                    f"{self.method} requires 0 < eta < 1/L = {1.0 / L:.6g}, got {self.eta}"
-                )
-        elif self.method in ("ode_eg", "ode_eg_tt"):
-            if self.s is None or not (0.0 < self.s < 1.0 / L):
-                raise ValueError(
-                    f"{self.method} requires 0 < s < 1/L = {1.0 / L:.6g}, got {self.s}"
-                )
-        if self.method.startswith("ode") and self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+        """Check the step-size hypothesis against the problem's L."""
+        if self.method != "ode_plain":
+            name = "eta" if self.method in DISCRETE_METHODS else "s"
+            check_step(name, getattr(self, name), problem.lipschitz_bound)
 
 
 @dataclass
 class Termination:
     reason: str  # "converged" | "diverged" | "nonfinite" | "max_iters" | "t_end"
-    point: np.ndarray | None = None
-    residual: float | None = None
-    threshold: float | None = None
     step: int | None = None  # index of the sample the run stopped at
 
 
@@ -303,8 +315,7 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     and final states.
     """
     params.validate(problem)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    check_ranges(tol_conv=tol_conv, max_iters=max_iters, diverge_norm=diverge_norm)
     Z0 = _as_states(problem, Z0, "Z0")
     n, d = Z0.shape
     field = _row_field(problem)
@@ -365,11 +376,6 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
          else np.cumsum(np.r_[0.0, np.full(top, params.dt or DT_DEFAULT)]))
     out = []
     for i, k in enumerate(steps.tolist()):
-        term = Termination(reasons[codes[i]], step=k)
-        if term.reason == "converged":
-            term.point, term.residual = Z_end[i].copy(), float(f_end[i])
-        elif term.reason == "diverged":
-            term.threshold = diverge_norm
         if record:  # a chunk's last sample is also the next one's first
             parts = history[i][:-1]
             times = T[:k + 1]
@@ -379,7 +385,7 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
             times = T[[0, k] if k else [0]]
             states = np.array([Z0[i], Z_end[i]])[:len(times)]
             fnorms = np.array([f_start[i], f_end[i]])[:len(times)]
-        out.append(Trajectory(times, states, fnorms, term, params))
+        out.append(Trajectory(times, states, fnorms, Termination(reasons[codes[i]], k), params))
     return out
 
 
@@ -411,10 +417,8 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
     A recorded batch of one of run_batch, so it stops with the same rule;
     the state at t_end is tested for convergence and non-finiteness only.
     """
-    params = MethodParams(method=_ode_method(kind), s=s, tau=tau, dt=dt)
-    params.validate(problem)  # dt divides t_end below
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    params = MethodParams(method=_ode_method(kind), s=s, tau=tau, dt=dt)  # checks dt
+    check_ranges(t_end=t_end)
     return run_batch(problem, [z0], params, tol_conv=tol_conv, max_iters=round(t_end / dt),
                      diverge_norm=diverge_norm, record=True)[0]
 

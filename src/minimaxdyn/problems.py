@@ -125,16 +125,12 @@ class QuadraticSpec:
         """The saddle Jacobian H = [[A, C], [-C', -B]] (shared, read-only)."""
         return self._H
 
-    def gradient_matrix(self) -> np.ndarray:
-        """G with grad f(z) = G z, i.e. [[A, C], [C', B]]."""
-        return np.block([[self.A, self.C], [self.C.T, self.B]])
-
     def lipschitz(self) -> float:
         return float(np.linalg.norm(self.hessian(), 2))
 
     def to_problem(self, name: str = "") -> MinimaxProblem:
-        G = self.gradient_matrix()
         A, B, C = self.A, self.B, self.C
+        G = np.block([[A, C], [C.T, B]])  # grad f(z) = G z
 
         def value(z):
             z = np.asarray(z, dtype=float)

@@ -86,9 +86,6 @@ class CanonicalBlocks:
     def D(self) -> np.ndarray:
         return -np.diag(self.B_diag)[: self.r]
 
-    def hessian_canon(self) -> np.ndarray:
-        return block_hessian(self.A, self.B_diag, np.hstack([self.C1, self.C2]))
-
 
 @dataclass(frozen=True)
 class RestrictedSchur:
@@ -123,7 +120,8 @@ def canonicalize(A, B, C, rank_tol: float | None = None) -> CanonicalBlocks:
     rank_tol = DEFAULT_RANK_TOL if rank_tol is None else float(rank_tol)
 
     w, V = np.linalg.eigh(B)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    # scaled by the whole Hessian, so finite-difference noise in a zero B counts as zero
+    scale = max((float(np.max(np.abs(M))) for M in (w, A, C) if M.size), default=0.0)
     cut = rank_tol * scale
     nonzero = np.abs(w) > cut
     order = np.concatenate([
@@ -215,7 +213,6 @@ def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200,
 class SecondOrderVerdict:
     B_nsd: bool
     Sres_psd: bool
-    lambda_max_B: float
     lambda_min_Sres: float | None  # None when S_res is 0 x 0
     rsc: RestrictedSchur = field(repr=False, compare=False)  # the S_res judged
 
@@ -228,10 +225,10 @@ def second_order_necessary(blocks: CanonicalBlocks,
     tol_B = default_psd_tol(blocks.B_diag) if psd_tol is None else psd_tol
     rsc = restricted_schur(blocks)
     if rsc.vacuous:
-        return SecondOrderVerdict(lam_max_B <= tol_B, True, lam_max_B, None, rsc)
+        return SecondOrderVerdict(lam_max_B <= tol_B, True, None, rsc)
     lam_min = float(np.min(rsc.spectrum))
     tol_S = default_psd_tol(rsc.S_res) if psd_tol is None else psd_tol
-    return SecondOrderVerdict(lam_max_B <= tol_B, lam_min >= -tol_S, lam_max_B, lam_min, rsc)
+    return SecondOrderVerdict(lam_max_B <= tol_B, lam_min >= -tol_S, lam_min, rsc)
 
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
@@ -256,7 +253,7 @@ def mu_roots_oracle(blocks: CanonicalBlocks, beta_tol: float = 1e-8) -> np.ndarr
     """
     import scipy.linalg
 
-    Hc = blocks.hessian_canon()
+    Hc = block_hessian(blocks.A, blocks.B_diag, np.hstack([blocks.C1, blocks.C2]))
     n = Hc.shape[0]
     cond = np.linalg.cond(Hc)
     if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import _solve_checked
+from .dynamics import _solve_checked, check_ranges, check_step
 from .problems import MinimaxProblem, block_hessian, hessian_blocks_at, saddle_gradient
 from .spectral import (
     EigenCurves,
@@ -369,6 +369,10 @@ class ClassifyConfig:
     s: float | None = None      # default 0.5/L
     eta: float | None = None    # default 0.5/L
 
+    def __post_init__(self):
+        check_ranges(stationarity_tol=self.stationarity_tol, rank_tol=self.rank_tol,
+                     psd_tol=self.psd_tol, marginal_tol=self.marginal_tol)
+
 
 @dataclass
 class EquilibriumReport:
@@ -465,6 +469,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
     predictions they imply for infinity-EG/GDA, and the empirically swept
     verdicts; flag any prediction/observation mismatch."""
     config = config or ClassifyConfig()
+    L = problem.lipschitz_bound
+    s_eval = 0.5 / L if config.s is None else float(config.s)
+    eta_eval = 0.5 / L if config.eta is None else float(config.eta)
+    check_step("s", s_eval, L)
+    check_step("eta", eta_eval, L)
     z = np.asarray(z_star, dtype=float)
     F = saddle_gradient(problem, z)
     f_norm = float(np.linalg.norm(F))
@@ -486,13 +495,6 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
                 if np.isclose(curves.sigma_by_curve[j], sg)]
         iota_by_sigma.append(float(np.mean(vals)) if vals else float("nan"))
     s0 = s_zero(curves)
-
-    L = problem.lipschitz_bound
-    s_eval = 0.5 / L if config.s is None else float(config.s)
-    eta_eval = 0.5 / L if config.eta is None else float(config.eta)
-    for name, value in (("s", s_eval), ("eta", eta_eval)):
-        if not 0.0 < value < 1.0 / L:
-            raise ValueError(f"{name} must lie in (0, 1/L) = (0, {1.0 / L:.6g})")
 
     distinct = _repeated_sigma_gap(sigma) is None
     u_S_u = [float(u @ rsc.S @ u) for u in rsc.U_sigma.T] if distinct else None

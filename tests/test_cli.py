@@ -284,7 +284,7 @@ def test_simulate_rejects_non_finite_tau(tmp_path, capsys, tau):
     code = run_cli("simulate", "--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.3",
                    "--tau", tau, "--n", "3", "--no-trajectories", "--out", str(out))
     assert code == 1
-    assert capsys.readouterr().err == f"error: tau must be finite, got {tau}\n"
+    assert capsys.readouterr().err == f"error: tau must be finite and >= 1, got {tau}\n"
     assert not out.exists()
 
 
@@ -299,7 +299,7 @@ def test_simulate_rejects_bad_box_before_writing(tmp_path, capsys, box):
 
 
 @pytest.mark.parametrize("grid, reason", [
-    (["--s-grid", "5:6:2"], "s grid must lie in (0, 1/L) = (0, 0.381966)"),
+    (["--s-grid", "5:6:2"], "s must lie in (0, 1/L) = (0, 0.381966), got 5.0"),
     (["--tau-grid", "0.5:2:3"], "tau must be >= 1"),
     (["--eps-grid", "1e-1:1e-9:3"], "eps_grid must be a 1-d grid with at least 4 points"),
 ])

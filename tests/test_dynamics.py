@@ -470,7 +470,7 @@ def test_method_params_validation(bilinear):
     with pytest.raises(ValueError):
         MethodParams(method="mystery", eta=0.5)
     for tau in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^tau must be finite, got {tau}$"):
+        with pytest.raises(ValueError, match=f"^tau must be finite and >= 1, got {tau}$"):
             MethodParams(method="gda_tt", eta=0.5, tau=tau)
     params = MethodParams(method="eg_tt", eta=1.5, tau=1.0)  # eta >= 1/L = 1
     with pytest.raises(ValueError):
@@ -736,7 +736,7 @@ def test_eg_field_on_nan_gradient_names_the_non_finite_operator():
 
 def test_batch_rejects_negative_max_iters(bilinear):
     for method in ("gda_tt", "ode_plain"):
-        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
             run_batch(bilinear, [[1.0, 0.0]], MethodParams(method=method, eta=0.5),
                       max_iters=-1)
 

@@ -1,0 +1,173 @@
+"""Every scalar run parameter has one row in dynamics.RANGES, checked where it enters.
+
+Each row is probed with NaN, the value just outside its range, its boundary
+(accepted where the range is closed) and inf, once through the library entry
+point that takes it and once through its CLI flag.
+"""
+
+import dataclasses
+import inspect
+import itertools
+import math
+import re
+
+import numpy as np
+import pytest
+
+from minimaxdyn import dynamics
+from minimaxdyn.cli import ExperimentConfig, main
+from minimaxdyn.dynamics import RANGES, MethodParams, integrate, run_batch
+from minimaxdyn.problems import builtin_problem
+from minimaxdyn.stability import ClassifyConfig
+
+BILINEAR = builtin_problem("bilinear")
+
+
+def simulate(flag, method="gda_tt"):
+    """A small simulate run on bilinear whose last option is flag."""
+    args = {"--method": method, "--eta": "0.3", "--n": "2", "--max-iters": "20"}
+    args.pop(flag, None)
+    return ["simulate", "--builtin", "bilinear", *itertools.chain(*args.items()),
+            "--no-trajectories", flag]
+
+
+def classify(flag):
+    return ["classify", "--builtin", "bilinear", flag]
+
+
+def experiment(**kw):
+    return ExperimentConfig(problem={}, method="gda_tt", **kw)
+
+
+def batch(**kw):
+    return run_batch(BILINEAR, [[0.5, 0.5]], MethodParams(method="gda_tt", eta=0.3),
+                     **{"max_iters": 20, **kw})
+
+
+# row: (boundary, boundary accepted, inf accepted, library entry, CLI argv or None);
+# the CLI argv ends with the row's flag, which is given its value as --flag=value
+ROWS = {
+    "tau": (1.0, True, False, lambda v: MethodParams(method="gda_tt", eta=0.3, tau=v),
+            simulate("--tau")),
+    "dt": (0.0, False, False, lambda v: MethodParams(method="ode_plain", dt=v),
+           simulate("--dt", method="ode_plain")),
+    "box": (0.0, False, False, lambda v: experiment(box=v), simulate("--box")),
+    "cluster_tol": (0.0, False, False, lambda v: experiment(cluster_tol=v),
+                    simulate("--cluster-tol")),
+    "target_tol": (0.0, False, False, lambda v: experiment(target_tol=v),
+                   ["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5",
+                    "--target-tol"]),
+    "tol_conv": (0.0, True, False, lambda v: batch(tol_conv=v), simulate("--tol-conv")),
+    "stationarity_tol": (0.0, True, False, lambda v: ClassifyConfig(stationarity_tol=v),
+                         classify("--tol-stationary")),
+    "rank_tol": (0.0, True, False, lambda v: ClassifyConfig(rank_tol=v), classify("--rank-tol")),
+    "psd_tol": (0.0, True, False, lambda v: ClassifyConfig(psd_tol=v), classify("--tol-psd")),
+    "marginal_tol": (0.0, True, False, lambda v: ClassifyConfig(marginal_tol=v),
+                     classify("--tol-marginal")),
+    "t_end": (0.0, True, False, lambda v: integrate(BILINEAR, "plain", [0.5, 0.5], t_end=v),
+              None),
+    "diverge_norm": (0.0, False, True, lambda v: batch(diverge_norm=v),
+                     simulate("--diverge-norm")),
+    "max_iters": (0, True, None, lambda v: batch(max_iters=v), simulate("--max-iters")),
+    "n": (0, True, None, lambda v: experiment(n=v), simulate("--n")),
+    "seed": (0, True, None, lambda v: experiment(seed=v), simulate("--seed")),
+}
+
+
+def probes():
+    """(row, value, accepted) for NaN, just outside, the boundary and inf; counts
+    (inf accepted None) are probed at the boundary and one below it."""
+    for name, (bound, closed, inf_ok, _, _) in ROWS.items():
+        if inf_ok is None:
+            yield name, bound - 1, False
+            yield name, bound, closed
+            continue
+        yield name, math.nan, False
+        yield name, float(np.nextafter(bound, -math.inf)), False
+        yield name, bound, closed
+        yield name, math.inf, inf_ok
+
+
+PROBES = list(probes())
+CLI_PROBES = [p for p in PROBES if ROWS[p[0]][4] is not None]
+
+
+def ids(probes):
+    return [f"{name}={value!r}" for name, value, _ in probes]
+
+
+def test_every_row_is_probed():
+    assert ROWS.keys() == RANGES.keys()
+
+
+@pytest.mark.parametrize("name, value, accepted", PROBES, ids=ids(PROBES))
+def test_library_entry_checks_the_row(name, value, accepted):
+    enter = ROWS[name][3]
+    if accepted:
+        enter(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be {re.escape(RANGES[name][1])}, "
+                                             f"got {re.escape(str(value))}$"):
+            enter(value)
+
+
+@pytest.mark.parametrize("name, value, accepted", CLI_PROBES, ids=ids(CLI_PROBES))
+def test_cli_flag_checks_the_row(tmp_path, capsys, name, value, accepted):
+    out = tmp_path / "run"
+    code = main(ROWS[name][4][:-1] + [f"{ROWS[name][4][-1]}={value!r}", "--out", str(out)])
+    err = capsys.readouterr().err
+    if accepted:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == f"error: {name} must be {RANGES[name][1]}, got {value!r}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "50", "--diverge-norm=-1"],
+     "diverge_norm must be > 0, got -1.0"),
+    (["sweep", "--builtin", "bilinear", "--tol-stationary=nan"],
+     "stationarity_tol must be finite and >= 0, got nan"),
+    (["sweep", "--builtin", "bilinear", "--tol-stationary=-1"],
+     "stationarity_tol must be finite and >= 0, got -1.0"),
+    (["simulate", "--builtin", "bilinear", "--method", "eg_tt", "--eta", "0.5", "--n=-2"],
+     "n must be >= 0, got -2"),
+])
+def test_other_entry_points_check_the_table(tmp_path, capsys, argv, reason):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, name", [("gda_tt", "eta"), ("eg_tt", "eta"),
+                                          ("ode_eg", "s"), ("ode_eg_tt", "s")])
+@pytest.mark.parametrize("step", [math.nan, 0.0, 1.0, None])  # 1/L = 1 on bilinear
+def test_step_rule_is_one_rule(method, name, step):
+    params = MethodParams(method=method, **{name: step})
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1/L\) = \(0, 1\), got "):
+        run_batch(BILINEAR, [[0.5, 0.5]], params)
+
+
+def numeric(annotation) -> bool:
+    return re.search(r"\b(float|int)\b", str(annotation)) is not None
+
+
+def test_every_numeric_run_parameter_has_a_row():
+    """A numeric parameter added without a range fails here; eta and s are
+    checked against 1/L by the step rule, dynamics.check_step."""
+    names = {f.name for cls in (ExperimentConfig, ClassifyConfig, MethodParams)
+             for f in dataclasses.fields(cls) if numeric(f.type)}
+    for fn in (run_batch, integrate):
+        names |= {p.name for p in inspect.signature(fn).parameters.values()
+                  if numeric(p.annotation)}
+    assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau"} <= names
+    assert names - {"eta", "s"} <= RANGES.keys()
+
+
+def test_none_passes_only_where_it_means_the_default():
+    dynamics.check_ranges(dt=None, rank_tol=None, psd_tol=None)
+    for name in set(RANGES) - dynamics.OPTIONAL:
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got None$"):
+            dynamics.check_ranges(**{name: None})

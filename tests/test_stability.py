@@ -707,6 +707,24 @@ def test_characterize_report_is_pinned(name):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+def zero_B_grad(z):
+    """B = 0 at the origin, where finite differences return it as about -1e-11."""
+    x1, x2, y = z
+    return np.array([x1 + x1**3 / 3 + y, -x2 + y / 2, x1 + x2 / 2 - y**3 / 3])
+
+
+def test_rank_cut_ignores_finite_difference_noise_in_a_zero_B():
+    problem = MinimaxProblem(d1=2, d2=1, value=lambda z: 0.0, grad=zero_B_grad,
+                             lipschitz_bound=2.0)
+    B = hessian_blocks_at(problem, np.zeros(3))[1]
+    assert 0.0 < abs(B[0, 0]) < 1e-9  # the noise the cut must absorb
+    rep = characterize_equilibrium(problem, np.zeros(3))
+    assert rep.r == 0
+    assert rep.curves.counts() == (2, 1, 0)
+    assert rep.predictions == {mode: v.verdict for mode, v in rep.observed.items()}
+    assert rep.mismatches == []
+
+
 @pytest.mark.parametrize("name", ["strict_nonminimax_demo", "distinct_sigma"])
 def test_characterize_decomposes_blocks_once(monkeypatch, name):
     problem = REPORT_PROBLEMS[name]()
