@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,8 +57,14 @@ class ExperimentConfig:
         dynamics.check_ranges(n=self.n, box=self.box, seed=self.seed, target_tol=self.target_tol,
                               cluster_tol=self.cluster_tol)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _experiment(args, problem: MinimaxProblem, **values) -> ExperimentConfig:
+    """The ExperimentConfig of a run: each field from the flag of its name
+    (its default when there is none), unless values sets it."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    flags = {name: v for name, v in vars(args).items() if name in names}
+    flags["problem"] = problems.problem_to_json_dict(problem)
+    return ExperimentConfig(**{**flags, **values})
 
 
 def _parse_grid(args, name: str, default=None):
@@ -208,22 +214,8 @@ def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool
 
 def cmd_simulate(args) -> int:
     problem = _load_problem_from_args(args)
-    config = ExperimentConfig(
-        problem=problems.problem_to_json_dict(problem),
-        method=args.method,
-        eta=args.eta,
-        s=args.s,
-        tau=args.tau,
-        dt=args.dt,
-        n=args.n,
-        box=args.box,
-        center=[float(v) for v in _parse_point(args.center)] if args.center else [],
-        seed=args.seed,
-        max_iters=args.max_iters,
-        tol_conv=args.tol_conv,
-        diverge_norm=args.diverge_norm,
-        cluster_tol=args.cluster_tol,
-    )
+    center = [float(v) for v in _parse_point(args.center)] if args.center else []
+    config = _experiment(args, problem, center=center)
     record = not args.no_trajectories
     members = _run_members(problem, config, record)
     os.makedirs(args.out, exist_ok=True)
@@ -240,7 +232,7 @@ def cmd_simulate(args) -> int:
     n = max(config.n, 1)
     clusters = _cluster_points(converged_points, config.cluster_tol)
     summary = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "n": config.n,
         "fraction_converged": outcomes.count("converged") / n,
         "fraction_diverged": outcomes.count("diverged") / n,
@@ -274,12 +266,8 @@ def cmd_avoidance(args) -> int:
     dynamics.check_ranges(target_tol=args.target_tol)
     L = problem.lipschitz_bound
     method = args.method
-    if args.eta is not None:
-        eta = args.eta
-    elif method == "eg_tt":
-        eta = 0.9 * GOLDEN_STEP_FACTOR / L
-    else:
-        eta = 0.5 / L
+    default_eta = (0.9 * GOLDEN_STEP_FACTOR if method == "eg_tt" else 0.5) / L
+    eta = default_eta if args.eta is None else args.eta
     if method == "eg_tt" and not 0.0 < eta < GOLDEN_STEP_FACTOR / L:
         raise ValueError(
             f"eg_tt avoidance requires 0 < eta < (sqrt(5)-1)/(2L) = {GOLDEN_STEP_FACTOR / L:.6g}"
@@ -297,10 +285,9 @@ def cmd_avoidance(args) -> int:
             )
         sweep = report.observed["discrete"]
     else:
-        so = report.second_order
         degenerate = report.r < len(report.spec_negB)
-        witnesses = [i for i in report.iota if i < eta / 2.0]
-        if not (so.B_nsd and so.Sres_psd and degenerate and witnesses):
+        # past the necessary condition, "unstable" means some curve's iota < eta/2
+        if report.strict_non_minimax or not degenerate or report.predictions["gda"] != "unstable":
             raise ValueError(
                 "gda_tt avoidance target must satisfy the second-order necessary "
                 "condition with degenerate B and some hemicurvature below eta/2"
@@ -319,20 +306,7 @@ def cmd_avoidance(args) -> int:
             return 2
         tau = float(sweep.tau_star)
 
-    config = ExperimentConfig(
-        problem=problems.problem_to_json_dict(problem),
-        method=method,
-        eta=eta,
-        tau=tau,
-        n=args.n,
-        box=args.box,
-        center=[float(v) for v in z_star],
-        seed=args.seed,
-        max_iters=args.max_iters,
-        tol_conv=args.tol_conv,
-        diverge_norm=args.diverge_norm,
-        target_tol=args.target_tol,
-    )
+    config = _experiment(args, problem, eta=eta, tau=tau, center=[float(v) for v in z_star])
     hits = n_diverged = n_nonfinite = 0
     for traj in _run_members(problem, config, record=False):
         if traj.termination.reason == "diverged":
@@ -342,7 +316,7 @@ def cmd_avoidance(args) -> int:
         elif np.linalg.norm(traj.states[-1] - z_star) <= config.target_tol:
             hits += 1
     summary = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "target": [float(v) for v in z_star],
         "method": method,
         "eta": eta,

@@ -402,12 +402,6 @@ def run_discrete(problem: MinimaxProblem, z0, params: MethodParams,
                      diverge_norm=diverge_norm, record=record)[0]
 
 
-def _ode_method(kind: str) -> str:
-    if kind not in FIELD_KINDS.values():
-        raise ValueError(f"unknown field kind {kind!r}")
-    return f"ode_{kind}"
-
-
 def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
               tau: float = 1.0, dt: float = DT_DEFAULT, t_end: float = 10.0,
               tol_conv: float = TOL_CONV_DEFAULT,
@@ -417,7 +411,7 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
     A recorded batch of one of run_batch, so it stops with the same rule;
     the state at t_end is tested for convergence and non-finiteness only.
     """
-    params = MethodParams(method=_ode_method(kind), s=s, tau=tau, dt=dt)  # checks dt
+    params = MethodParams(method=f"ode_{kind}", s=s, tau=tau, dt=dt)  # checks kind and dt
     check_ranges(t_end=t_end)
     return run_batch(problem, [z0], params, tol_conv=tol_conv, max_iters=round(t_end / dt),
                      diverge_norm=diverge_norm, record=True)[0]
@@ -444,7 +438,7 @@ def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.n
 def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
               tau: float = 1.0) -> np.ndarray:
     """Vector field of the named continuous system at z."""
-    params = MethodParams(method=_ode_method(kind), s=s, tau=tau)
+    params = MethodParams(method=f"ode_{kind}", s=s, tau=tau)
     return _velocity(problem, params, _row_field(problem))(_as_states(problem, [z], "z"))[0]
 
 

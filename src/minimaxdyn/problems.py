@@ -182,7 +182,7 @@ def default_fd_step(z) -> float:
     return float(_CBRT_EPS * max(1.0, np.linalg.norm(z)))
 
 
-def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndarray:
+def jacobian_F(problem: MinimaxProblem, z) -> np.ndarray:
     """The saddle Jacobian H(z) = DF(z).
 
     Uses analytic Hessian blocks when the problem carries them, otherwise
@@ -191,9 +191,7 @@ def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndar
     if problem.hessian_blocks is not None:
         return block_hessian(*hessian_blocks_at(problem, z))
     z = _point(problem, z)
-    h = default_fd_step(z) if h_fd is None else float(h_fd)
-    if h_fd is not None and not 0.0 < h < np.inf:
-        raise ValueError(f"h_fd must be finite and > 0, got {h_fd}")
+    h = default_fd_step(z)
     E = np.diag(np.full(len(z), h))  # exact zeros off the diagonal, unlike eye * inf
     # columns 2i and 2i + 1 of G: grad at z + h e_i, then at z - h e_i
     G = np.array([_grad(problem, w) for pair in zip(z + E, z - E) for w in pair]).T
@@ -201,13 +199,13 @@ def jacobian_F(problem: MinimaxProblem, z, h_fd: float | None = None) -> np.ndar
     return np.subtract(G[:, 0::2], G[:, 1::2], order="C") / (2 * h)
 
 
-def hessian_blocks_at(problem: MinimaxProblem, z, h_fd: float | None = None):
+def hessian_blocks_at(problem: MinimaxProblem, z):
     """(A, B, C) at z, from the analytic evaluator or finite differences."""
     z = np.asarray(z, dtype=float)
     if problem.hessian_blocks is not None:
         A, B, C = problem.hessian_blocks(z)
         return symmetrize(A, "A"), symmetrize(B, "B"), _as_matrix(C, "C")
-    H = jacobian_F(problem, z, h_fd=h_fd)
+    H = jacobian_F(problem, z)
     d1 = problem.d1
     A = (H[:d1, :d1] + H[:d1, :d1].T) / 2.0
     B = -(H[d1:, d1:] + H[d1:, d1:].T) / 2.0

@@ -213,7 +213,6 @@ def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200,
 class SecondOrderVerdict:
     B_nsd: bool
     Sres_psd: bool
-    lambda_min_Sres: float | None  # None when S_res is 0 x 0
     rsc: RestrictedSchur = field(repr=False, compare=False)  # the S_res judged
 
 
@@ -224,11 +223,9 @@ def second_order_necessary(blocks: CanonicalBlocks,
     lam_max_B = float(np.max(eig_B)) if eig_B.size else 0.0
     tol_B = default_psd_tol(blocks.B_diag) if psd_tol is None else psd_tol
     rsc = restricted_schur(blocks)
-    if rsc.vacuous:
-        return SecondOrderVerdict(lam_max_B <= tol_B, True, None, rsc)
-    lam_min = float(np.min(rsc.spectrum))
     tol_S = default_psd_tol(rsc.S_res) if psd_tol is None else psd_tol
-    return SecondOrderVerdict(lam_max_B <= tol_B, lam_min >= -tol_S, lam_min, rsc)
+    Sres_psd = rsc.vacuous or float(np.min(rsc.spectrum)) >= -tol_S
+    return SecondOrderVerdict(lam_max_B <= tol_B, Sres_psd, rsc)
 
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
@@ -296,11 +293,12 @@ class EigenCurves:
         return [j for j, lbl in enumerate(self.labels) if lbl == LABEL_SQRT]
 
     def counts(self) -> tuple[int, int, int]:
-        return (
-            sum(l == LABEL_SQRT for l in self.labels),
-            sum(l == LABEL_LINEAR for l in self.labels),
-            sum(l == LABEL_ORDER_ONE for l in self.labels),
-        )
+        return _label_counts(self.labels)
+
+
+def _label_counts(labels: list[str]) -> tuple[int, int, int]:
+    """How many curves carry each label: (sqrt_eps_pair, linear_eps, order_one)."""
+    return tuple(labels.count(lbl) for lbl in (LABEL_SQRT, LABEL_LINEAR, LABEL_ORDER_ONE))
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -343,8 +341,7 @@ def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigencurves(H, d1: int, eps_grid=None,
-                rank_tol: float | None = None) -> EigenCurves:
+def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
     """Track, label, and sigma-pair the eigenvalue curves of H_tau.
 
     Raises SingularHessianError when H is singular and EigencurveLabelError
@@ -359,7 +356,7 @@ def eigencurves(H, d1: int, eps_grid=None,
     if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > 1e-8 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H is not in saddle block form: lower-left != -C'")
     A, B = symmetrize(H[:d1, :d1], "A"), symmetrize(-H[d1:, d1:], "B")
-    return _eigencurves(H, canonicalize(A, B, C, rank_tol=rank_tol), eps_grid)
+    return _eigencurves(H, canonicalize(A, B, C), eps_grid)
 
 
 def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> EigenCurves:
@@ -404,11 +401,7 @@ def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> Eigen
             )
 
     expected = (2 * (d2 - r), d1 - d2 + r, r)
-    got = (
-        labels.count(LABEL_SQRT),
-        labels.count(LABEL_LINEAR),
-        labels.count(LABEL_ORDER_ONE),
-    )
+    got = _label_counts(labels)
     if got != expected:
         raise EigencurveLabelError(
             f"label counts {got} inconsistent with structural counts {expected}"

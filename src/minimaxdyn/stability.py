@@ -104,14 +104,19 @@ def _peanut_u(z, eta: float) -> np.ndarray:
     return u
 
 
+def _check_step(name: str, step) -> None:
+    """The step rule of the region tests and verdict_table: 0 < step < inf (NaN fails it)."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def in_disk(z, s: float, cross_check: bool = True):
     """Membership in D_s = {z : |z + 1/(2s)| <= 1/(2s)}.
 
     Cross-checked against the inverse form Re(1/z) <= -s away from the
     boundary; scalars in, scalar bool out.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    _check_step("s", s)
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     gap = disk_gap(z, s)
@@ -133,8 +138,7 @@ def in_peanut(z, eta: float, cross_check: bool = True):
     Cross-checked against Re(1/(z(1 - eta z))) > eta/2 for z not in
     {0, 1/eta}.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_step("eta", eta)
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     gap = peanut_gap(z, eta)
@@ -266,8 +270,7 @@ def verdict_table(H, d1: int, pairs, taus,
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         m = MODES[mode]
-        if not 0.0 < step < math.inf:
-            raise ValueError(f"{m.step} must be positive and finite")
+        _check_step(m.step, step)
         if not len(taus):
             table.append([])
             continue

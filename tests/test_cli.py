@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import minimaxdyn
-from minimaxdyn import stability
+from minimaxdyn import cli, stability
 from minimaxdyn.cli import main
 
 # child processes import the same package as this one, installed or not
@@ -181,6 +182,48 @@ def test_avoidance_refuses_gda_without_hemicurvature_witness(tmp_path):
     code = run_cli("avoidance", "--builtin", "scalar_degenerate", "--a", "2",
                    "--c", "1", "--method", "gda_tt", "--n", "5", "--out", str(tmp_path))
     assert code == 1
+
+
+def repeated_sigma_problem(tmp_path, seed):
+    """A = sym(normal 4x4), B = 0 (2x2), C = 1.5 Q[:, :2]: sigma = (1.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, 4))
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    path = tmp_path / f"repeated_{seed}.json"
+    path.write_text(json.dumps({"kind": "quadratic", "A": ((M + M.T) / 2).tolist(),
+                                "B": np.zeros((2, 2)).tolist(), "C": (1.5 * Q[:, :2]).tolist()}))
+    return str(path)
+
+
+def test_avoidance_gda_judges_repeated_sigma_per_curve(tmp_path, capsys):
+    # seed 3: the curves' hemicurvatures are -0.260 and 0.383, their mean
+    # 0.061; the curve below eta/2 = 0.05 makes the target a GDA witness
+    out = tmp_path / "avoid"
+    problem = repeated_sigma_problem(tmp_path, 3)
+    assert run_cli("classify", "--problem", problem, "--eta", "0.1", "--out", str(out)) == 0
+    assert read_json(out / "classify_report.json")["predictions"]["gda"] == "unstable"
+    code = run_cli("avoidance", "--problem", problem, "--method", "gda_tt", "--eta", "0.1",
+                   "--n", "20", "--out", str(out))
+    assert code == 0
+    assert read_json(out / "avoidance_summary.json")["fraction_to_target"] == 0.0
+    # seeds 5 and 7 fail the necessary condition (S_res is not PSD)
+    for seed in (5, 7):
+        capsys.readouterr()
+        code = run_cli("avoidance", "--problem", repeated_sigma_problem(tmp_path, seed),
+                       "--method", "gda_tt", "--eta", "0.1", "--n", "20", "--out", str(out))
+        assert code == 1
+        assert "some hemicurvature below eta/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, unflagged", [
+    ("simulate", {"target_tol"}),
+    ("avoidance", {"s", "dt", "cluster_tol", "center"}),
+])
+def test_experiment_fields_without_a_flag(command, unflagged):
+    # every other field is read from the flag of its name: a renamed flag
+    # would silently leave its field at the default
+    flags = vars(cli.build_parser().parse_args([command]))
+    assert {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - flags.keys() == unflagged
 
 
 def test_sweep_bilinear_curves(tmp_path):

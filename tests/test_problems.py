@@ -167,21 +167,19 @@ def test_fd_jacobian_equals_per_column_reference():
                 p = polynomial_problem(rng, d1, d2, seen)
                 z = rng.standard_normal(d1 + d2) * (rng.random(d1 + d2) < 0.7)
                 z[rng.random(d1 + d2) < 0.3] = -0.0
-                for h_fd in (None, 1e-3, 10.0 ** rng.uniform(-8, 0)):
-                    h = default_fd_step(z) if h_fd is None else h_fd
-                    seen.clear()
-                    H = jacobian_F(p, z, h_fd=h_fd)
-                    got_points = list(seen)
-                    seen.clear()
-                    want = reference_fd_jacobian(p, z, h)
-                    assert H.flags.c_contiguous
-                    assert np.array_equal(H, want)
-                    assert np.array_equal(np.signbit(H), np.signbit(want))
-                    # grad sees the same points in the same order
-                    assert len(got_points) == len(seen) == 2 * (d1 + d2)
-                    for a, b in zip(got_points, seen):
-                        assert np.array_equal(a, b)
-                        assert np.array_equal(np.signbit(a), np.signbit(b))
+                seen.clear()
+                H = jacobian_F(p, z)
+                got_points = list(seen)
+                seen.clear()
+                want = reference_fd_jacobian(p, z, default_fd_step(z))
+                assert H.flags.c_contiguous
+                assert np.array_equal(H, want)
+                assert np.array_equal(np.signbit(H), np.signbit(want))
+                # grad sees the same points in the same order
+                assert len(got_points) == len(seen) == 2 * (d1 + d2)
+                for a, b in zip(got_points, seen):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
                 A, B, C = hessian_blocks_at(p, z)
                 H = reference_fd_jacobian(p, z, default_fd_step(z))
                 assert np.array_equal(A, (H[:d1, :d1] + H[:d1, :d1].T) / 2.0)
@@ -199,15 +197,6 @@ def test_fd_jacobian_keeps_nonfinite_points_local():
         H = jacobian_F(p, z)
         assert np.array_equal(H, reference_fd_jacobian(p, z, default_fd_step(z)), equal_nan=True)
     assert np.array_equal(H[:, 0], [0.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("h_fd", [0.0, -1e-4, np.nan, np.inf, -np.inf])
-def test_bad_fd_step_is_rejected(h_fd):
-    p = x2y_problem()
-    with pytest.raises(ValueError, match="h_fd"):
-        jacobian_F(p, [1.0, 1.0], h_fd=h_fd)
-    with pytest.raises(ValueError, match="h_fd"):
-        hessian_blocks_at(p, [1.0, 1.0], h_fd=h_fd)
 
 
 @pytest.mark.parametrize("bad", [lambda z: np.ones(3), lambda z: 1.0,

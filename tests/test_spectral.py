@@ -125,7 +125,7 @@ def test_second_order_necessary_examples():
     v = second_order_necessary(canonicalize([[2.0]], [[1.0]], [[1.0]]))
     assert not v.B_nsd
     v = second_order_necessary(blocks_of("scalar_degenerate", a=2.0, c=1.0))
-    assert v.B_nsd and v.Sres_psd and v.lambda_min_Sres is None
+    assert v.B_nsd and v.Sres_psd and v.rsc.vacuous
 
 
 def test_strict_non_minimax_examples():

@@ -65,6 +65,15 @@ def test_in_peanut_examples():
     assert in_peanut(-0.1, 1.0) is False         # negative real axis excluded
 
 
+@pytest.mark.parametrize("region, z, name", [(in_disk, -0.5, "s"), (in_peanut, 0.5, "eta")],
+                         ids=["in_disk", "in_peanut"])
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_regions_reject_bad_steps(region, z, name, step):
+    # NaN and inf used to fail every comparison and answer False
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        region(z, step)
+
+
 def test_region_predicates_vectorized():
     z = np.array([0.5 + 0.0j, 1.0 + 0.0j, 0.5j])
     out = in_peanut(z, 1.0)
