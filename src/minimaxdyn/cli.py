@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,40 +31,6 @@ from .problems import MinimaxProblem, builtin_problem, load_problem
 from .stability import ClassifyConfig, CriterionMismatchError
 
 GOLDEN_STEP_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0  # eta < this / L for EG avoidance
-
-
-@dataclass
-class ExperimentConfig:
-    """One ensemble experiment; identical config + seed gives identical output."""
-
-    problem: dict
-    method: str
-    eta: float | None = None
-    s: float | None = None
-    tau: float = 1.0
-    dt: float | None = None
-    n: int = 100
-    box: float = 1.0
-    center: list = field(default_factory=list)
-    seed: int = 0
-    max_iters: int = 10000
-    tol_conv: float = dynamics.TOL_CONV_DEFAULT
-    diverge_norm: float = dynamics.DIVERGE_NORM_DEFAULT
-    target_tol: float = 1e-4
-    cluster_tol: float = 1e-3
-
-    def __post_init__(self):
-        dynamics.check_ranges(n=self.n, box=self.box, seed=self.seed, target_tol=self.target_tol,
-                              cluster_tol=self.cluster_tol)
-
-
-def _experiment(args, problem: MinimaxProblem, **values) -> ExperimentConfig:
-    """The ExperimentConfig of a run: each field from the flag of its name
-    (its default when there is none), unless values sets it."""
-    names = {f.name for f in fields(ExperimentConfig)}
-    flags = {name: v for name, v in vars(args).items() if name in names}
-    flags["problem"] = problems.problem_to_json_dict(problem)
-    return ExperimentConfig(**{**flags, **values})
 
 
 def _parse_grid(args, name: str, default=None):
@@ -91,19 +57,21 @@ def _parse_grid(args, name: str, default=None):
     return np.geomspace(lo, hi, n)
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_point(text: str, dim: int, name: str) -> np.ndarray:
+    """The comma-separated point of option name: dim finite floats."""
+    z = np.array([float(v) for v in text.split(",")])
+    if z.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} components, got {z.size}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite, got {text}")
+    return z
 
 
 def _load_problem_from_args(args) -> MinimaxProblem:
     if getattr(args, "problem", None):
         return load_problem(args.problem)
     if getattr(args, "builtin", None):
-        params = {}
-        if args.a is not None:
-            params["a"] = args.a
-        if args.c is not None:
-            params["c"] = args.c
+        params = {k: getattr(args, k) for k in ("a", "c") if getattr(args, k) is not None}
         return builtin_problem(args.builtin, **params)
     raise ValueError("one of --problem or --builtin is required")
 
@@ -112,23 +80,37 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _sample_inits(config: ExperimentConfig, dim: int) -> np.ndarray:
-    """(n, dim) initial states, row i drawn from member i's own seed."""
-    center = np.asarray(config.center, dtype=float) if config.center else np.zeros(dim)
-    return np.array([center + _member_rng(config.seed, i).uniform(-config.box, config.box, dim)
-                     for i in range(config.n)]).reshape(-1, dim)
+def _config(args, problem: MinimaxProblem) -> dict:
+    """An ensemble run's config: its command's flags but --out, with the problem
+    flags folded into the problem's JSON form and --center parsed.  Identical
+    config + seed gives identical output."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out", "builtin", "a", "c")}
+    config["problem"] = problems.problem_to_json_dict(problem)
+    if "center" in config:
+        config["center"] = (_parse_point(args.center, problem.dim, "center").tolist()
+                            if args.center else [])
+    ranged = ("n", "box", "seed", "target_tol", "cluster_tol")
+    dynamics.check_ranges(**{k: config[k] for k in ranged if k in config})
+    return config
+
+
+def _sample_inits(config: dict, dim: int) -> np.ndarray:
+    """(n, dim) initial states around the center, row i drawn from member i's own seed."""
+    center = np.asarray(config["center"], dtype=float) if config["center"] else np.zeros(dim)
+    box = config["box"]
+    return np.array([center + _member_rng(config["seed"], i).uniform(-box, box, dim)
+                     for i in range(config["n"])]).reshape(-1, dim)
 
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "schema": 2}, fh, indent=2, sort_keys=True)  # 2: config per command
         fh.write("\n")
 
 
 def _resolve_target(problem: MinimaxProblem, args, tol: float) -> np.ndarray:
-    z0 = _parse_point(args.z0) if args.z0 else np.zeros(problem.dim)
-    if z0.shape != (problem.dim,):
-        raise ValueError(f"z0 must have {problem.dim} components")
+    z0 = _parse_point(args.z0, problem.dim, "z0") if args.z0 else np.zeros(problem.dim)
     fnorm = float(np.linalg.norm(problems.saddle_gradient(problem, z0)))
     if fnorm <= tol:
         return z0
@@ -190,7 +172,7 @@ def _cluster_points(points: list[np.ndarray], tol: float):
     return clusters
 
 
-def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool):
+def _run_members(problem: MinimaxProblem, config: dict, record: bool):
     """An iterator over the members' trajectories, in index order.
 
     Members run in lockstep blocks, one dynamics.run_batch call each.  A
@@ -198,24 +180,23 @@ def _run_members(problem: MinimaxProblem, config: ExperimentConfig, record: bool
     allow (every sample when recording, else the first and last), so callers
     can write a block's trajectories out before the next block is computed.
     The first block runs before this returns, so every run parameter has
-    been checked before the caller writes anything.
+    been checked before the caller writes anything.  config's MethodParams
+    fields are read by name, None when absent.
     """
     inits = _sample_inits(config, problem.dim)
-    params = MethodParams(method=config.method, eta=config.eta, s=config.s, tau=config.tau,
-                          dt=config.dt)
-    kept = (max(config.max_iters, 0) * record + 2) * (problem.dim + 1)
+    params = MethodParams(**{f.name: config.get(f.name) for f in fields(MethodParams)})
+    kept = (max(config["max_iters"], 0) * record + 2) * (problem.dim + 1)
     size = max(1, dynamics.LOCKSTEP_BUFFER // kept)
     blocks = (dynamics.run_batch(problem, inits[lo:lo + size], params,
-                                 tol_conv=config.tol_conv, max_iters=config.max_iters,
-                                 diverge_norm=config.diverge_norm, record=record)
-              for lo in range(0, max(config.n, 1), size))  # an empty ensemble still validates
+                                 tol_conv=config["tol_conv"], max_iters=config["max_iters"],
+                                 diverge_norm=config["diverge_norm"], record=record)
+              for lo in range(0, max(config["n"], 1), size))  # an empty ensemble still validates
     return itertools.chain(next(blocks), itertools.chain.from_iterable(blocks))
 
 
 def cmd_simulate(args) -> int:
     problem = _load_problem_from_args(args)
-    center = [float(v) for v in _parse_point(args.center)] if args.center else []
-    config = _experiment(args, problem, center=center)
+    config = _config(args, problem)
     record = not args.no_trajectories
     members = _run_members(problem, config, record)
     os.makedirs(args.out, exist_ok=True)
@@ -229,11 +210,11 @@ def cmd_simulate(args) -> int:
         outcomes.append(reason)
         if reason == "converged":
             converged_points.append(traj.states[-1])
-    n = max(config.n, 1)
-    clusters = _cluster_points(converged_points, config.cluster_tol)
+    n = max(config["n"], 1)
+    clusters = _cluster_points(converged_points, config["cluster_tol"])
     summary = {
-        "config": asdict(config),
-        "n": config.n,
+        "config": config,
+        "n": config["n"],
         "fraction_converged": outcomes.count("converged") / n,
         "fraction_diverged": outcomes.count("diverged") / n,
         "fraction_max_iters": (outcomes.count("max_iters") + outcomes.count("t_end")) / n,
@@ -263,7 +244,7 @@ def cmd_avoidance(args) -> int:
     problem = _load_problem_from_args(args)
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
-    dynamics.check_ranges(target_tol=args.target_tol)
+    config = _config(args, problem)
     L = problem.lipschitz_bound
     method = args.method
     default_eta = (0.9 * GOLDEN_STEP_FACTOR if method == "eg_tt" else 0.5) / L
@@ -294,41 +275,33 @@ def cmd_avoidance(args) -> int:
             )
         sweep = report.observed["gda"]
 
-    if args.tau is not None:
-        tau = args.tau
-    else:
-        if sweep.verdict != "unstable":
-            print(
-                f"theory predicts an unstable terminal run but the sweep says "
-                f"{sweep.verdict!r}",
-                file=sys.stderr,
-            )
-            return 2
-        tau = float(sweep.tau_star)
+    if args.tau is None and sweep.verdict != "unstable":
+        print(f"theory predicts an unstable terminal run but the sweep says {sweep.verdict!r}",
+              file=sys.stderr)
+        return 2
+    tau = float(sweep.tau_star) if args.tau is None else args.tau
 
-    config = _experiment(args, problem, eta=eta, tau=tau, center=[float(v) for v in z_star])
+    target = z_star.tolist()
     hits = n_diverged = n_nonfinite = 0
-    for traj in _run_members(problem, config, record=False):
+    for traj in _run_members(problem, {**config, "eta": eta, "tau": tau, "center": target},
+                             record=False):
         if traj.termination.reason == "diverged":
             n_diverged += 1
         elif traj.termination.reason == "nonfinite":
             n_nonfinite += 1
-        elif np.linalg.norm(traj.states[-1] - z_star) <= config.target_tol:
+        elif np.linalg.norm(traj.states[-1] - z_star) <= config["target_tol"]:
             hits += 1
     summary = {
-        "config": asdict(config),
-        "target": [float(v) for v in z_star],
-        "method": method,
+        "config": config,
+        "target": target,
         "eta": eta,
         "tau": tau,
         "tau_star": None if sweep.tau_star is None else float(sweep.tau_star),
-        "n": config.n,
-        "fraction_to_target": hits / config.n,
-        "acceptance_threshold": 1.0 / config.n,
+        "n": config["n"],
+        "fraction_to_target": hits / config["n"],
+        "acceptance_threshold": 1.0 / config["n"],
         "n_diverged": n_diverged,
         "n_nonfinite": n_nonfinite,
-        "cutoff": config.target_tol,
-        "max_iters": config.max_iters,
     }
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "avoidance_summary.json")

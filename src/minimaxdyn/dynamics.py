@@ -17,9 +17,8 @@ members is stepped in chunks of LOCKSTEP_CHUNK steps, and each member's
 stopping index is found after each chunk from the chunk's buffers.  The
 only per-method part is the stepper: one descent (two for EG) for the
 discrete methods, one RK4 step over the rows for the ODE methods.
-run_discrete and integrate are batches of one; step_gda_tt, step_eg_tt and
-replay_deviation take single steps of the same stepper, and ode_field is
-one evaluation of its velocity.
+run_discrete and integrate are batches of one, a run of max_iters = 1 is
+one step of the stepper, and ode_field is one evaluation of its velocity.
 """
 
 from __future__ import annotations
@@ -417,24 +416,6 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
                      diverge_norm=diverge_norm, record=True)[0]
 
 
-def _steps_from(problem: MinimaxProblem, params: MethodParams, states):
-    """The state one step of the method after each given state, each as a batch of one."""
-    field = _row_field(problem)
-    step = _stepper(problem, params, field)(1)
-    for z in _as_states(problem, states, "z")[:, None]:
-        out = np.empty_like(z)
-        step(z, field(z), out, None)
-        yield out[0]
-
-
-def step_gda_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    return next(_steps_from(problem, MethodParams(method="gda_tt", eta=eta, tau=tau), [z]))
-
-
-def step_eg_tt(problem: MinimaxProblem, z, eta: float, tau: float = 1.0) -> np.ndarray:
-    return next(_steps_from(problem, MethodParams(method="eg_tt", eta=eta, tau=tau), [z]))
-
-
 def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
               tau: float = 1.0) -> np.ndarray:
     """Vector field of the named continuous system at z."""
@@ -459,16 +440,6 @@ def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
         f"no stationary point within {newton_max} iterations "
         f"(residual {np.linalg.norm(F):.3e})"
     )
-
-
-def replay_deviation(problem: MinimaxProblem, traj: Trajectory) -> float:
-    """Max deviation when re-applying the method's step to each recorded state.
-
-    Zero for trajectories recorded every step by a batch of one, since the
-    same float ops are replayed.
-    """
-    steps = _steps_from(problem, traj.params, traj.states[:-1])
-    return max([0.0, *(float(np.max(np.abs(a - b))) for a, b in zip(steps, traj.states[1:]))])
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -14,6 +14,8 @@ to central finite differences.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,8 +82,8 @@ class MinimaxProblem:
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("dimensions d1, d2 must be positive")
-        if not (self.lipschitz_bound > 0):
-            raise ValueError("lipschitz_bound must be positive")
+        if not 0.0 < self.lipschitz_bound < math.inf:
+            raise ValueError(f"lipschitz_bound must be finite and > 0, got {self.lipschitz_bound}")
 
     @property
     def dim(self) -> int:
@@ -102,14 +104,17 @@ class QuadraticSpec:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", symmetrize(self.A, "A"))
-        object.__setattr__(self, "B", symmetrize(self.B, "B"))
+        with np.errstate(over="ignore"):  # an entry that overflows leaves H non-finite
+            object.__setattr__(self, "A", symmetrize(self.A, "A"))
+            object.__setattr__(self, "B", symmetrize(self.B, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, "C"))
         if self.C.shape != (self.d1, self.d2):
             raise ValueError(
                 f"C must be {self.d1}x{self.d2}, got {self.C.shape}"
             )
         H = block_hessian(self.A, self.B, self.C)
+        if not np.isfinite(H).all():
+            raise ValueError("H must be finite, but A or B overflows when symmetrized")
         H.flags.writeable = False
         object.__setattr__(self, "_H", H)
 
@@ -266,23 +271,38 @@ def problem_to_json_dict(problem: MinimaxProblem) -> dict:
     }
 
 
-def problem_from_json_dict(data: dict) -> MinimaxProblem:
+def _non_numbers(value):
+    """The leaves of value, nested lists, that are not finite JSON numbers
+    (a bool is not one, nor an int that no float holds)."""
+    if isinstance(value, list):
+        return [bad for v in value for bad in _non_numbers(v)]
+    return [] if type(value) in (int, float) and abs(value) <= sys.float_info.max else [value]
+
+
+def problem_from_json_dict(data) -> MinimaxProblem:
+    """The problem of a JSON form: an object of a known kind with that kind's keys,
+    whose parameters hold finite JSON numbers only.  QuadraticSpec and MinimaxProblem
+    then require a finite H and a finite, positive Lipschitz bound."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a problem must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
+    if kind not in ("quadratic", "builtin"):
+        raise ValueError(f"unknown problem kind {kind!r}")
+    keys = ("A", "B", "C") if kind == "quadratic" else ("name",)
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"a {kind} problem needs the key {key!r}")
+    params = ({k: data[k] for k in keys} if kind == "quadratic"
+              else {k: v for k, v in data.items() if k not in ("kind", "name")})
+    for key, value in params.items():
+        bad = _non_numbers(value)
+        if bad:
+            raise ValueError(f"{key} must hold finite JSON numbers only, got {json.dumps(bad[0])}")
     if kind == "quadratic":
-        spec = QuadraticSpec(A=data["A"], B=data["B"], C=data["C"])
-        return spec.to_problem(name="quadratic")
-    if kind == "builtin":
-        params = {k: v for k, v in data.items() if k not in ("kind", "name")}
-        return builtin_problem(data["name"], **params)
-    raise ValueError(f"unknown problem kind {kind!r}")
+        return QuadraticSpec(**params).to_problem(name="quadratic")
+    return builtin_problem(data["name"], **params)
 
 
 def load_problem(path) -> MinimaxProblem:
     with open(path) as fh:
         return problem_from_json_dict(json.load(fh))
-
-
-def save_problem(problem: MinimaxProblem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_json_dict(problem), fh, indent=2, sort_keys=True)
-        fh.write("\n")

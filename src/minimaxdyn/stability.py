@@ -426,8 +426,6 @@ class EquilibriumReport:
                 "B_nsd": self.second_order.B_nsd,
                 "Sres_psd": self.second_order.Sres_psd,
             },
-            "B_nsd": self.second_order.B_nsd,
-            "Sres_psd": self.second_order.Sres_psd,
             "strict_non_minimax": self.strict_non_minimax,
             "s": num(self.s_eval),
             "eta": num(self.eta_eval),

@@ -6,9 +6,28 @@ separated singular values / eigenvalues) so that curve tracking and slope
 fits are well posed.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 
 from minimaxdyn import spectral
+from minimaxdyn.dynamics import MethodParams, run_batch
+
+
+def step(problem, z, method, **params):
+    """The state one step of the method after z: a run of one step of run_batch,
+    whose stepper every run uses.  A stationary z (F = 0) is its own step."""
+    params = MethodParams(method=method, **params)
+    return run_batch(problem, [z], params, max_iters=1, tol_conv=0.0,
+                     diverge_norm=math.inf)[0].states[-1]
+
+
+def replay_deviation(problem, traj):
+    """Max deviation when re-applying traj's step to each recorded state: zero
+    for a trajectory recorded every step by a batch of one."""
+    steps = [step(problem, z, **dataclasses.asdict(traj.params)) for z in traj.states[:-1]]
+    return max([0.0, *(float(np.max(np.abs(a - b))) for a, b in zip(steps, traj.states[1:]))])
 
 
 def random_orthogonal(rng, d):

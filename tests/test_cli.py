@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,9 +94,10 @@ def test_simulate_gda_diverges(tmp_path):
 
 @pytest.mark.parametrize("method", ["gda_tt", "ode_plain"])
 def test_simulate_counts_nonfinite_members(tmp_path, method):
+    # F = (a x + y, -x) has a norm that overflows at every start in the box
     out = tmp_path / "sim"
-    code = run_cli("simulate", "--builtin", "bilinear", "--method", method, "--eta", "0.5",
-                   "--center", "nan,0", "--n", "3", "--max-iters", "50",
+    code = run_cli("simulate", "--builtin", "scalar_degenerate", "--a", "1e200",
+                   "--method", method, "--eta", "1e-201", "--n", "3", "--max-iters", "50",
                    "--no-trajectories", "--out", str(out))
     assert code == 0
     summary = read_json(out / "simulate_summary.json")
@@ -215,15 +216,107 @@ def test_avoidance_gda_judges_repeated_sigma_per_curve(tmp_path, capsys):
         assert "some hemicurvature below eta/2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, unflagged", [
-    ("simulate", {"target_tol"}),
-    ("avoidance", {"s", "dt", "cluster_tol", "center"}),
+def flag_names(command):
+    """The dests of command's flags."""
+    return vars(cli.build_parser().parse_args([command])).keys() - {"command"}
+
+
+SUMMARIES = {  # command: (argv, output file, its top-level keys)
+    "simulate": (["--method", "gda_tt", "--eta", "0.1", "--n", "3", "--max-iters", "20",
+                  "--no-trajectories"], "simulate_summary.json",
+                 {"config", "n", "fraction_converged", "fraction_diverged", "fraction_max_iters",
+                  "fraction_nonfinite", "clusters", "schema"}),
+    "avoidance": (["--method", "gda_tt", "--eta", "0.1", "--n", "3", "--max-iters", "20"],
+                  "avoidance_summary.json",
+                  {"config", "target", "eta", "tau", "tau_star", "n", "fraction_to_target",
+                   "acceptance_threshold", "n_diverged", "n_nonfinite", "schema"}),
+    "classify": ([], "classify_report.json",
+                 {"point", "F_norm", "L", "r", "w", "spec_Sres", "spec_negB", "sigma", "iota",
+                  "s0", "second_order", "strict_non_minimax", "s", "eta", "distinct_sigma",
+                  "u_S_u", "thm_infty_continuous", "thm_infty_discrete",
+                  "stable_for_all_steps", "predictions", "verdicts", "mismatches", "schema"}),
+}
+
+
+@pytest.mark.parametrize("command", SUMMARIES)
+def test_summary_keys_are_pinned(tmp_path, command):
+    """An ensemble run's config holds exactly its command's flags, less --out
+    and with the problem flags folded into problem: a renamed flag fails here."""
+    argv, name, keys = SUMMARIES[command]
+    problem = repeated_sigma_problem(tmp_path, 3)
+    out = tmp_path / "run"
+    assert run_cli(command, "--problem", problem, *argv, "--out", str(out)) == 0
+    summary = read_json(out / name)
+    assert summary.keys() == keys
+    assert summary["schema"] == 2
+    if "config" in summary:
+        assert summary["config"].keys() == flag_names(command) - {"out", "builtin", "a", "c"}
+
+
+@pytest.mark.parametrize("source", [["--problem", "FILE"], ["--builtin", "bilinear"],
+                                    ["--builtin", "scalar_degenerate", "--a", "-2", "--c", "3"]])
+def test_config_problem_rebuilds_the_run_problem(tmp_path, source):
+    from minimaxdyn import problems
+
+    file = repeated_sigma_problem(tmp_path, 3)
+    source = [file if a == "FILE" else a for a in source]
+    out = tmp_path / "run"
+    assert run_cli("simulate", *source, "--method", "ode_plain", "--n", "1", "--max-iters", "2",
+                   "--no-trajectories", "--out", str(out)) == 0
+    config = read_json(out / "simulate_summary.json")["config"]
+    rebuilt = problems.problem_from_json_dict(config["problem"])
+    run_problem = cli._load_problem_from_args(cli.build_parser().parse_args(["simulate", *source]))
+    assert np.array_equal(rebuilt.quadratic.hessian(), run_problem.quadratic.hessian())
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["simulate", "--center", "1"], "center must have 2 components, got 1"),
+    (["simulate", "--center", "1,2,3"], "center must have 2 components, got 3"),
+    (["simulate", "--center", "nan,0"], "center must be finite, got nan,0"),
+    (["simulate", "--center", "inf,0"], "center must be finite, got inf,0"),
+    (["avoidance", "--method", "gda_tt", "--z0", "nan,0"], "z0 must be finite, got nan,0"),
+    (["avoidance", "--method", "gda_tt", "--z0", "0"], "z0 must have 2 components, got 1"),
+    (["classify", "--z0", "0,-inf"], "z0 must be finite, got 0,-inf"),
+    (["classify", "--z0", "0,0,0"], "z0 must have 2 components, got 3"),
 ])
-def test_experiment_fields_without_a_flag(command, unflagged):
-    # every other field is read from the flag of its name: a renamed flag
-    # would silently leave its field at the default
-    flags = vars(cli.build_parser().parse_args([command]))
-    assert {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - flags.keys() == unflagged
+def test_points_are_checked_by_dim_and_finiteness(tmp_path, capsys, argv, reason):
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--builtin", "bilinear", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+BAD_PROBLEMS = [  # (problem file, named reason)
+    ({"kind": "quadratic", "A": [[1.0]], "B": [[0.0]]}, "a quadratic problem needs the key 'C'"),
+    ([{"kind": "quadratic"}], "a problem must be a JSON object, got list"),
+    ({"kind": "quadratic", "A": [["1"]], "B": [[0.0]], "C": [[1.0]]},
+     'A must hold finite JSON numbers only, got "1"'),
+    ({"kind": "quadratic", "A": [[True]], "B": [[0.0]], "C": [[1.0]]},
+     "A must hold finite JSON numbers only, got true"),
+    ({"kind": "builtin", "name": "scalar_degenerate", "a": "2"},
+     'a must hold finite JSON numbers only, got "2"'),
+    ({"kind": "builtin", "name": "scalar_degenerate", "a": 10**400},
+     f"a must hold finite JSON numbers only, got {10**400}"),
+    ({"kind": "quadratic", "A": [[1.0]], "B": [[math.nan]], "C": [[1.0]]},
+     "B must hold finite JSON numbers only, got NaN"),
+    ({"kind": "quadratic", "A": [[1e308]], "B": [[0.0]], "C": [[1e308]]},
+     "H must be finite, but A or B overflows when symmetrized"),
+    ({"kind": "quadratic", "A": [[8e307, 8e307], [8e307, 8e307]], "B": [[8e307]],
+      "C": [[8e307], [8e307]]}, "lipschitz_bound must be finite and > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "avoidance", "sweep"])
+@pytest.mark.parametrize("data, reason", BAD_PROBLEMS, ids=range(len(BAD_PROBLEMS)))
+def test_problem_files_are_checked_at_the_boundary(tmp_path, capsys, command, data, reason):
+    # a RuntimeWarning would fail this test as an error (see pyproject.toml)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert run_cli(command, "--problem", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
 
 
 def test_sweep_bilinear_curves(tmp_path):
@@ -510,17 +603,18 @@ def per_member_run_members(problem, config, record):
     """simulate's members one at a time, each a single run_discrete or integrate."""
     from minimaxdyn import cli, dynamics
 
-    options = dict(tol_conv=config.tol_conv, diverge_norm=config.diverge_norm)
+    options = dict(tol_conv=config["tol_conv"], diverge_norm=config["diverge_norm"])
+    method, tau, max_iters = config["method"], config["tau"], config["max_iters"]
     for z0 in cli._sample_inits(config, problem.dim):
-        if config.method in dynamics.DISCRETE_METHODS:
-            params = dynamics.MethodParams(method=config.method, eta=config.eta, tau=config.tau)
-            yield dynamics.run_discrete(problem, z0, params, max_iters=config.max_iters,
+        if method in dynamics.DISCRETE_METHODS:
+            params = dynamics.MethodParams(method=method, eta=config["eta"], tau=tau)
+            yield dynamics.run_discrete(problem, z0, params, max_iters=max_iters,
                                         record=record, **options)
         else:
-            dt = 1e-2 if config.dt is None else config.dt  # simulate's default step
-            yield dynamics.integrate(problem, dynamics.FIELD_KINDS[config.method], z0,
-                                     s=config.s, tau=config.tau, dt=dt,
-                                     t_end=dt * config.max_iters, **options)
+            dt = 1e-2 if config["dt"] is None else config["dt"]  # simulate's default step
+            yield dynamics.integrate(problem, dynamics.FIELD_KINDS[method], z0,
+                                     s=config["s"], tau=tau, dt=dt,
+                                     t_end=dt * max_iters, **options)
 
 
 SIMULATE_ENSEMBLES = {  # members stop at different steps, several in each block

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import replay_deviation, step
 from numpy.testing import assert_allclose
 
 from minimaxdyn import dynamics
@@ -16,11 +17,8 @@ from minimaxdyn.dynamics import (
     find_stationary,
     integrate,
     ode_field,
-    replay_deviation,
     run_discrete,
     run_batch,
-    step_eg_tt,
-    step_gda_tt,
     write_trajectory_csv,
 )
 from minimaxdyn.problems import MinimaxProblem, builtin_problem, jacobian_F, saddle_gradient
@@ -40,17 +38,17 @@ def nondeg():
 
 
 def test_gda_step_hand_values(bilinear):
-    assert_allclose(step_gda_tt(bilinear, [1.0, 0.0], eta=0.1, tau=1.0), [1.0, 0.1])
+    assert_allclose(step(bilinear, [1.0, 0.0], "gda_tt", eta=0.1, tau=1.0), [1.0, 0.1])
     # F(0,1) = (1, 0); the x-block is slowed by 1/tau
-    assert_allclose(step_gda_tt(bilinear, [0.0, 1.0], eta=0.1, tau=10.0), [-0.01, 1.0])
+    assert_allclose(step(bilinear, [0.0, 1.0], "gda_tt", eta=0.1, tau=10.0), [-0.01, 1.0])
 
 
 def test_gda_step_fixed_point(nondeg):
-    assert_allclose(step_gda_tt(nondeg, [0.0, 0.0], eta=0.3, tau=4.0), [0.0, 0.0])
+    assert_allclose(step(nondeg, [0.0, 0.0], "gda_tt", eta=0.3, tau=4.0), [0.0, 0.0])
 
 
 def test_eg_step_hand_values(bilinear):
-    out = step_eg_tt(bilinear, [1.0, 0.0], eta=0.5, tau=1.0)
+    out = step(bilinear, [1.0, 0.0], "eg_tt", eta=0.5, tau=1.0)
     assert_allclose(out, [0.75, 0.5])
     assert np.linalg.norm(out) < 1.0  # plain EG contracts on the bilinear problem
 
@@ -58,7 +56,7 @@ def test_eg_step_hand_values(bilinear):
 def test_eg_step_fixed_point(nondeg, bilinear):
     for p in (nondeg, bilinear):
         for tau in (1.0, 4.0, 10.0):
-            assert_allclose(step_eg_tt(p, np.zeros(2), eta=0.3, tau=tau), np.zeros(2))
+            assert_allclose(step(p, np.zeros(2), "eg_tt", eta=0.3, tau=tau), np.zeros(2))
 
 
 def test_eg_near_fixed_point_implies_small_gradient(bilinear, nondeg):
@@ -70,9 +68,9 @@ def test_eg_near_fixed_point_implies_small_gradient(bilinear, nondeg):
         for _ in range(20):
             direction = rng.standard_normal(2)
             direction /= np.linalg.norm(direction)
-            move = np.linalg.norm(step_eg_tt(p, direction, eta=eta, tau=1.0) - direction)
+            move = np.linalg.norm(step(p, direction, "eg_tt", eta=eta, tau=1.0) - direction)
             z = direction * (0.99 * tol / move)
-            assert np.linalg.norm(step_eg_tt(p, z, eta=eta, tau=1.0) - z) <= tol
+            assert np.linalg.norm(step(p, z, "eg_tt", eta=eta, tau=1.0) - z) <= tol
             assert np.linalg.norm(saddle_gradient(p, z)) <= 10.0 * tol
 
 
@@ -116,7 +114,7 @@ def test_ode_field_unknown_kind(bilinear):
 
 
 def one_step_consistency_error(problem, z, eta):
-    eg = step_eg_tt(problem, z, eta=eta, tau=1.0)
+    eg = step(problem, z, "eg_tt", eta=eta, tau=1.0)
     ode = z + eta * ode_field(problem, "eg_tt", z, s=eta / 2.0, tau=1.0)
     return np.linalg.norm(eg - ode)
 
@@ -133,8 +131,8 @@ def test_gda_and_eg_share_continuous_limit(nondeg):
     diffs = []
     for eta in (0.2, 0.1):
         diffs.append(np.linalg.norm(
-            step_gda_tt(nondeg, z, eta=eta, tau=1.0)
-            - step_eg_tt(nondeg, z, eta=eta, tau=1.0)))
+            step(nondeg, z, "gda_tt", eta=eta, tau=1.0)
+            - step(nondeg, z, "eg_tt", eta=eta, tau=1.0)))
     assert 3.5 <= diffs[0] / diffs[1] <= 4.5
 
 

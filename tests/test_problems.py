@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from minimaxdyn.problems import (
     problem_from_json_dict,
     problem_to_json_dict,
     saddle_gradient,
-    save_problem,
 )
 
 
@@ -275,7 +275,7 @@ def test_json_round_trip_quadratic(tmp_path):
         A=[[2.0, 0.5], [0.5, 1.0]], B=[[-1.0]], C=[[1.0], [0.25]],
     )
     path = tmp_path / "problem.json"
-    save_problem(p, path)
+    path.write_text(json.dumps(problem_to_json_dict(p)))
     q = load_problem(path)
     assert_allclose(q.quadratic.A, p.quadratic.A)
     assert_allclose(q.quadratic.B, p.quadratic.B)
@@ -285,7 +285,7 @@ def test_json_round_trip_quadratic(tmp_path):
 def test_json_round_trip_builtin(tmp_path):
     p = builtin_problem("scalar_degenerate", a=-2.0, c=1.0)
     path = tmp_path / "problem.json"
-    save_problem(p, path)
+    path.write_text(json.dumps(problem_to_json_dict(p)))
     q = load_problem(path)
     assert q.name == "scalar_degenerate"
     assert_allclose(q.quadratic.A, [[-2.0]])

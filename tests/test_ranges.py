@@ -5,6 +5,7 @@ Each row is probed with NaN, the value just outside its range, its boundary
 point that takes it and once through its CLI flag.
 """
 
+import argparse
 import dataclasses
 import inspect
 import itertools
@@ -14,8 +15,8 @@ import re
 import numpy as np
 import pytest
 
-from minimaxdyn import dynamics
-from minimaxdyn.cli import ExperimentConfig, main
+from minimaxdyn import cli, dynamics
+from minimaxdyn.cli import build_parser, main
 from minimaxdyn.dynamics import RANGES, MethodParams, integrate, run_batch
 from minimaxdyn.problems import builtin_problem
 from minimaxdyn.stability import ClassifyConfig
@@ -35,8 +36,10 @@ def classify(flag):
     return ["classify", "--builtin", "bilinear", flag]
 
 
-def experiment(**kw):
-    return ExperimentConfig(problem={}, method="gda_tt", **kw)
+def config(command, **kw):
+    """The config of an ensemble run of command on bilinear, its flags at their defaults but kw."""
+    args = vars(build_parser().parse_args([command, "--builtin", "bilinear"]))
+    return cli._config(argparse.Namespace(**{**args, **kw}), BILINEAR)
 
 
 def batch(**kw):
@@ -51,10 +54,10 @@ ROWS = {
             simulate("--tau")),
     "dt": (0.0, False, False, lambda v: MethodParams(method="ode_plain", dt=v),
            simulate("--dt", method="ode_plain")),
-    "box": (0.0, False, False, lambda v: experiment(box=v), simulate("--box")),
-    "cluster_tol": (0.0, False, False, lambda v: experiment(cluster_tol=v),
+    "box": (0.0, False, False, lambda v: config("simulate", box=v), simulate("--box")),
+    "cluster_tol": (0.0, False, False, lambda v: config("simulate", cluster_tol=v),
                     simulate("--cluster-tol")),
-    "target_tol": (0.0, False, False, lambda v: experiment(target_tol=v),
+    "target_tol": (0.0, False, False, lambda v: config("avoidance", target_tol=v),
                    ["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5",
                     "--target-tol"]),
     "tol_conv": (0.0, True, False, lambda v: batch(tol_conv=v), simulate("--tol-conv")),
@@ -69,8 +72,8 @@ ROWS = {
     "diverge_norm": (0.0, False, True, lambda v: batch(diverge_norm=v),
                      simulate("--diverge-norm")),
     "max_iters": (0, True, None, lambda v: batch(max_iters=v), simulate("--max-iters")),
-    "n": (0, True, None, lambda v: experiment(n=v), simulate("--n")),
-    "seed": (0, True, None, lambda v: experiment(seed=v), simulate("--seed")),
+    "n": (0, True, None, lambda v: config("simulate", n=v), simulate("--n")),
+    "seed": (0, True, None, lambda v: config("simulate", seed=v), simulate("--seed")),
 }
 
 
@@ -154,15 +157,25 @@ def numeric(annotation) -> bool:
     return re.search(r"\b(float|int)\b", str(annotation)) is not None
 
 
+def numeric_flags(command):
+    """The dests of command's numeric flags but the problem's own (--a, --c)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.type in (int, float)} - {"a", "c"}
+
+
 def test_every_numeric_run_parameter_has_a_row():
     """A numeric parameter added without a range fails here; eta and s are
     checked against 1/L by the step rule, dynamics.check_step."""
-    names = {f.name for cls in (ExperimentConfig, ClassifyConfig, MethodParams)
+    names = {f.name for cls in (ClassifyConfig, MethodParams)
              for f in dataclasses.fields(cls) if numeric(f.type)}
     for fn in (run_batch, integrate):
         names |= {p.name for p in inspect.signature(fn).parameters.values()
                   if numeric(p.annotation)}
-    assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau"} <= names
+    flags = numeric_flags("simulate") | numeric_flags("avoidance")
+    # --tol-stationary sets ClassifyConfig's stationarity_tol
+    names |= {"stationarity_tol" if f == "tol_stationary" else f for f in flags}
+    assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau", "box", "seed",
+            "cluster_tol", "target_tol"} <= names
     assert names - {"eta", "s"} <= RANGES.keys()
 
 

@@ -9,6 +9,7 @@ from conftest import (
     random_loose_blocks,
     random_margin_separated_instance,
     rank_deficient_symmetric,
+    step,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from numpy.testing import assert_allclose
 
 from minimaxdyn import spectral, stability
 from minimaxdyn.cli import main
-from minimaxdyn.dynamics import step_eg_tt
 from minimaxdyn.problems import MinimaxProblem, QuadraticSpec, builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import timescaled_hessian
 from minimaxdyn.stability import (
@@ -177,7 +177,8 @@ def test_eg_jacobian_discrete_matches_finite_difference():
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
-        J_fd[:, i] = (step_eg_tt(p, e, eta, tau) - step_eg_tt(p, -e, eta, tau)) / (2 * h)
+        J_fd[:, i] = (step(p, e, "eg_tt", eta=eta, tau=tau)
+                      - step(p, -e, "eg_tt", eta=eta, tau=tau)) / (2 * h)
     assert np.max(np.abs(J - J_fd)) <= 1e-5
 
 
@@ -298,8 +299,8 @@ def test_nonsingularity_bounds():
         for i in range(d1 + d2):
             e = np.zeros(d1 + d2)
             e[i] = h
-            J_fd[:, i] = (step_eg_tt(spec_q, z + e, eta_eg, tau)
-                          - step_eg_tt(spec_q, z - e, eta_eg, tau)) / (2 * h)
+            J_fd[:, i] = (step(spec_q, z + e, "eg_tt", eta=eta_eg, tau=tau)
+                          - step(spec_q, z - e, "eg_tt", eta=eta_eg, tau=tau)) / (2 * h)
         assert np.min(np.abs(np.linalg.eigvals(J_fd))) > 1e-8
 
 
