@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics, problems, spectral, stability
 from .dynamics import MethodParams, NewtonError
 from .problems import MinimaxProblem, builtin_problem, load_problem
-from .stability import ClassifyConfig, CriterionMismatchError
+from .stability import CriterionMismatchError
 
 GOLDEN_STEP_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0  # eta < this / L for EG avoidance
 
@@ -109,13 +109,14 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _resolve_target(problem: MinimaxProblem, args, tol: float) -> np.ndarray:
+def _resolve_target(problem: MinimaxProblem, args) -> np.ndarray:
+    dynamics.check_ranges(stationarity_tol=args.tol_stationary)
     z0 = _parse_point(args.z0, problem.dim, "z0") if args.z0 else np.zeros(problem.dim)
     fnorm = float(np.linalg.norm(problems.saddle_gradient(problem, z0)))
-    if fnorm <= tol:
+    if fnorm <= args.tol_stationary:
         return z0
     if getattr(args, "search", False):
-        return dynamics.find_stationary(problem, z0, newton_tol=tol)
+        return dynamics.find_stationary(problem, z0, newton_tol=args.tol_stationary)
     raise ValueError(
         f"z0 is not stationary (||F|| = {fnorm:.3e}); pass --search to run Newton"
     )
@@ -127,17 +128,12 @@ def _resolve_target(problem: MinimaxProblem, args, tol: float) -> np.ndarray:
 
 def cmd_classify(args) -> int:
     problem = _load_problem_from_args(args)
-    config = ClassifyConfig(
-        stationarity_tol=args.tol_stationary,
-        psd_tol=args.tol_psd,
-        marginal_tol=args.tol_marginal,
-        rank_tol=args.rank_tol,
-        tau_grid=_parse_grid(args, "tau_grid"),
-        s=args.s,
-        eta=args.eta,
-    )
-    z_star = _resolve_target(problem, args, config.stationarity_tol)
-    report = stability.characterize_equilibrium(problem, z_star, config)
+    tau_grid = _parse_grid(args, "tau_grid")
+    z_star = _resolve_target(problem, args)
+    report = stability.characterize_equilibrium(
+        problem, z_star, stationarity_tol=args.tol_stationary, rank_tol=args.rank_tol,
+        psd_tol=args.tol_psd, marginal_tol=args.tol_marginal, tau_grid=tau_grid,
+        s=args.s, eta=args.eta)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "classify_report.json")
     _write_json(out_path, report.to_json_dict())
@@ -254,9 +250,9 @@ def cmd_avoidance(args) -> int:
             f"eg_tt avoidance requires 0 < eta < (sqrt(5)-1)/(2L) = {GOLDEN_STEP_FACTOR / L:.6g}"
         )
 
-    cls_config = ClassifyConfig(eta=eta, stationarity_tol=args.tol_stationary)
-    z_star = _resolve_target(problem, args, cls_config.stationarity_tol)
-    report = stability.characterize_equilibrium(problem, z_star, cls_config)
+    z_star = _resolve_target(problem, args)
+    report = stability.characterize_equilibrium(
+        problem, z_star, stationarity_tol=args.tol_stationary, eta=eta)
 
     if method == "eg_tt":
         if not report.strict_non_minimax:
@@ -318,8 +314,7 @@ def cmd_avoidance(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = _load_problem_from_args(args)
-    dynamics.check_ranges(stationarity_tol=args.tol_stationary)
-    z_star = _resolve_target(problem, args, args.tol_stationary)
+    z_star = _resolve_target(problem, args)
     H = problems.block_hessian(*problems.hessian_blocks_at(problem, z_star))
 
     # everything is validated and computed before either file is opened
@@ -349,12 +344,12 @@ def cmd_sweep(args) -> int:
     with open(verdict_path, "w") as fh:
         fh.write("mode,param,tau,stable\n")
         for i, tau in enumerate(tau_grid.tolist()):  # tau-major rows
-            fh.writelines(f"{mode},{param!r},{tau!r},{vs[i].stable}\n"
-                          for (mode, param), vs in zip(pairs, table))
+            fh.writelines(f"{mode},{param!r},{tau!r},{v.labels[i]}\n"
+                          for (mode, param), v in zip(pairs, table))
     if len(tau_grid) and (args.s_grid or args.eta_grid):
         for mode in stability.MODES:
-            stable_params = [p for (m, p), vs in zip(pairs, table)
-                             if m == mode and vs[-1].stable == "stable"]
+            stable_params = [p for (m, p), v in zip(pairs, table)
+                             if m == mode and v.labels[-1] == "stable"]
             if stable_params:
                 print(f"  {mode}: smallest tested stable step at tau={tau_grid[-1]:g}: "
                       f"{min(stable_params):.6g}")

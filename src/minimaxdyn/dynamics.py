@@ -295,6 +295,14 @@ def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
     return Z
 
 
+def _finite_point(z, name: str) -> np.ndarray:
+    """z as a new float array; a ValueError naming it if an entry is NaN or inf."""
+    z = np.array(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite, got {z.tolist()}")
+    return z
+
+
 def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
               tol_conv: float = TOL_CONV_DEFAULT, max_iters: int = 10000,
               diverge_norm: float = DIVERGE_NORM_DEFAULT,
@@ -302,10 +310,10 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     """Run each row of Z0 as one member of the method, all in lockstep.
 
     A member stops at its first index k with, in this order of precedence,
-    ||F(z_k)|| <= tol_conv (converged), ||z_k|| >= diverge_norm (diverged),
-    or a non-finite ||F(z_k)|| or ||z_k|| (nonfinite).  The state reached
-    after max_iters steps is tested for convergence and non-finiteness
-    only, and otherwise ends the run at max_iters (t_end for the ODE
+    ||F(z_k)|| <= tol_conv (converged), ||z_k|| >= diverge_norm < inf
+    (diverged), or a non-finite ||F(z_k)|| or ||z_k|| (nonfinite).  The
+    state reached after max_iters steps is tested for convergence and
+    non-finiteness only, and otherwise ends the run at max_iters (t_end for the ODE
     methods, whose times are the running sum of dt).  Live members advance
     through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d); after
     each chunk the stopped ones are dropped.  A member's float operations
@@ -350,7 +358,8 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
             zn = np.sqrt(np.vecdot(Zb, Zb))
             if k0 == 0:
                 f_start[:] = fn[0]
-            conv, div, nonfinite = fn <= tol_conv, zn >= diverge_norm, ~np.isfinite(fn + zn)
+            conv, nonfinite = fn <= tol_conv, ~np.isfinite(fn + zn)
+            div = (zn >= diverge_norm) & (diverge_norm < math.inf)  # inf: never
             stop = conv | div | nonfinite
             # sample c is the next chunk's first, unless it is the one after
             # max_iters, which ends every run and is not tested for divergence
@@ -426,7 +435,7 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
                     newton_max: int = 50) -> np.ndarray:
     """Newton's method on F(z) = 0, for locating equilibria to classify."""
-    z = np.asarray(z0, dtype=float).copy()
+    z = _finite_point(z0, "z0")
     for _ in range(newton_max):
         F = saddle_gradient(problem, z)
         if np.linalg.norm(F) <= newton_tol:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import _solve_checked, check_ranges, check_step
+from .dynamics import _finite_point, _solve_checked, check_ranges, check_step
 from .problems import MinimaxProblem, block_hessian, hessian_blocks_at, saddle_gradient
 from .spectral import (
     EigenCurves,
@@ -196,31 +196,20 @@ def eg_jacobian_discrete(H, eta: float, tau: float, d1: int) -> np.ndarray:
 
 
 @dataclass
-class StabilityVerdict:
-    """Per-(method, step size, tau) classification with its witnesses.
+class Verdicts:
+    """The verdicts of one (mode, step) pair over T taus; a margin is positive where stable."""
 
-    margins holds the per-eigenvalue inverse-form criterion margin
-    (positive = satisfies the stability criterion); jac_margin is the
-    margin of the direct Jacobian criterion.
-    """
-
-    method: str
-    stable: str  # "stable" | "unstable" | "marginal"
-    params: dict
-    h_eigs: np.ndarray
-    margins: np.ndarray
-    jac_eigs: np.ndarray
-    jac_margin: float
-    criterion: str
+    labels: list[str]        # "stable" | "unstable" | "marginal" per tau
+    margins: np.ndarray      # (T, n) inverse-form margin per eigenvalue of H_tau
+    jac_eigs: np.ndarray     # (T, n) spec(J)
+    jac_margin: np.ndarray   # (T,) margin of the direct Jacobian criterion
 
 
 @dataclass(frozen=True)
 class VerdictMode:
     """Both sides of one stability equivalence (a row of MODES)."""
 
-    method: str
-    step: str              # name of the step size: "s" or "eta"
-    criterion: str
+    step: str                # name of the step size: "s" or "eta"
     region_margin: Callable  # (spec(H_tau), step) -> inverse-form margins
     jacobian: Callable       # (H_tau stack, step) -> Jacobian stack
     jac_margin: Callable     # spec(J) stack -> margin per tau, positive = stable
@@ -232,21 +221,17 @@ def _rho_margin(jac_eigs) -> np.ndarray:
 
 
 MODES = {
+    # eg_tt_continuous: spec(H_tau) outside disk <=> spec(J) in open left half-plane
     "continuous": VerdictMode(
-        "eg_tt_continuous", "s",
-        "spec(H_tau) outside disk <=> spec(J) in open left half-plane",
-        _inverse_margin,  # Re(1/lam) + s
-        eg_jacobian_continuous,
+        "s", _inverse_margin, eg_jacobian_continuous,  # region margin Re(1/lam) + s
         lambda jac_eigs: -jac_eigs.real.max(axis=-1), True),
+    # eg_tt_discrete: spec(H_tau) inside peanut <=> rho(J) < 1
     "discrete": VerdictMode(
-        "eg_tt_discrete", "eta",
-        "spec(H_tau) inside peanut <=> rho(J) < 1",
-        lambda lams, eta: _inverse_margin(_peanut_u(lams, eta), -eta / 2.0),
+        "eta", lambda lams, eta: _inverse_margin(_peanut_u(lams, eta), -eta / 2.0),
         _eg_discrete_jacobian, _rho_margin, True),
+    # gda_tt: Re(1/lambda) > eta/2 for all lambda <=> rho(I - eta H_tau) < 1
     "gda": VerdictMode(
-        "gda_tt", "eta",
-        "Re(1/lambda) > eta/2 for all lambda <=> rho(I - eta H_tau) < 1",
-        lambda lams, eta: _inverse_margin(lams, -eta / 2.0),
+        "eta", lambda lams, eta: _inverse_margin(lams, -eta / 2.0),
         _gda_jacobian, _rho_margin, False),
 }
 
@@ -255,14 +240,13 @@ def _labels(margins, tol: float) -> np.ndarray:
     return np.where(margins > tol, "stable", np.where(margins < -tol, "unstable", "marginal"))
 
 
-def verdict_table(H, d1: int, pairs, taus,
-                  marginal_tol: float = MARGINAL_TOL) -> list[list[StabilityVerdict]]:
-    """One verdict per tau for each (mode, step) pair, mode a key of MODES.
+def verdict_table(H, d1: int, pairs, taus, marginal_tol: float = MARGINAL_TOL) -> list[Verdicts]:
+    """The Verdicts over taus of each (mode, step) pair, mode a key of MODES.
 
     The spectrum of the H_tau stack and ||H||_2 are computed once, on first
     need, for all pairs; each pair adds one stacked Jacobian spectrum.
     Pairs are validated and evaluated in order, so a failing pair raises
-    what verdicts() for it alone raises.
+    what a table of it alone raises.
     """
     Ht = lams = norm = None
     table = []
@@ -272,7 +256,8 @@ def verdict_table(H, d1: int, pairs, taus,
         m = MODES[mode]
         _check_step(m.step, step)
         if not len(taus):
-            table.append([])
+            empty = np.empty((0, len(H)))
+            table.append(Verdicts([], empty, empty, np.empty(0)))
             continue
         if m.lipschitz:
             norm = np.linalg.norm(H, 2) if norm is None else norm
@@ -292,17 +277,8 @@ def verdict_table(H, d1: int, pairs, taus,
             raise CriterionMismatchError(
                 f"{mode} verdict ({m.step}={step}, tau={taus[i]}): region criterion "
                 f"says {region[i]}, Jacobian criterion says {jac[i]}")
-        table.append([
-            StabilityVerdict(m.method, label, {m.step: float(step), "tau": tau}, *witnesses,
-                             m.criterion)
-            for label, tau, *witnesses in zip(region.tolist(), np.asarray(taus, float).tolist(),
-                                              lams, margins, jac_eigs, jac_margin.tolist())])
+        table.append(Verdicts(region.tolist(), margins, jac_eigs, jac_margin))
     return table
-
-
-def verdicts(H, d1: int, mode: str, step: float, taus) -> list[StabilityVerdict]:
-    """One verdict per tau for mode: a verdict table of one pair."""
-    return verdict_table(H, d1, [(mode, step)], taus)[0]
 
 
 @dataclass
@@ -335,9 +311,8 @@ def _tau_grid(tau_grid) -> np.ndarray:
     return tau_grid
 
 
-def _terminal_run(mode: str, param: float, tau_grid, vs) -> InfinityVerdict:
-    """The infinity verdict of one mode's per-tau verdicts vs on tau_grid."""
-    labels = [v.stable for v in vs]
+def _terminal_run(mode: str, param: float, tau_grid, labels: list[str]) -> InfinityVerdict:
+    """The infinity verdict of one mode's per-tau labels on tau_grid."""
     run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != labels[-1]), len(labels))
     if labels[-1] in ("stable", "unstable") and run >= K_TAIL:
         return InfinityVerdict(mode, param, labels[-1], float(tau_grid[-run]), tau_grid, labels)
@@ -352,29 +327,12 @@ def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
     criterion at step eta), or "gda".
     """
     tau_grid = _tau_grid(tau_grid)
-    vs = verdicts(H, d1, mode, s_or_eta, tau_grid)
-    return _terminal_run(mode, s_or_eta, tau_grid, vs)
+    labels = verdict_table(H, d1, [(mode, s_or_eta)], tau_grid)[0].labels
+    return _terminal_run(mode, s_or_eta, tau_grid, labels)
 
 
 # ---------------------------------------------------------------------------
 # full equilibrium characterization
-
-
-@dataclass
-class ClassifyConfig:
-    """Tolerances and sweep parameters for characterize_equilibrium."""
-
-    stationarity_tol: float = 1e-8
-    rank_tol: float | None = None
-    psd_tol: float | None = None
-    marginal_tol: float = MARGINAL_TOL
-    tau_grid: np.ndarray | None = None
-    s: float | None = None      # default 0.5/L
-    eta: float | None = None    # default 0.5/L
-
-    def __post_init__(self):
-        check_ranges(stationarity_tol=self.stationarity_tol, rank_tol=self.rank_tol,
-                     psd_tol=self.psd_tol, marginal_tol=self.marginal_tol)
 
 
 @dataclass
@@ -464,27 +422,32 @@ def _predict(method: str, so: spectral.SecondOrderVerdict, s0: float,
     return "indeterminate"
 
 
-def characterize_equilibrium(problem: MinimaxProblem, z_star,
-                             config: ClassifyConfig | None = None) -> EquilibriumReport:
+def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
+                             stationarity_tol: float = 1e-8, rank_tol: float | None = None,
+                             psd_tol: float | None = None, marginal_tol: float = MARGINAL_TOL,
+                             tau_grid=None, s: float | None = None,
+                             eta: float | None = None) -> EquilibriumReport:
     """Bundle the second-order verdicts, curve asymptotics, the stability
     predictions they imply for infinity-EG/GDA, and the empirically swept
-    verdicts; flag any prediction/observation mismatch."""
-    config = config or ClassifyConfig()
+    verdicts; flag any prediction/observation mismatch.  s and eta default
+    to 0.5/L, tau_grid to DEFAULT_TAU_GRID."""
+    check_ranges(stationarity_tol=stationarity_tol, rank_tol=rank_tol, psd_tol=psd_tol,
+                 marginal_tol=marginal_tol)
     L = problem.lipschitz_bound
-    s_eval = 0.5 / L if config.s is None else float(config.s)
-    eta_eval = 0.5 / L if config.eta is None else float(config.eta)
+    s_eval = 0.5 / L if s is None else float(s)
+    eta_eval = 0.5 / L if eta is None else float(eta)
     check_step("s", s_eval, L)
     check_step("eta", eta_eval, L)
-    z = np.asarray(z_star, dtype=float)
+    z = _finite_point(z_star, "z_star")
     F = saddle_gradient(problem, z)
     f_norm = float(np.linalg.norm(F))
-    if f_norm > config.stationarity_tol:
+    if not f_norm <= stationarity_tol:
         raise ValueError(
-            f"z is not stationary: ||F(z)|| = {f_norm:.3e} > {config.stationarity_tol:.1e}"
+            f"z is not stationary: ||F(z)|| = {f_norm:.3e} > {stationarity_tol:.1e}"
         )
     A, B, C = hessian_blocks_at(problem, z)
-    blocks = canonicalize(A, B, C, rank_tol=config.rank_tol)
-    so = second_order_necessary(blocks, psd_tol=config.psd_tol)
+    blocks = canonicalize(A, B, C, rank_tol=rank_tol)
+    so = second_order_necessary(blocks, psd_tol=psd_tol)
     rsc = so.rsc
 
     H = block_hessian(A, B, C)
@@ -510,10 +473,10 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star,
 
     predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
     pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
-    tau_grid = _tau_grid(config.tau_grid)
-    table = verdict_table(H, problem.d1, pairs, tau_grid, config.marginal_tol)
-    observed = {mode: _terminal_run(mode, step, tau_grid, vs)
-                for (mode, step), vs in zip(pairs, table)}
+    tau_grid = _tau_grid(tau_grid)
+    table = verdict_table(H, problem.d1, pairs, tau_grid, marginal_tol)
+    observed = {mode: _terminal_run(mode, step, tau_grid, v.labels)
+                for (mode, step), v in zip(pairs, table)}
     mismatches = [f"{mode}: predicted {pred} but observed {observed[mode].verdict} "
                   f"(param {observed[mode].param:.6g})"
                   for mode, pred in predictions.items()

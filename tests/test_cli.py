@@ -106,6 +106,21 @@ def test_simulate_counts_nonfinite_members(tmp_path, method):
     assert summary["clusters"] == []
 
 
+@pytest.mark.parametrize("run", [["--method", "gda_tt", "--eta", "0.5"],
+                                 ["--method", "ode_plain", "--dt", "10"]])
+@pytest.mark.parametrize("flags, fraction", [(["--diverge-norm", "inf"], "fraction_nonfinite"),
+                                             ([], "fraction_diverged")])
+def test_diverge_norm_inf_means_never(tmp_path, run, flags, fraction):
+    """Members whose norm grows until it overflows end nonfinite under --diverge-norm inf,
+    and diverged under the default 1e8."""
+    out = tmp_path / "sim"
+    code = run_cli("simulate", "--builtin", "bilinear", *run, *flags, "--max-iters", "20000",
+                   "--n", "3", "--no-trajectories", "--out", str(out))
+    assert code == 0
+    summary = read_json(out / "simulate_summary.json")
+    assert summary[fraction] == 1.0
+
+
 def test_simulate_empty_ensemble(tmp_path):
     out = tmp_path / "sim"
     code = run_cli("simulate", "--builtin", "bilinear", "--method", "eg_tt",

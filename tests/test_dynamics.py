@@ -446,6 +446,18 @@ def test_run_discrete_gda_diverges(bilinear, tau):
     assert traj.termination.reason == "diverged"
 
 
+@pytest.mark.parametrize("params", [MethodParams(method="gda_tt", eta=0.5),
+                                    MethodParams(method="ode_plain", dt=10.0)])
+@pytest.mark.parametrize("diverge_norm, reason", [(dynamics.DIVERGE_NORM_DEFAULT, "diverged"),
+                                                  (math.inf, "nonfinite")])
+def test_overflowing_norm_diverges_only_below_an_infinite_diverge_norm(
+        bilinear, params, diverge_norm, reason):
+    """||z|| overflows to inf at the start: diverged under the default, nonfinite under inf."""
+    (traj,) = run_batch(bilinear, [[1e308, 1e308]], params, max_iters=5,
+                        diverge_norm=diverge_norm)
+    assert traj.termination == Termination(reason, 0)
+
+
 def test_run_discrete_immediate_convergence(nondeg):
     params = MethodParams(method="eg_tt", eta=0.3, tau=1.0)
     traj = run_discrete(nondeg, np.zeros(2), params)

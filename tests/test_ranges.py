@@ -19,7 +19,7 @@ from minimaxdyn import cli, dynamics
 from minimaxdyn.cli import build_parser, main
 from minimaxdyn.dynamics import RANGES, MethodParams, integrate, run_batch
 from minimaxdyn.problems import builtin_problem
-from minimaxdyn.stability import ClassifyConfig
+from minimaxdyn.stability import characterize_equilibrium
 
 BILINEAR = builtin_problem("bilinear")
 
@@ -42,6 +42,10 @@ def config(command, **kw):
     return cli._config(argparse.Namespace(**{**args, **kw}), BILINEAR)
 
 
+def characterize(**kw):
+    return characterize_equilibrium(BILINEAR, [0.0, 0.0], **kw)
+
+
 def batch(**kw):
     return run_batch(BILINEAR, [[0.5, 0.5]], MethodParams(method="gda_tt", eta=0.3),
                      **{"max_iters": 20, **kw})
@@ -61,11 +65,11 @@ ROWS = {
                    ["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5",
                     "--target-tol"]),
     "tol_conv": (0.0, True, False, lambda v: batch(tol_conv=v), simulate("--tol-conv")),
-    "stationarity_tol": (0.0, True, False, lambda v: ClassifyConfig(stationarity_tol=v),
+    "stationarity_tol": (0.0, True, False, lambda v: characterize(stationarity_tol=v),
                          classify("--tol-stationary")),
-    "rank_tol": (0.0, True, False, lambda v: ClassifyConfig(rank_tol=v), classify("--rank-tol")),
-    "psd_tol": (0.0, True, False, lambda v: ClassifyConfig(psd_tol=v), classify("--tol-psd")),
-    "marginal_tol": (0.0, True, False, lambda v: ClassifyConfig(marginal_tol=v),
+    "rank_tol": (0.0, True, False, lambda v: characterize(rank_tol=v), classify("--rank-tol")),
+    "psd_tol": (0.0, True, False, lambda v: characterize(psd_tol=v), classify("--tol-psd")),
+    "marginal_tol": (0.0, True, False, lambda v: characterize(marginal_tol=v),
                      classify("--tol-marginal")),
     "t_end": (0.0, True, False, lambda v: integrate(BILINEAR, "plain", [0.5, 0.5], t_end=v),
               None),
@@ -166,13 +170,12 @@ def numeric_flags(command):
 def test_every_numeric_run_parameter_has_a_row():
     """A numeric parameter added without a range fails here; eta and s are
     checked against 1/L by the step rule, dynamics.check_step."""
-    names = {f.name for cls in (ClassifyConfig, MethodParams)
-             for f in dataclasses.fields(cls) if numeric(f.type)}
-    for fn in (run_batch, integrate):
+    names = {f.name for f in dataclasses.fields(MethodParams) if numeric(f.type)}
+    for fn in (characterize_equilibrium, run_batch, integrate):
         names |= {p.name for p in inspect.signature(fn).parameters.values()
                   if numeric(p.annotation)}
     flags = numeric_flags("simulate") | numeric_flags("avoidance")
-    # --tol-stationary sets ClassifyConfig's stationarity_tol
+    # --tol-stationary sets characterize_equilibrium's stationarity_tol
     names |= {"stationarity_tol" if f == "tol_stationary" else f for f in flags}
     assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau", "box", "seed",
             "cluster_tol", "target_tol"} <= names

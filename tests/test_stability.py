@@ -17,10 +17,10 @@ from numpy.testing import assert_allclose
 
 from minimaxdyn import spectral, stability
 from minimaxdyn.cli import main
+from minimaxdyn.dynamics import find_stationary
 from minimaxdyn.problems import MinimaxProblem, QuadraticSpec, builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import timescaled_hessian
 from minimaxdyn.stability import (
-    ClassifyConfig,
     CriterionMismatchError,
     characterize_equilibrium,
     disk_gap,
@@ -38,9 +38,14 @@ def hessian_of(name, **params):
     return builtin_problem(name, **params).quadratic.hessian()
 
 
+def one_pair(H, d1, mode, step, taus):
+    """The Verdicts of mode over taus: a verdict table of one pair."""
+    return stability.verdict_table(H, d1, [(mode, step)], taus)[0]
+
+
 def verdict(mode, H, step, tau, d1):
-    """The verdict of mode for H at one tau."""
-    return stability.verdicts(H, d1, mode, step, [tau])[0]
+    """The Verdicts of mode for H at one tau."""
+    return one_pair(H, d1, mode, step, [tau])
 
 
 # --- regions -----------------------------------------------------------------
@@ -187,13 +192,13 @@ def test_eg_jacobian_discrete_matches_finite_difference():
 
 def test_stability_continuous_examples():
     v = verdict("continuous", hessian_of("bilinear"), 0.4, 100.0, 1)
-    assert v.stable == "stable"
+    assert v.labels == ["stable"]
     # B = +1 sends an order-one eigenvalue to -1, inside every disk with s < 1/L
     H = assemble_hessian([[2.0]], [[1.0]], [[1.0]])
     v = verdict("continuous", H, 0.3, 1e6, 1)
-    assert v.stable == "unstable"
+    assert v.labels == ["unstable"]
     v = verdict("continuous", np.array([[1.0]]), 0.5, 1.0, 1)
-    assert v.stable == "stable"
+    assert v.labels == ["stable"]
 
 
 def test_stability_continuous_rejects_large_s():
@@ -203,21 +208,21 @@ def test_stability_continuous_rejects_large_s():
 
 def test_stability_discrete_examples():
     v = verdict("discrete", hessian_of("bilinear"), 0.5, 4.0, 1)
-    assert v.stable == "stable"
+    assert v.labels == ["stable"]
     H = hessian_of("scalar_degenerate", a=-2.0, c=1.0)
     v = verdict("discrete", H, 0.3, 1e6, 1)
-    assert v.stable == "unstable"
+    assert v.labels == ["unstable"]
     # negative real eigenvalue is outside the peanut for any eta
     v = verdict("discrete", np.array([[-0.1]]), 0.5, 1.0, 1)
-    assert v.stable == "unstable"
+    assert v.labels == ["unstable"]
 
 
 def test_gda_stability_examples():
     for tau in (1.0, 10.0, 100.0):
         v = verdict("gda", hessian_of("bilinear"), 0.5, tau, 1)
-        assert v.stable == "unstable"
-    assert verdict("gda", np.array([[1.0]]), 0.5, 1.0, 1).stable == "stable"
-    assert verdict("gda", np.array([[-1.0]]), 0.5, 1.0, 1).stable == "unstable"
+        assert v.labels == ["unstable"]
+    assert verdict("gda", np.array([[1.0]]), 0.5, 1.0, 1).labels == ["stable"]
+    assert verdict("gda", np.array([[-1.0]]), 0.5, 1.0, 1).labels == ["unstable"]
 
 
 def test_verdict_margins_respect_invariant():
@@ -401,18 +406,16 @@ def test_engine_matches_per_tau_reference(mode):
     taus = stability.DEFAULT_TAU_GRID
     for H, d1 in engine_instances():
         step = float(rng.uniform(0.1, 0.9)) / np.linalg.norm(H, 2)
-        got = stability.verdicts(H, d1, mode, step, taus)
-        assert len(got) == len(taus)
-        for v, tau, (lams, margins, jac_eigs, jac_margin) in zip(
-                got, taus, reference_verdicts(H, d1, mode, step, taus)):
-            assert v.method == stability.MODES[mode].method
-            assert v.params == {stability.MODES[mode].step: step, "tau": float(tau)}
+        got = one_pair(H, d1, mode, step, taus)
+        assert len(got.labels) == len(taus)
+        for i, (lams, margins, jac_eigs, jac_margin) in enumerate(
+                reference_verdicts(H, d1, mode, step, taus)):
             # a stacked eigvals is complex when any tau is; one tau alone may be real
-            assert np.array_equal(np.asarray(v.h_eigs, complex), lams.astype(complex))
-            assert np.array_equal(np.asarray(v.jac_eigs, complex), jac_eigs.astype(complex))
-            assert np.array_equal(v.margins, margins)
-            assert v.jac_margin == jac_margin
-            assert v.stable == reference_label(margins)
+            assert np.array_equal(np.asarray(got.jac_eigs[i], complex),
+                                  jac_eigs.astype(complex))
+            assert np.array_equal(got.margins[i], margins)
+            assert got.jac_margin[i] == jac_margin
+            assert got.labels[i] == reference_label(margins)
 
 
 @pytest.mark.parametrize("grid", ["1e6:1:9", "5:5:1"])
@@ -457,13 +460,13 @@ def test_engine_takes_one_stacked_spectrum_per_side(monkeypatch):
     step = 0.3 / np.linalg.norm(H, 2)
     for mode, row in stability.MODES.items():
         calls.clear()
-        got = stability.verdicts(H, d1, mode, step, taus)
+        got = one_pair(H, d1, mode, step, taus)
         assert len(calls) == 2
         Ht = timescaled_hessian(H, taus, d1)
         assert np.array_equal(calls[0], Ht)
         # the Jacobian spectrum comes from the built J, not from spec(H_tau)
         assert np.array_equal(calls[1], row.jacobian(Ht, step))
-        assert np.array_equal(got[-1].jac_eigs, eigvals(calls[1])[-1])
+        assert np.array_equal(got.jac_eigs[-1], eigvals(calls[1])[-1])
 
 
 def test_engine_selftest_trips_on_flipped_jacobian(monkeypatch):
@@ -473,22 +476,21 @@ def test_engine_selftest_trips_on_flipped_jacobian(monkeypatch):
         row, jacobian=lambda Ht, s: -row.jacobian(Ht, s)))
     before = stability.mismatch_count()
     with pytest.raises(CriterionMismatchError, match=r"continuous verdict \(s=0.4, tau=1.0\)"):
-        stability.verdicts(hessian_of("bilinear"), 1, "continuous", 0.4,
-                           stability.DEFAULT_TAU_GRID)
+        one_pair(hessian_of("bilinear"), 1, "continuous", 0.4, stability.DEFAULT_TAU_GRID)
     assert stability.mismatch_count() == before + 1
 
 
 def test_engine_validates_step_once():
     H = hessian_of("bilinear")
     with pytest.raises(ValueError, match="eta must be positive"):
-        stability.verdicts(H, 1, "gda", 0.0, [1.0])
+        one_pair(H, 1, "gda", 0.0, [1.0])
     with pytest.raises(ValueError, match=r"requires s < 1/L \(s \* \|\|H\|\| < 1\)"):
-        stability.verdicts(H, 1, "continuous", 1.5, [1.0, 10.0])
-    assert stability.verdicts(H, 1, "continuous", 1.5, []) == []
+        one_pair(H, 1, "continuous", 1.5, [1.0, 10.0])
+    assert one_pair(H, 1, "continuous", 1.5, []).labels == []
     with pytest.raises(ValueError, match="tau must be >= 1"):
-        stability.verdicts(H, 1, "gda", 0.5, [2.0, 0.5])
+        one_pair(H, 1, "gda", 0.5, [2.0, 0.5])
     with pytest.raises(ValueError, match="unknown mode"):
-        stability.verdicts(H, 1, "nope", 0.5, [1.0])
+        one_pair(H, 1, "nope", 0.5, [1.0])
 
 
 def mixed_pairs(H):
@@ -504,16 +506,23 @@ def test_verdict_table_equals_separate_verdicts():
         table = stability.verdict_table(H, d1, pairs, taus)
         assert len(table) == len(pairs)
         for (mode, step), got in zip(pairs, table):
-            want = stability.verdicts(H, d1, mode, step, taus)
-            assert len(got) == len(want) == len(taus)
-            for v, w in zip(got, want):
-                assert np.array_equal(v.h_eigs, w.h_eigs)
-                assert np.array_equal(v.margins, w.margins)
-                assert np.array_equal(v.jac_eigs, w.jac_eigs)
-                assert (v.method, v.stable, v.jac_margin, v.params, v.criterion) == \
-                    (w.method, w.stable, w.jac_margin, w.params, w.criterion)
-                assert type(v.stable) is str and type(v.jac_margin) is float
-                assert all(type(x) is float for x in v.params.values())
+            want = one_pair(H, d1, mode, step, taus)
+            assert got.labels == want.labels and len(got.labels) == len(taus)
+            for field in ("margins", "jac_eigs", "jac_margin"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("taus", [stability.DEFAULT_TAU_GRID, [5.0], []])
+def test_verdicts_layout(taus):
+    """One row per tau in each array field; labels is a list of str."""
+    H, d1 = engine_instances()[-1]
+    T, n = len(taus), len(H)
+    for v in stability.verdict_table(H, d1, mixed_pairs(H), taus):
+        assert type(v.labels) is list and len(v.labels) == T
+        assert all(type(label) is str for label in v.labels)
+        assert set(v.labels) <= {"stable", "unstable", "marginal"}
+        assert v.margins.shape == v.jac_eigs.shape == (T, n)
+        assert v.jac_margin.shape == (T,)
 
 
 def test_verdict_table_takes_one_spectrum_per_pair_and_one_norm(monkeypatch):
@@ -535,7 +544,11 @@ def test_verdict_table_takes_one_spectrum_per_pair_and_one_norm(monkeypatch):
     norms.clear()
     stability.verdict_table(H, d1, [("gda", 0.1), ("gda", 0.2)], taus)
     assert norms == []
-    assert stability.verdict_table(H, d1, pairs, []) == [[]] * len(pairs)
+    calls.clear()
+    norms.clear()
+    empty = stability.verdict_table(H, d1, pairs, [])
+    assert [v.labels for v in empty] == [[]] * len(pairs)
+    assert calls == [] and norms == []
 
 
 def test_verdict_table_stops_at_flipped_second_pair(monkeypatch):
@@ -547,9 +560,9 @@ def test_verdict_table_stops_at_flipped_second_pair(monkeypatch):
         row, jacobian=lambda Ht, s: -row.jacobian(Ht, s)))
     # the sequential per-mode calls: the first passes, the second trips
     before = stability.mismatch_count()
-    stability.verdicts(H, 1, *pairs[0], taus)
+    one_pair(H, 1, *pairs[0], taus)
     with pytest.raises(CriterionMismatchError) as sequential:
-        stability.verdicts(H, 1, *pairs[1], taus)
+        one_pair(H, 1, *pairs[1], taus)
     assert stability.mismatch_count() == before + 1
     assert str(sequential.value) == ("continuous verdict (s=0.4, tau=1.0): region "
                                      "criterion says stable, Jacobian criterion says unstable")
@@ -570,7 +583,7 @@ def test_verdict_table_validates_pairs_in_order():
     H = hessian_of("bilinear")
     with pytest.raises(ValueError, match="unknown mode"):
         stability.verdict_table(H, 1, [("gda", 0.5), ("nope", 0.5)], [1.0])
-    # as in sequential verdicts() calls, the first pair's step is checked
+    # as in sequential one-pair tables, the first pair's step is checked
     # before the grid is, and the grid before the second pair's step
     with pytest.raises(ValueError, match=r"requires s < 1/L"):
         stability.verdict_table(H, 1, [("continuous", 1.5), ("gda", 0.5)], [2.0, 0.5])
@@ -586,7 +599,7 @@ def test_engine_rejects_non_finite_steps(step):
     for mode, m in stability.MODES.items():
         reason = f"{m.step} must be positive and finite"
         with pytest.raises(ValueError, match=reason):
-            stability.verdicts(H, 2, mode, step, [1.0])
+            one_pair(H, 2, mode, step, [1.0])
 
 
 @pytest.mark.parametrize("taus", [[np.nan], [1.0, np.inf], [np.inf, np.inf], [2.0, np.nan]])
@@ -596,7 +609,7 @@ def test_engine_rejects_non_finite_taus(taus):
         timescaled_hessian(H, np.array(taus), 2)
     for mode in stability.MODES:
         with pytest.raises(ValueError, match="tau must be finite"):
-            stability.verdicts(H, 2, mode, 0.1, taus)
+            one_pair(H, 2, mode, 0.1, taus)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [1.0, np.inf, np.inf], [1.0, 2.0, np.inf]])
@@ -610,7 +623,7 @@ def test_infinity_verdict_rejects_non_finite_grid(grid):
 
 def test_characterize_bilinear():
     p = builtin_problem("bilinear")
-    rep = characterize_equilibrium(p, np.zeros(2), ClassifyConfig(s=0.4, eta=0.5))
+    rep = characterize_equilibrium(p, np.zeros(2), s=0.4, eta=0.5)
     assert rep.second_order.B_nsd and rep.second_order.Sres_psd
     assert rep.strict_non_minimax is False
     assert rep.s0 == pytest.approx(0.0, abs=1e-12)
@@ -654,11 +667,30 @@ def test_characterize_rejects_nonstationary():
         characterize_equilibrium(p, np.array([1.0, 1.0]))
 
 
+NAN_GRAD = MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=lambda z: np.full(2, np.nan),
+                          lipschitz_bound=1.0)
+
+
+@pytest.mark.parametrize("problem, point, reason", [
+    ("bilinear", [np.nan, 0.0], r"^z_star must be finite, got \[nan, 0\.0\]$"),
+    ("bilinear", [0.0, np.inf], r"^z_star must be finite, got \[0\.0, inf\]$"),
+    ("bilinear", [-np.inf, np.nan], r"^z_star must be finite, got \[-inf, nan\]$"),
+    (NAN_GRAD, [0.0, 0.0], r"^z is not stationary: \|\|F\(z\)\|\| = nan > 1\.0e-08$"),
+])
+def test_library_entry_points_reject_non_finite_points(problem, point, reason):
+    """A NaN or inf point, or a NaN gradient from the user's grad, fails by name."""
+    p = builtin_problem(problem) if isinstance(problem, str) else problem
+    with pytest.raises(ValueError, match=reason):
+        characterize_equilibrium(p, point)
+    if isinstance(problem, str):
+        with pytest.raises(ValueError, match=reason.replace("z_star", "z0")):
+            find_stationary(p, point)
+
+
 def test_characterize_makes_one_verdict_table(monkeypatch):
     p = builtin_problem("strict_nonminimax_demo")
     H = p.quadratic.hessian()
     taus = np.geomspace(1.0, 1e6, 17)  # 17 rows: no eps-grid stack has them
-    config = ClassifyConfig(tau_grid=taus)
     want = {mode: infinity_eg_verdict(H, 2, step, mode, tau_grid=taus)
             for mode, step in (("continuous", 0.5 / p.lipschitz_bound),
                                ("discrete", 0.5 / p.lipschitz_bound),
@@ -668,7 +700,7 @@ def test_characterize_makes_one_verdict_table(monkeypatch):
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: norms.append(
         (np.array(x), a, k)) or norm(x, *a, **k))
-    rep = characterize_equilibrium(p, np.zeros(4), config)
+    rep = characterize_equilibrium(p, np.zeros(4), tau_grid=taus)
     on_grid = [a for a in calls if a.shape[:1] == (len(taus),)]
     assert len(on_grid) == 4  # spec(H_tau) once, one Jacobian spectrum per mode
     assert np.array_equal(on_grid[0], timescaled_hessian(H, taus, 2))
