@@ -61,9 +61,9 @@ RANGES = {
     "tau": (lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
     **dict.fromkeys(("dt", "box", "cluster_tol", "target_tol"), _POSITIVE),
     **dict.fromkeys(("tol_conv", "stationarity_tol", "rank_tol", "psd_tol", "marginal_tol",
-                     "t_end"), _NONNEGATIVE),
+                     "t_end", "newton_tol"), _NONNEGATIVE),
     "diverge_norm": (lambda v: v > 0.0, "> 0"),  # inf: never
-    **dict.fromkeys(("max_iters", "n", "seed"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (lambda v: v >= 0, ">= 0")),
 }
 OPTIONAL = {"dt", "rank_tol", "psd_tol"}  # None stands for the default
 
@@ -153,7 +153,7 @@ def _row_field(problem: MinimaxProblem):
         out = np.empty_like(Z) if out is None else out
         for i in range(len(Z)):
             out[i] = _grad(problem, Z[i]) if live is None or live[i] else np.nan
-        np.negative(out[:, problem.d1:], out=out[:, problem.d1:])
+            np.negative(out[i, problem.d1:], out[i, problem.d1:])
         return out
     return rows
 
@@ -178,7 +178,8 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
     # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
     D = M - np.eye(M.shape[-1])
-    if not ((D * D).sum(axis=(-2, -1)) <= 0.25).all():
+    if not (np.vdot(D, D) <= 0.25 if M.ndim == 2  # one matrix: no .all() on a scalar
+            else ((D * D).sum(axis=(-2, -1)) <= 0.25).all()):
         if not np.isfinite(M).all():  # cond's SVD would fail on it
             raise SingularOperatorError("linear operator has non-finite entries")
         cond = np.linalg.cond(M)  # one per matrix of a stack
@@ -203,8 +204,8 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     if kind == "plain":
         return lambda Y, F=None, live=None: np.negative(field(Y, live=live) if F is None else F)
     s = params.s
-    if s is None or s <= 0:
-        raise ValueError("eg fields require s > 0")
+    if s is None or not 0.0 < s < math.inf:  # ode_field allows s >= 1/L
+        raise ValueError(f"s must be finite and > 0, got {s}")
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
     if problem.quadratic is None:
         eye, lam_col = np.eye(problem.dim), lam[:, None]
@@ -213,8 +214,12 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
             F = field(Y, live=live) if F is None else F
             out = np.empty_like(Y)
             for i, y in enumerate(Y):
-                out[i] = (-_solve_checked(eye + s * (lam_col * jacobian_F(problem, y)), lam * F[i])
-                          if live is None or live[i] else np.nan)
+                if live is None or live[i]:
+                    M = s * (lam_col * jacobian_F(problem, y))
+                    M += eye  # eye + s (lam J), bit for bit
+                    np.negative(_solve_checked(M, lam * F[i]), out[i])
+                else:
+                    out[i] = np.nan
             return out
         return rows
     M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
@@ -435,6 +440,7 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
                     newton_max: int = 50) -> np.ndarray:
     """Newton's method on F(z) = 0, for locating equilibria to classify."""
+    check_ranges(newton_tol=newton_tol, newton_max=newton_max)
     z = _finite_point(z0, "z0")
     for _ in range(newton_max):
         F = saddle_gradient(problem, z)

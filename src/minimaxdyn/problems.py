@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 SYMMETRY_TOL = 1e-8
-_CBRT_EPS = np.cbrt(np.finfo(float).eps)  # scale of the finite-difference step
+_CBRT_EPS = float(np.cbrt(np.finfo(float).eps))  # scale of the finite-difference step
 
 BUILTIN_NAMES = (
     "bilinear",
@@ -184,7 +184,7 @@ def saddle_gradient(problem: MinimaxProblem, z) -> np.ndarray:
 def default_fd_step(z) -> float:
     """Central-difference step: cbrt(machine eps) scaled to ||z||."""
     z = np.asarray(z, dtype=float)
-    return float(_CBRT_EPS * max(1.0, np.linalg.norm(z)))
+    return _CBRT_EPS * max(1.0, math.sqrt(z.dot(z)))  # the bits of np.linalg.norm
 
 
 def jacobian_F(problem: MinimaxProblem, z) -> np.ndarray:
@@ -196,12 +196,18 @@ def jacobian_F(problem: MinimaxProblem, z) -> np.ndarray:
     if problem.hessian_blocks is not None:
         return block_hessian(*hessian_blocks_at(problem, z))
     z = _point(problem, z)
-    h = default_fd_step(z)
-    E = np.diag(np.full(len(z), h))  # exact zeros off the diagonal, unlike eye * inf
-    # columns 2i and 2i + 1 of G: grad at z + h e_i, then at z - h e_i
-    G = np.array([_grad(problem, w) for pair in zip(z + E, z - E) for w in pair]).T
-    G[problem.d1:] = -G[problem.d1:]  # negate before subtracting: keeps signed zeros
-    return np.subtract(G[:, 0::2], G[:, 1::2], order="C") / (2 * h)
+    h, d = default_fd_step(z), len(z)
+    E = np.zeros((d, d))
+    E.flat[::d + 1] = h  # exact zeros off the diagonal, unlike eye * inf
+    # rows 2i and 2i + 1 of W and G: z + h e_i, then z - h e_i, and grad there
+    W, G = np.empty((2 * d, d)), np.empty((2 * d, d))
+    np.add(z, E, W[0::2])  # out= as a keyword costs more than the add, on a few rows
+    np.subtract(z, E, W[1::2])
+    for k, w in enumerate(W):
+        G[k] = _grad(problem, w)
+    np.negative(G[:, problem.d1:], G[:, problem.d1:])  # before subtracting: signed zeros
+    H = np.subtract(G[0::2].T, G[1::2].T, order="C")
+    return np.divide(H, 2 * h, H)
 
 
 def hessian_blocks_at(problem: MinimaxProblem, z):

@@ -13,6 +13,7 @@ import numpy as np
 
 from minimaxdyn import spectral
 from minimaxdyn.dynamics import MethodParams, run_batch
+from minimaxdyn.problems import saddle_gradient
 
 
 def step(problem, z, method, **params):
@@ -28,6 +29,18 @@ def replay_deviation(problem, traj):
     for a trajectory recorded every step by a batch of one."""
     steps = [step(problem, z, **dataclasses.asdict(traj.params)) for z in traj.states[:-1]]
     return max([0.0, *(float(np.max(np.abs(a - b))) for a, b in zip(steps, traj.states[1:]))])
+
+
+def reference_fd_jacobian(problem, z, h):
+    """Central differences of F, one column per loop pass, each from two
+    saddle_gradient calls."""
+    n = problem.dim
+    H = np.empty((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        H[:, i] = (saddle_gradient(problem, z + e) - saddle_gradient(problem, z - e)) / (2 * h)
+    return H
 
 
 def random_orthogonal(rng, d):

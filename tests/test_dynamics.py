@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import replay_deviation, step
+from conftest import reference_fd_jacobian, replay_deviation, step
 from numpy.testing import assert_allclose
 
 from minimaxdyn import dynamics
@@ -21,7 +21,13 @@ from minimaxdyn.dynamics import (
     run_batch,
     write_trajectory_csv,
 )
-from minimaxdyn.problems import MinimaxProblem, builtin_problem, jacobian_F, saddle_gradient
+from minimaxdyn.problems import (
+    MinimaxProblem,
+    builtin_problem,
+    default_fd_step,
+    jacobian_F,
+    saddle_gradient,
+)
 
 
 @pytest.fixture
@@ -105,6 +111,15 @@ def test_ode_field_singular_solve():
         ode_field(p, "eg", [1.0, 1.0], s=0.5)
 
 
+@pytest.mark.parametrize("name", ["bilinear", "quartic"])
+@pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", ["eg", "eg_tt"])
+def test_ode_field_names_a_bad_s(name, s, kind):
+    problem = builtin_problem(name) if name == "bilinear" else quartic_problem()
+    with pytest.raises(ValueError, match=f"^s must be finite and > 0, got {s}$"):
+        ode_field(problem, kind, [0.5, -0.4], s=s, tau=2.0)
+
+
 def test_ode_field_unknown_kind(bilinear):
     with pytest.raises(ValueError):
         ode_field(bilinear, "nope", [0.0, 0.0])
@@ -177,16 +192,15 @@ def dense_quadratic(d1, d2, seed):
                            C=rng.standard_normal((d1, d2)))
 
 
-def reference_integrate(problem, kind, z0, s, tau, dt, t_end, tol_conv, diverge_norm):
-    """RK4 on a quadratic with the operator rebuilt in every stage: H from
-    its blocks, then cond and np.linalg.solve.  Returns (states, F norms,
-    reason, stopping index) under the stopping rule of integrate."""
-    q = problem.quadratic
+def reference_integrate(problem, kind, z0, jacobian, s, tau, dt, t_end, tol_conv,
+                        diverge_norm):
+    """RK4 with the operator rebuilt in every stage: H = jacobian(z), then
+    cond and np.linalg.solve.  Returns (states, F norms, reason, stopping
+    index) under the stopping rule of integrate."""
     lam = dynamics.timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else tau)
 
     def field(z):
-        H = np.block([[q.A, q.C], [-q.C.T, -q.B]])
-        M = np.eye(problem.dim) + s * (lam[:, None] * H)
+        M = np.eye(problem.dim) + s * (lam[:, None] * jacobian(z))
         assert np.linalg.cond(M) <= dynamics.SOLVE_COND_LIMIT
         return -np.linalg.solve(M, lam * saddle_gradient(problem, z))
 
@@ -212,6 +226,17 @@ def reference_integrate(problem, kind, z0, s, tau, dt, t_end, tol_conv, diverge_
         fnorms.append(np.linalg.norm(saddle_gradient(problem, z)))
 
 
+def block_jacobian(problem):
+    """The constant H of a quadratic, assembled from its blocks in every call."""
+    q = problem.quadratic
+    return lambda z: np.block([[q.A, q.C], [-q.C.T, -q.B]])
+
+
+def fd_jacobian(problem):
+    """H(z) from per-column central differences with the default step."""
+    return lambda z: reference_fd_jacobian(problem, z, default_fd_step(z))
+
+
 def ode_problem(name):
     if name == "dense32":
         return dense_quadratic(3, 2, seed=7)
@@ -231,8 +256,29 @@ def test_integrate_equals_per_stage_solve_reference(name, tau, kind):
     options = dict(s=0.4 / problem.lipschitz_bound, tau=tau, dt=0.1, t_end=12.0,
                    tol_conv=1e-2, diverge_norm=10.0)
     traj = integrate(problem, kind, z0, **options)
-    states, fnorms, reason, step = reference_integrate(problem, kind, z0, **options)
+    states, fnorms, reason, step = reference_integrate(problem, kind, z0,
+                                                       block_jacobian(problem), **options)
     assert (traj.termination.reason, traj.termination.step) == (reason, step)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.f_norms, fnorms)
+
+
+@pytest.mark.parametrize("kind", ["eg", "eg_tt"])
+@pytest.mark.parametrize("name, z0, t_end, reason", [
+    ("quartic", [0.5, -0.4], 12.0, "converged"),
+    ("quartic", [0.9, 0.9], 2.0, "t_end"),
+    ("coupled", [0.3, -0.2, 0.25, 0.1], 12.0, "converged"),
+    ("coupled", [0.6, 0.5, -0.4, 0.7], 2.0, "t_end"),
+])
+def test_general_integrate_equals_per_stage_fd_reference(name, z0, t_end, reason, kind):
+    problem = quartic_problem() if name == "quartic" else coupled_problem()
+    options = dict(s=0.4 / problem.lipschitz_bound, tau=3.0, dt=0.1, t_end=t_end,
+                   tol_conv=1e-3, diverge_norm=1e3)
+    traj = integrate(problem, kind, z0, **options)
+    states, fnorms, want, step = reference_integrate(problem, kind, z0, fd_jacobian(problem),
+                                                     **options)
+    assert (traj.termination.reason, traj.termination.step) == (want, step)
+    assert want == reason
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.f_norms, fnorms)
 
@@ -525,6 +571,18 @@ def quartic_problem(counter=None):
                           lipschitz_bound=8.0, name="quartic")
 
 
+def coupled_problem():
+    """f = x1^2/2 + x1^4/4 + x2^2 + x1 y1 + x2 y2/2 + x1 x2 y2/2 - y1^2/2 - y1^4/4
+    - y2^2/2: non-quadratic with d1 = d2 = 2 and a coupling whose second
+    derivatives vary in every block; local minimax at 0."""
+    def grad(z):
+        x1, x2, y1, y2 = z
+        return np.array([x1 + x1 ** 3 + y1 + 0.5 * x2 * y2, 2.0 * x2 + 0.5 * y2 + 0.5 * x1 * y2,
+                         x1 - y1 - y1 ** 3, 0.5 * x2 + 0.5 * x1 * x2 - y2])
+    return MinimaxProblem(d1=2, d2=2, value=lambda z: 0.0, grad=grad,
+                          lipschitz_bound=8.0, name="coupled")
+
+
 def mixed_ensemble():
     """F = (x, -y) / 100: x contracts and y expands under both methods, so
     with tol_conv = 1e-3 and diverge_norm = 2 members started on the axes
@@ -657,6 +715,20 @@ def test_batch_general_problem_calls_grad_like_reference(method):
     assert batch_calls == counter[0]
     assert {t.termination.reason for t in batch} == {"converged", "diverged", "nonfinite",
                                                     "max_iters"}
+
+
+@pytest.mark.parametrize("method", ["gda_tt", "eg_tt"])
+@pytest.mark.parametrize("z0, max_iters", [([0.3, -0.2, 0.25, 0.1], 2000),
+                                           ([0.6, 0.5, -0.4, 0.7], 40)])
+def test_run_discrete_general_problem_equals_reference_bitwise(method, z0, max_iters):
+    problem = coupled_problem()
+    params = MethodParams(method=method, eta=0.1, tau=3.0)
+    options = dict(tol_conv=1e-10, max_iters=max_iters, diverge_norm=1e3)
+    traj = run_discrete(problem, z0, params, **options)
+    reason, k, z = sequential_reference(problem, z0, params, **options)
+    assert (traj.termination.reason, traj.termination.step) == (reason, k)
+    assert reason == ("converged" if max_iters > 100 else "max_iters")
+    assert np.array_equal(traj.states[-1], z)
 
 
 ODE_METHODS = ["ode_plain", "ode_eg", "ode_eg_tt"]

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import reference_fd_jacobian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -133,17 +134,6 @@ def test_jacobian_matches_finite_differences(name, params):
         assert np.max(np.abs(H - H_fd)) <= 1e-5 * scale
 
 
-def reference_fd_jacobian(problem, z, h):
-    """One column per loop pass, each from two saddle_gradient calls."""
-    n = problem.dim
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        H[:, i] = (saddle_gradient(problem, z + e) - saddle_gradient(problem, z - e)) / (2 * h)
-    return H
-
-
 def polynomial_problem(rng, d1, d2, seen=None):
     """grad = Q z + c * z^3 with sparse Q and c, so that some second
     derivatives are exactly zero; seen, if given, records every grad point."""
@@ -197,6 +187,20 @@ def test_fd_jacobian_keeps_nonfinite_points_local():
         H = jacobian_F(p, z)
         assert np.array_equal(H, reference_fd_jacobian(p, z, default_fd_step(z)), equal_nan=True)
     assert np.array_equal(H[:, 0], [0.0, 0.0, 0.0])
+
+
+def test_fd_jacobian_takes_each_grad_result_before_the_next_call():
+    # a grad that returns one buffer, overwritten by every call
+    buf = np.empty(2)
+
+    def grad(z):
+        buf[:] = [2.0 * z[0] * z[1], z[0] ** 2 - z[1] ** 3]
+        return buf
+    p = MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=grad, lipschitz_bound=1.0)
+    z = np.array([1.0, 2.0])
+    H = jacobian_F(p, z)
+    assert np.array_equal(H, reference_fd_jacobian(p, z, default_fd_step(z)))
+    assert_allclose(H, [[4.0, 2.0], [-2.0, 12.0]], rtol=1e-8)
 
 
 @pytest.mark.parametrize("bad", [lambda z: np.ones(3), lambda z: 1.0,

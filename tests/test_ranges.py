@@ -17,7 +17,15 @@ import pytest
 
 from minimaxdyn import cli, dynamics
 from minimaxdyn.cli import build_parser, main
-from minimaxdyn.dynamics import RANGES, MethodParams, integrate, run_batch
+from minimaxdyn.dynamics import (
+    RANGES,
+    MethodParams,
+    find_stationary,
+    integrate,
+    ode_field,
+    run_batch,
+    run_discrete,
+)
 from minimaxdyn.problems import builtin_problem
 from minimaxdyn.stability import characterize_equilibrium
 
@@ -76,6 +84,10 @@ ROWS = {
     "diverge_norm": (0.0, False, True, lambda v: batch(diverge_norm=v),
                      simulate("--diverge-norm")),
     "max_iters": (0, True, None, lambda v: batch(max_iters=v), simulate("--max-iters")),
+    "newton_tol": (0.0, True, False, lambda v: find_stationary(BILINEAR, [0.3, 0.1],
+                                                               newton_tol=v), None),
+    "newton_max": (0, True, None, lambda v: find_stationary(BILINEAR, [0.0, 0.0],
+                                                            newton_max=v), None),
     "n": (0, True, None, lambda v: config("simulate", n=v), simulate("--n")),
     "seed": (0, True, None, lambda v: config("simulate", seed=v), simulate("--seed")),
 }
@@ -171,15 +183,26 @@ def test_every_numeric_run_parameter_has_a_row():
     """A numeric parameter added without a range fails here; eta and s are
     checked against 1/L by the step rule, dynamics.check_step."""
     names = {f.name for f in dataclasses.fields(MethodParams) if numeric(f.type)}
-    for fn in (characterize_equilibrium, run_batch, integrate):
+    for fn in (characterize_equilibrium, run_batch, run_discrete, integrate, ode_field,
+               find_stationary):
         names |= {p.name for p in inspect.signature(fn).parameters.values()
                   if numeric(p.annotation)}
     flags = numeric_flags("simulate") | numeric_flags("avoidance")
     # --tol-stationary sets characterize_equilibrium's stationarity_tol
     names |= {"stationarity_tol" if f == "tol_stationary" else f for f in flags}
     assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau", "box", "seed",
-            "cluster_tol", "target_tol"} <= names
+            "cluster_tol", "target_tol", "newton_tol", "newton_max"} <= names
     assert names - {"eta", "s"} <= RANGES.keys()
+
+
+@pytest.mark.parametrize("name, value", [("newton_tol", math.nan), ("newton_tol", -1.0),
+                                         ("newton_tol", math.inf), ("newton_max", -3)])
+def test_find_stationary_checks_its_settings_before_any_grad_call(name, value):
+    points = []
+    p = dataclasses.replace(BILINEAR, grad=lambda z: points.append(z) or BILINEAR.grad(z))
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+        find_stationary(p, [0.3, 0.1], **{name: value})
+    assert points == []
 
 
 def test_none_passes_only_where_it_means_the_default():
