@@ -23,6 +23,7 @@ one step of the stepper, and ode_field is one evaluation of its velocity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,15 +140,16 @@ def timescale_weights(d1: int, d2: int, tau: float) -> np.ndarray:
 def _row_field(problem: MinimaxProblem):
     """Evaluator field(Z, out=None, live=None) of F on each row of an (m, d) array.
 
-    Quadratic problems use F = Z H' with H built once; for m = 1 this is the
-    same BLAS product as saddle_gradient, so the two agree bit for bit.
+    Quadratic problems compute F = Z H' as np.dot(Z, H.T, out), H built once:
+    the bits of np.matmul(Z, H.T) and, for m = 1, of saddle_gradient.  np.dot
+    wants out C-contiguous float64 and apart from Z, as chunk rows are.
     Other problems call grad on the rows selected by the mask live (all by
     default) and leave NaN in the others, so a user's grad is never called
     past the point where a member stops.
     """
     if problem.quadratic is not None:
-        HT = problem.quadratic.hessian().T
-        return lambda Z, out=None, live=None: np.matmul(Z, HT, out=out)
+        HT, dot = problem.quadratic.hessian().T, np.dot
+        return lambda Z, out=None, live=None: dot(Z, HT, out)
 
     def rows(Z, out=None, live=None):
         out = np.empty_like(Z) if out is None else out
@@ -164,20 +166,26 @@ def _raise_singular(err, flag):
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
              under="ignore")
-def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(M: np.ndarray, rhs: np.ndarray, *out) -> np.ndarray:
     """np.linalg.solve(M, rhs) for float64 arrays, without its type dispatch.
 
     Calls the same LAPACK gesv gufunc under the same error state, so the
     bits and the singular-matrix LinAlgError are those of np.linalg.solve.
+    An output array, if given, may be rhs itself.
     """
     gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
-    return gufunc(M, rhs, signature="dd->d")
+    return gufunc(M, rhs, *out, signature="dd->d")
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n), (n, n))  # a read-only view
+
+
+def _solve_checked(M: np.ndarray, rhs: np.ndarray, *out) -> np.ndarray:
     # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
     # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
-    D = M - np.eye(M.shape[-1])
+    D = M - _identity(M.shape[-1])
     if not (np.vdot(D, D) <= 0.25 if M.ndim == 2  # one matrix: no .all() on a scalar
             else ((D * D).sum(axis=(-2, -1)) <= 0.25).all()):
         if not np.isfinite(M).all():  # cond's SVD would fail on it
@@ -187,22 +195,24 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if not ok.all():
             raise SingularOperatorError(
                 f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
-    return _solve(M, rhs)
+    return _solve(M, rhs, *out)
 
 
 def _velocity(problem: MinimaxProblem, params: MethodParams, field):
-    """Evaluator v(Y, F=None, live=None) of the method's ODE field on the rows of Y.
+    """Evaluator v(Y, F, out, live) of the method's ODE field on the rows of Y.
 
-    F, if given, is field(Y), which the caller already has.  On a quadratic
-    problem every row is evaluated, and the EG fields build M = I + s Lam_tau H
-    once and check its condition on the first call (a run that takes no step
-    raises nothing); each call then makes one stacked solve against M.  Other
-    problems solve against I + s Lam_tau DF(y) row by row; rows where live is
-    false get NaN and cost no grad call.
+    v writes the velocity into out and returns it; F is field(Y), or None to
+    evaluate it into out first.  On a quadratic problem every row is
+    evaluated, and the EG fields build M = I + s Lam_tau H once and check its
+    condition on the first call (a run that takes no step raises nothing).
+    Each call then makes one stacked solve against M in place in out: after
+    the first, the bare gesv gufunc, whose error state depends on M alone.
+    Other problems solve against I + s Lam_tau DF(y) row by row; rows where
+    live is false get NaN and cost no grad call.
     """
     kind = FIELD_KINDS[params.method]
     if kind == "plain":
-        return lambda Y, F=None, live=None: np.negative(field(Y, live=live) if F is None else F)
+        return lambda Y, F, out, live: np.negative(field(Y, out, live) if F is None else F, out)
     s = params.s
     if s is None or not 0.0 < s < math.inf:  # ode_field allows s >= 1/L
         raise ValueError(f"s must be finite and > 0, got {s}")
@@ -210,9 +220,8 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     if problem.quadratic is None:
         eye, lam_col = np.eye(problem.dim), lam[:, None]
 
-        def rows(Y, F=None, live=None):
-            F = field(Y, live=live) if F is None else F
-            out = np.empty_like(Y)
+        def rows(Y, F, out, live):
+            F = field(Y, out, live) if F is None else F  # row i is read before out[i] is set
             for i, y in enumerate(Y):
                 if live is None or live[i]:
                     M = s * (lam_col * jacobian_F(problem, y))
@@ -225,58 +234,64 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
     solve = _solve_checked  # checks the condition of M on the first call only
 
-    def stacked(Y, F=None, live=None):
+    def stacked(Y, F, out, live):
         nonlocal solve
-        out = solve(M, (lam * (field(Y) if F is None else F))[..., None])[..., 0]
-        solve = _solve
+        R = np.multiply(lam, field(Y, out) if F is None else F, out)[..., None]
+        solve(M, R, R)
+        solve = _umath_linalg.solve
         return np.negative(out, out)
     return stacked
 
 
-def _descend(z, F, eta, lam, out):
-    """out = z - eta * (lam * F), in this operation order, without temporaries.
-
-    eta and lam come as arrays of the shape of z: same-shape operands skip
-    the broadcasting set-up that dominates ufunc calls on a few rows.
-    """
-    np.multiply(lam, F, out)
-    np.multiply(eta, out, out)
-    return np.subtract(z, out, out)
-
-
 def _stepper(problem: MinimaxProblem, params: MethodParams, field):
-    """The method's one step, as rows(m) -> step(Z, F, out, live).
+    """The method's one step, as rows(m) -> step(Z, F, Znext, Fnext, live).
 
-    step writes into out the states one step after the m rows of Z, given
-    F = field(Z), and evaluates field only on the rows where live is true
-    (all when live is None).  rows(m) is called once per chunk; what it
-    builds around (eta, lam, the EG velocity and its checked operator) is
-    built once per run.
+    step writes into Znext the states one step after the m rows of Z, given
+    F = field(Z), and into Fnext their field, evaluating field only on the
+    rows where live is true (all when live is None).  rows(m) is called once
+    per chunk and allocates its buffers, so a quadratic step allocates
+    none; what it builds around (eta, lam, the EG velocity and its
+    checked operator) is built once per run.
     """
+    mul, add, sub = np.multiply, np.add, np.subtract
     if params.method in DISCRETE_METHODS:
         eta, d = float(params.eta), problem.dim
         lam = timescale_weights(problem.d1, problem.d2, float(params.tau))
         is_eg = params.method == "eg_tt"
 
         def rows(m):
+            # same-shape eta and lam skip the broadcasting set-up of few-row ufuncs
             eta_m, lam_m, F_mid = np.full((m, d), eta), lam * np.ones((m, 1)), np.empty((m, d))
 
-            def step(Z, F, out, live):
-                _descend(Z, F, eta_m, lam_m, out)
-                if is_eg:  # out holds the midpoint
-                    field(out, F_mid, live)
-                    _descend(Z, F_mid, eta_m, lam_m, out)
+            def step(Z, F, Zn, Fn, live):
+                mul(lam_m, F, Zn)  # Zn = Z - eta * (lam * F), in this order
+                mul(eta_m, Zn, Zn)
+                sub(Z, Zn, Zn)
+                if is_eg:  # Zn holds the midpoint
+                    mul(lam_m, field(Zn, F_mid, live), Zn)
+                    mul(eta_m, Zn, Zn)
+                    sub(Z, Zn, Zn)
+                field(Zn, Fn, live)
             return step
         return rows
     v, dt = _velocity(problem, params, field), params.dt or DT_DEFAULT
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def rk4(Z, F, out, live):
-        k1 = v(Z, F, live)
-        k2 = v(Z + 0.5 * dt * k1, None, live)
-        k3 = v(Z + 0.5 * dt * k2, None, live)
-        k4 = v(Z + dt * k3, None, live)
-        np.add(Z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out)
-    return lambda m: rk4
+    def rows(m):
+        Y, S, k1, k2, k3, k4 = np.empty((6, m, problem.dim))  # stage point, weighted sum
+
+        def rk4(Z, F, Zn, Fn, live):
+            v(Z, F, k1, live)
+            v(add(Z, mul(half, k1, Y), Y), None, k2, live)
+            v(add(Z, mul(half, k2, Y), Y), None, k3, live)
+            v(add(Z, mul(dt, k3, Y), Y), None, k4, live)
+            add(k1, mul(2.0, k2, S), S)  # Zn = Z + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+            add(S, mul(2.0, k3, Y), S)
+            add(S, k4, S)
+            add(Z, mul(sixth, S, S), Zn)
+            field(Zn, Fn, live)
+        return rk4
+    return rows
 
 
 def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
@@ -320,8 +335,9 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     state reached after max_iters steps is tested for convergence and
     non-finiteness only, and otherwise ends the run at max_iters (t_end for the ODE
     methods, whose times are the running sum of dt).  Live members advance
-    through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d); after
-    each chunk the stopped ones are dropped.  A member's float operations
+    through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d), one
+    stepper call writing each next row of the chunk's state and F buffers;
+    after each chunk the stopped ones are dropped.  A member's float operations
     do not depend on the batch, except for BLAS summation order in F = Z H'
     with a dense H.  With record=False a trajectory keeps only its initial
     and final states.
@@ -357,8 +373,7 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                     if not any(live):  # all stopped by sample i
                         Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
                         break
-                step(Zr[i], Fr[i], Zr[i + 1], live)
-                field(Zr[i + 1], Fr[i + 1], live)
+                step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
             if k0 == 0:
@@ -433,8 +448,8 @@ def integrate(problem: MinimaxProblem, kind: str, z0, s: float | None = None,
 def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
               tau: float = 1.0) -> np.ndarray:
     """Vector field of the named continuous system at z."""
-    params = MethodParams(method=f"ode_{kind}", s=s, tau=tau)
-    return _velocity(problem, params, _row_field(problem))(_as_states(problem, [z], "z"))[0]
+    params, Y = MethodParams(method=f"ode_{kind}", s=s, tau=tau), _as_states(problem, [z], "z")
+    return _velocity(problem, params, _row_field(problem))(Y, None, np.empty_like(Y), None)[0]
 
 
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,

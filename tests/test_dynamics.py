@@ -347,10 +347,8 @@ def test_integrate_reuses_the_gradient_of_each_step(kind):
     assert replay_deviation(problem, traj) == 0.0
 
 
-def test_quadratic_integrate_calls_saddle_gradient_four_times_per_step(monkeypatch):
-    """The engine evaluates F = Z H' once at the start and four times per
-    step: three RK4 stages and the new state, whose F the next step's first
-    stage reuses."""
+def count_field_calls(monkeypatch):
+    """A one-element list that counts every call of the engine's evaluator of F."""
     calls = [0]
     row_field = dynamics._row_field
 
@@ -362,10 +360,53 @@ def test_quadratic_integrate_calls_saddle_gradient_four_times_per_step(monkeypat
             return field(*args, **kwargs)
         return counted
     monkeypatch.setattr(dynamics, "_row_field", counted_row_field)
+    return calls
+
+
+def test_quadratic_integrate_calls_saddle_gradient_four_times_per_step(monkeypatch):
+    """The engine evaluates F = Z H' once at the start and four times per
+    step: three RK4 stages and the new state, whose F the next step's first
+    stage reuses."""
+    calls = count_field_calls(monkeypatch)
     traj = integrate(builtin_problem("bilinear"), "eg_tt", [1.0, 1.0], s=0.4, tau=10.0,
                      dt=0.1, t_end=3.0)
     assert len(traj) == 31
     assert calls[0] == 1 + 4 * (len(traj) - 1)
+
+
+@pytest.mark.parametrize("method, evaluations", [("gda_tt", 1), ("eg_tt", 2)])
+def test_quadratic_run_discrete_calls_saddle_gradient_once_per_descent(monkeypatch, method,
+                                                                       evaluations):
+    """The engine evaluates F = Z H' once at the start and once per descent:
+    at the new state for GDA, at the midpoint and the new state for EG."""
+    calls = count_field_calls(monkeypatch)
+    max_iters = 2 * LOCKSTEP_CHUNK + 22  # three chunks, the last one short
+    traj = run_discrete(builtin_problem("bilinear"), [1.0, 1.0],
+                        MethodParams(method=method, eta=0.5, tau=100.0), max_iters=max_iters)
+    assert (traj.termination.reason, len(traj)) == ("max_iters", max_iters + 1)
+    assert calls[0] == 1 + evaluations * max_iters
+
+
+def test_quadratic_field_dot_is_matmul_bit_for_bit():
+    """F = Z H' is np.dot(Z, H.T, out) into a row of a chunk buffer; it must
+    keep the bits of np.matmul(Z, H.T), NaN, inf and signed zeros included,
+    or batches stop equalling their reference runs.  Every problem has
+    d = d1 + d2 >= 2; at d = 1 np.dot scales by the 1 x 1 H, and a zero
+    product keeps the sign that matmul's sum drops."""
+    rng = np.random.default_rng(19)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        for _ in range(3000):
+            d, m, c = int(rng.integers(2, 9)), int(rng.integers(1, 26)), int(rng.integers(1, 5))
+            H = rng.standard_normal((d, d))
+            H[rng.random((d, d)) < 0.3] = 0.0
+            Z = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-300, 300, (m, 1))
+            hit = rng.random((m, d)) < rng.choice([0.0, 0.1, 0.5, 1.0])
+            Z[hit] = rng.choice(specials, hit.sum())
+            buffer = np.empty((c + 1, m, d))
+            row = buffer[int(rng.integers(1, c + 1))]
+            assert np.dot(Z, H.T, row) is row
+            assert row.tobytes() == np.matmul(Z, H.T).tobytes()
 
 
 # --- _solve_checked ---------------------------------------------------------
@@ -796,6 +837,29 @@ def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
     # the user's grad is never called past the point where a member stops
     assert batch_calls == counter[0]
     assert {"converged", "nonfinite", "t_end"} <= {t.termination.reason for t in batch}
+
+
+@pytest.mark.parametrize("method", ODE_METHODS)
+def test_quadratic_ode_batch_overflowing_inside_a_chunk_equals_batches_of_one(method):
+    """Stopped members ride the chunk through the stacked solve (quadratic
+    fields ignore the mask): the inf start at once, the 1e300 start within
+    25 steps (the flow grows 1.5x to 65x per step), and the 1e140 and
+    1e120 starts once their norms overflow mid-chunk.  Neither they nor
+    the others change."""
+    p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
+    Z0 = [[np.inf, 0.0], [1e300, -1e300], [-1e140, 1e140], [1e120, -1e110], [1.0, -1.0]]
+    params = MethodParams(method=method, s=0.4, tau=3.0, dt=0.5)
+    options = dict(max_iters=150, diverge_norm=math.inf, record=True)
+    batch = run_batch(p, Z0, params, **options)
+    singles = [run_batch(p, [z0], params, **options)[0] for z0 in Z0]
+    for a, b in zip(batch, singles, strict=True):
+        assert (a.termination.reason, a.termination.step) == (b.termination.reason,
+                                                             b.termination.step)
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.f_norms.tobytes() == b.f_norms.tobytes()
+    steps = [t.termination.step for t in batch]
+    assert [t.termination.reason for t in batch[:4]] == ["nonfinite"] * 4
+    assert steps[:2] == [0, 0] and all(0 < k < 150 and k % LOCKSTEP_CHUNK for k in steps[2:4])
 
 
 def test_ode_run_that_takes_no_step_raises_nothing():
