@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .problems import MinimaxProblem, _grad, jacobian_F, saddle_gradient
+from .problems import MinimaxProblem, _finite_point, _jacobian, _point, _saddle_rows
 
 DISCRETE_METHODS = ("gda_tt", "eg_tt")
 FIELD_KINDS = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}  # method -> field
@@ -142,22 +142,13 @@ def _row_field(problem: MinimaxProblem):
 
     Quadratic problems compute F = Z H' as np.dot(Z, H.T, out), H built once:
     the bits of np.matmul(Z, H.T) and, for m = 1, of saddle_gradient.  np.dot
-    wants out C-contiguous float64 and apart from Z, as chunk rows are.
-    Other problems call grad on the rows selected by the mask live (all by
-    default) and leave NaN in the others, so a user's grad is never called
-    past the point where a member stops.
+    wants out C-contiguous float64 and apart from Z, as chunk rows are.  Other
+    problems run _saddle_rows, whose mask keeps grad off stopped members.
     """
     if problem.quadratic is not None:
         HT, dot = problem.quadratic.hessian().T, np.dot
         return lambda Z, out=None, live=None: dot(Z, HT, out)
-
-    def rows(Z, out=None, live=None):
-        out = np.empty_like(Z) if out is None else out
-        for i in range(len(Z)):
-            out[i] = _grad(problem, Z[i]) if live is None or live[i] else np.nan
-            np.negative(out[i, problem.d1:], out[i, problem.d1:])
-        return out
-    return rows
+    return _saddle_rows(problem)
 
 
 def _raise_singular(err, flag):
@@ -182,19 +173,20 @@ def _identity(n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n), (n, n))  # a read-only view
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray, *out) -> np.ndarray:
-    # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl),
-    # so cond(M) <= 3 and the SVD behind cond is skipped; NaN and inf fail it
-    D = M - _identity(M.shape[-1])
-    if not (np.vdot(D, D) <= 0.25 if M.ndim == 2  # one matrix: no .all() on a scalar
+def _solve_checked(M: np.ndarray, rhs: np.ndarray, *out, scratch=None) -> np.ndarray:
+    # ||M - I||_F <= 1/2 puts every singular value of M in [1/2, 3/2] (Weyl): cond(M) <= 3, so
+    # cond's SVD and solve's zero-pivot error state are both skipped; NaN and inf fail it
+    D = np.subtract(M, _identity(M.shape[-1]), scratch)  # scratch: None or shaped like M
+    if (np.vdot(D, D) <= 0.25 if M.ndim == 2  # one matrix: no .all() on a scalar
             else ((D * D).sum(axis=(-2, -1)) <= 0.25).all()):
-        if not np.isfinite(M).all():  # cond's SVD would fail on it
-            raise SingularOperatorError("linear operator has non-finite entries")
-        cond = np.linalg.cond(M)  # one per matrix of a stack
-        ok = cond <= SOLVE_COND_LIMIT
-        if not ok.all():
-            raise SingularOperatorError(
-                f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
+        return _solve.__wrapped__(M, rhs, *out)
+    if not np.isfinite(M).all():  # cond's SVD would fail on it
+        raise SingularOperatorError("linear operator has non-finite entries")
+    cond = np.linalg.cond(M)  # one per matrix of a stack
+    ok = cond <= SOLVE_COND_LIMIT
+    if not ok.all():
+        raise SingularOperatorError(
+            f"linear operator numerically singular (cond ~ {np.extract(~ok, cond)[0]:.3e})")
     return _solve(M, rhs, *out)
 
 
@@ -202,13 +194,11 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     """Evaluator v(Y, F, out, live) of the method's ODE field on the rows of Y.
 
     v writes the velocity into out and returns it; F is field(Y), or None to
-    evaluate it into out first.  On a quadratic problem every row is
-    evaluated, and the EG fields build M = I + s Lam_tau H once and check its
-    condition on the first call (a run that takes no step raises nothing).
-    Each call then makes one stacked solve against M in place in out: after
-    the first, the bare gesv gufunc, whose error state depends on M alone.
-    Other problems solve against I + s Lam_tau DF(y) row by row; rows where
-    live is false get NaN and cost no grad call.
+    evaluate it into out first.  Quadratic EG fields build M = I + s Lam_tau H
+    once, check it on the first call (a run that takes no step raises nothing),
+    then solve every row in place with the bare gesv gufunc, whose error state
+    depends on M alone.  Other problems solve against I + s Lam_tau DF(y) row by
+    row in per-run buffers, with NaN and no grad call where live is false.
     """
     kind = FIELD_KINDS[params.method]
     if kind == "plain":
@@ -218,15 +208,18 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
         raise ValueError(f"s must be finite and > 0, got {s}")
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
     if problem.quadratic is None:
-        eye, lam_col = np.eye(problem.dim), lam[:, None]
+        jac = _jacobian(problem)
+        eye, lam_col = _identity(problem.dim), lam[:, None]
+        J, M, D = np.empty((3, problem.dim, problem.dim))  # DF(y), the operator, M - I
+        rhs = np.empty(problem.dim)
 
         def rows(Y, F, out, live):
             F = field(Y, out, live) if F is None else F  # row i is read before out[i] is set
             for i, y in enumerate(Y):
                 if live is None or live[i]:
-                    M = s * (lam_col * jacobian_F(problem, y))
-                    M += eye  # eye + s (lam J), bit for bit
-                    np.negative(_solve_checked(M, lam * F[i]), out[i])
+                    np.multiply(lam_col, jac(y, J), M)
+                    np.add(np.multiply(s, M, M), eye, M)  # eye + s (lam J), bit for bit
+                    np.negative(_solve_checked(M, np.multiply(lam, F[i], rhs), scratch=D), out[i])
                 else:
                     out[i] = np.nan
             return out
@@ -294,17 +287,37 @@ def _stepper(problem: MinimaxProblem, params: MethodParams, field):
     return rows
 
 
+def _rescaled(x, norm: float) -> float:
+    """norm = sqrt(x.x) of a row x, or, where x.x overflows on finite entries,
+    a * sqrt((x/a).(x/a)) with a = max|x|; inf then means the norm itself overflows."""
+    if norm < math.inf or not np.isfinite(x).all():
+        return norm
+    a = float(np.abs(x).max())
+    return a * math.sqrt((x / a).dot(x / a))
+
+
+def _fix_norms(X, n) -> None:
+    """Correct in place the norms n = sqrt(x.x) of the rows x of X that are not finite:
+    a NaN norm becomes +NaN (np.dot signs the NaN of F = Z H' at a NaN state by its row
+    count), and a row whose squares overflow on finite entries is rescaled."""
+    np.abs(n, n)
+    for idx in zip(*np.nonzero(n == math.inf)):
+        n[idx] = _rescaled(X[idx], n[idx])
+
+
 def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
     """Per row, whether the stopping rule lets it take another step.
 
     Row by row in Python, which costs less than array calls for the few
-    rows of a typical batch; the norms are those of np.linalg.norm.
+    rows of a typical batch; the norms are those run_batch records.
     """
     moving = []
     for i in range(len(Z)):
         f, z = F[i], Z[i]
-        moving.append(tol_conv < math.sqrt(f.dot(f)) < math.inf
-                      and math.sqrt(z.dot(z)) < diverge_norm)
+        fn, zn = math.sqrt(f.dot(f)), math.sqrt(z.dot(z))
+        if fn == math.inf or zn == math.inf:
+            fn, zn = _rescaled(f, fn), _rescaled(z, zn)
+        moving.append(tol_conv < fn < math.inf and zn < diverge_norm)
     return moving
 
 
@@ -313,14 +326,6 @@ def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != problem.dim:
         raise ValueError(f"{name} must have shape (n, {problem.dim}), got {Z.shape}")
     return Z
-
-
-def _finite_point(z, name: str) -> np.ndarray:
-    """z as a new float array; a ValueError naming it if an entry is NaN or inf."""
-    z = np.array(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError(f"{name} must be finite, got {z.tolist()}")
-    return z
 
 
 def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
@@ -376,9 +381,14 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
+            finite = np.isfinite(fn + zn)
+            if not finite.all():  # rare: an overflowed square, a NaN, or a sum past 1.8e308
+                _fix_norms(Fb, fn)
+                _fix_norms(Zb, zn)
+                finite = np.isfinite(fn) & np.isfinite(zn)
             if k0 == 0:
                 f_start[:] = fn[0]
-            conv, nonfinite = fn <= tol_conv, ~np.isfinite(fn + zn)
+            conv, nonfinite = fn <= tol_conv, ~finite
             div = (zn >= diverge_norm) & (diverge_norm < math.inf)  # inf: never
             stop = conv | div | nonfinite
             # sample c is the next chunk's first, unless it is the one after
@@ -454,16 +464,18 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
 
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
                     newton_max: int = 50) -> np.ndarray:
-    """Newton's method on F(z) = 0, for locating equilibria to classify."""
+    """Newton's method on F(z) = 0, F and DF from evaluators built once per call."""
     check_ranges(newton_tol=newton_tol, newton_max=newton_max)
-    z = _finite_point(z0, "z0")
+    z = _point(problem, _finite_point(z0, "z0"))
+    field = _saddle_rows(problem)
+    jac = _jacobian(problem)
+    H = np.empty((problem.dim, problem.dim))
     for _ in range(newton_max):
-        F = saddle_gradient(problem, z)
+        F = field(z[None])[0]
         if np.linalg.norm(F) <= newton_tol:
             return z
-        H = jacobian_F(problem, z)
-        z = z - _solve_checked(H, F)
-    F = saddle_gradient(problem, z)
+        z = z - _solve_checked(jac(z, H), F)
+    F = field(z[None])[0]
     if np.linalg.norm(F) <= newton_tol:
         return z
     raise NewtonError(

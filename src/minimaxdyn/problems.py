@@ -159,14 +159,6 @@ class QuadraticSpec:
         )
 
 
-def _grad(problem: MinimaxProblem, z) -> np.ndarray:
-    """problem.grad(z) as a float array, checked to have the shape (d,) of z."""
-    g = np.asarray(problem.grad(z), dtype=float)
-    if g.shape != z.shape:
-        raise ValueError(f"grad must return shape {z.shape}, got {g.shape}")
-    return g
-
-
 def _point(problem: MinimaxProblem, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.dim,):
@@ -174,11 +166,39 @@ def _point(problem: MinimaxProblem, z) -> np.ndarray:
     return z
 
 
+def _finite_point(z, name: str) -> np.ndarray:
+    """z as a new float array; a ValueError naming it if an entry is NaN or inf."""
+    z = np.array(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite, got {z.tolist()}")
+    return z
+
+
+def _saddle_rows(problem: MinimaxProblem):
+    """Evaluator rows(Z, out=None, live=None) of F on the rows of Z, NaN where live is
+    false: the one loop over grad, each result checked and copied before the next call."""
+    grad, d1, shape = problem.grad, problem.d1, (problem.dim,)
+
+    def rows(Z, out=None, live=None):
+        out = np.empty_like(Z) if out is None else out
+        for i in range(len(Z)):
+            if live is not None and not live[i]:
+                out[i] = np.nan
+                continue
+            g = np.asarray(grad(Z[i]), dtype=float)
+            if g.shape != shape:
+                raise ValueError(f"grad must return shape {shape}, got {g.shape}")
+            out[i] = g
+        Fy = out[:, d1:]
+        np.negative(Fy, Fy)
+        return out
+    return rows
+
+
 def saddle_gradient(problem: MinimaxProblem, z) -> np.ndarray:
     """F(z) = (grad_x f, -grad_y f) at z."""
-    F = _grad(problem, _point(problem, z)).copy()
-    F[problem.d1:] = -F[problem.d1:]
-    return F
+    z = _point(problem, z)
+    return _saddle_rows(problem)(z[None])[0]
 
 
 def default_fd_step(z) -> float:
@@ -187,35 +207,56 @@ def default_fd_step(z) -> float:
     return _CBRT_EPS * max(1.0, math.sqrt(z.dot(z)))  # the bits of np.linalg.norm
 
 
+def _jacobian(problem: MinimaxProblem):
+    """Evaluator jac(z, out) of H(z) = DF(z), z unchecked.  With analytic blocks it
+    returns a new array; else it writes into out, C-contiguous (d, d), column by column
+    (F(z + h e_i) - F(z - h e_i)) / 2h, with buffers made once per evaluator."""
+    if problem.hessian_blocks is not None:
+        return lambda z, out: block_hessian(*_blocks(problem, z))
+    d = problem.dim
+    rows = _saddle_rows(problem)
+    E = np.zeros((d, d))
+    diagonal = E.reshape(-1)[::d + 1]
+    # rows 2i and 2i + 1 of W and G: z + h e_i, then z - h e_i, and F there;
+    # G is column-major, so its y columns are contiguous for the negation
+    W = np.empty((2 * d, d))
+    W_rows = list(W)
+    W_plus, W_minus = W[0::2], W[1::2]
+    G = np.empty((2 * d, d), order="F")
+    G_plus, G_minus = G[0::2].T, G[1::2].T
+
+    def fd(z, out):
+        h = default_fd_step(z)
+        diagonal[...] = h  # exact zeros off the diagonal, unlike eye * inf
+        np.add(z, E, W_plus)  # out= as a keyword costs more than the add, on a few rows
+        np.subtract(z, E, W_minus)
+        rows(W_rows, G)  # negates before subtracting: signed zeros
+        np.subtract(G_plus, G_minus, out)
+        return np.divide(out, 2 * h, out)
+    return fd
+
+
 def jacobian_F(problem: MinimaxProblem, z) -> np.ndarray:
-    """The saddle Jacobian H(z) = DF(z).
+    """The saddle Jacobian H(z) = DF(z), as a new array on every call.
 
     Uses analytic Hessian blocks when the problem carries them, otherwise
-    central finite differences of the saddle gradient.
+    central finite differences of the saddle gradient (see _jacobian).  A z
+    of the wrong length or with a NaN or inf entry raises a ValueError.
     """
-    if problem.hessian_blocks is not None:
-        return block_hessian(*hessian_blocks_at(problem, z))
-    z = _point(problem, z)
-    h, d = default_fd_step(z), len(z)
-    E = np.zeros((d, d))
-    E.flat[::d + 1] = h  # exact zeros off the diagonal, unlike eye * inf
-    # rows 2i and 2i + 1 of W and G: z + h e_i, then z - h e_i, and grad there
-    W, G = np.empty((2 * d, d)), np.empty((2 * d, d))
-    np.add(z, E, W[0::2])  # out= as a keyword costs more than the add, on a few rows
-    np.subtract(z, E, W[1::2])
-    for k, w in enumerate(W):
-        G[k] = _grad(problem, w)
-    np.negative(G[:, problem.d1:], G[:, problem.d1:])  # before subtracting: signed zeros
-    H = np.subtract(G[0::2].T, G[1::2].T, order="C")
-    return np.divide(H, 2 * h, H)
+    z = _point(problem, _finite_point(z, "z"))
+    return _jacobian(problem)(z, np.empty((problem.dim, problem.dim)))
+
+
+def _blocks(problem: MinimaxProblem, z):
+    A, B, C = problem.hessian_blocks(z)
+    return symmetrize(A, "A"), symmetrize(B, "B"), _as_matrix(C, "C")
 
 
 def hessian_blocks_at(problem: MinimaxProblem, z):
-    """(A, B, C) at z, from the analytic evaluator or finite differences."""
-    z = np.asarray(z, dtype=float)
+    """(A, B, C) at z, from the analytic evaluator or finite differences; z as in jacobian_F."""
+    z = _point(problem, _finite_point(z, "z"))
     if problem.hessian_blocks is not None:
-        A, B, C = problem.hessian_blocks(z)
-        return symmetrize(A, "A"), symmetrize(B, "B"), _as_matrix(C, "C")
+        return _blocks(problem, z)
     H = jacobian_F(problem, z)
     d1 = problem.d1
     A = (H[:d1, :d1] + H[:d1, :d1].T) / 2.0

@@ -94,11 +94,13 @@ def test_simulate_gda_diverges(tmp_path):
 
 @pytest.mark.parametrize("method", ["gda_tt", "ode_plain"])
 def test_simulate_counts_nonfinite_members(tmp_path, method):
-    # F = (a x + y, -x) has a norm that overflows at every start in the box
+    # F = (a x + y, -x) overflows at every start in the box, |a x| > 1e308,
+    # and divergence is off, so each member ends nonfinite at its start
     out = tmp_path / "sim"
     code = run_cli("simulate", "--builtin", "scalar_degenerate", "--a", "1e200",
-                   "--method", method, "--eta", "1e-201", "--n", "3", "--max-iters", "50",
-                   "--no-trajectories", "--out", str(out))
+                   "--box", "1e200", "--diverge-norm", "inf", "--method", method,
+                   "--eta", "1e-201", "--n", "3", "--max-iters", "50", "--no-trajectories",
+                   "--out", str(out))
     assert code == 0
     summary = read_json(out / "simulate_summary.json")
     assert summary["fraction_nonfinite"] == 1.0

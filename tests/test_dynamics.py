@@ -290,9 +290,16 @@ def counting(calls, name, fn):
     return wrapper
 
 
+def count_jacobian_calls(monkeypatch, calls):
+    """Count, under "jacobian_F", the calls of every Jacobian evaluator the engine builds."""
+    build = dynamics._jacobian
+    monkeypatch.setattr(dynamics, "_jacobian",
+                        lambda problem: counting(calls, "jacobian_F", build(problem)))
+
+
 def test_quadratic_run_builds_and_checks_operator_once(monkeypatch):
     calls = {}
-    monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
+    count_jacobian_calls(monkeypatch, calls)
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
     monkeypatch.setattr(dynamics, "_solve_checked",
                         counting(calls, "checked", dynamics._solve_checked))
@@ -313,10 +320,11 @@ def test_quadratic_run_builds_and_checks_operator_once(monkeypatch):
 
 def test_general_problem_field_builds_operator_per_stage(monkeypatch):
     calls, operators = {}, []
-    monkeypatch.setattr(dynamics, "jacobian_F", counting(calls, "jacobian_F", jacobian_F))
+    count_jacobian_calls(monkeypatch, calls)
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))
-    solve = dynamics._solve
-    monkeypatch.setattr(dynamics, "_solve", lambda M, b: operators.append(M) or solve(M, b))
+    solve = dynamics._solve_checked  # M is a per-run buffer: keep a copy of each operator
+    monkeypatch.setattr(dynamics, "_solve_checked", lambda M, b, scratch: operators.append(
+        M.copy()) or solve(M, b, scratch=scratch))
     traj = integrate(quartic_problem(), "eg_tt", [0.5, -0.4], s=0.05, tau=2.0, dt=0.1,
                      t_end=2.0)
     assert len(traj) == 21
@@ -539,10 +547,46 @@ def test_run_discrete_gda_diverges(bilinear, tau):
                                                   (math.inf, "nonfinite")])
 def test_overflowing_norm_diverges_only_below_an_infinite_diverge_norm(
         bilinear, params, diverge_norm, reason):
-    """||z|| overflows to inf at the start: diverged under the default, nonfinite under inf."""
-    (traj,) = run_batch(bilinear, [[1e308, 1e308]], params, max_iters=5,
+    """||z|| (about 2.1e308) overflows to inf at the start: diverged under
+    the default, nonfinite under inf."""
+    (traj,) = run_batch(bilinear, [[1.5e308, 1.5e308]], params, max_iters=5,
                         diverge_norm=diverge_norm)
     assert traj.termination == Termination(reason, 0)
+
+
+def overflow_stops(traj, problem):
+    """Whether traj stopped at its first sample with a non-finite coordinate
+    of z or of F(z): every earlier sample is finite, and so are its norms."""
+    with np.errstate(all="ignore"):
+        finite = [np.isfinite(z).all() and np.isfinite(saddle_gradient(problem, z)).all()
+                  for z in traj.states]
+    return (traj.termination.reason == "nonfinite" and not finite[-1] and all(finite[:-1])
+            and np.isfinite(traj.f_norms[:-1]).all())
+
+
+def test_finite_state_whose_squares_overflow_is_not_nonfinite():
+    """x.x overflows once ||x|| passes about 1.34e154.  With divergence
+    off, the run from (1e300, -1e300) goes on until a coordinate of F
+    overflows, at step 101; until then its norms are finite, rescaled by
+    max|x|.  Rows whose squares do not overflow keep the bits of
+    np.linalg.norm, and a batch equals its batches of one."""
+    p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
+    params = MethodParams(method="gda_tt", eta=0.1)
+    traj = run_discrete(p, [1e300, -1e300], params, diverge_norm=math.inf)
+    assert traj.termination == Termination("nonfinite", 101) and overflow_stops(traj, p)
+    assert traj.f_norms[0] == 2e300 * math.sqrt(1.25)  # F = (2e300, -1e300), a = 2e300
+    Z0 = [[1e300, -1e300], [1e100, -1e100], [np.nan, 1.0], [1.0, -1.0]]
+    options = dict(max_iters=200, diverge_norm=math.inf, record=True)
+    batch = run_batch(p, Z0, params, **options)
+    for z0, a in zip(Z0, batch, strict=True):
+        (b,) = run_batch(p, [z0], params, **options)
+        assert a.termination == b.termination
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.f_norms.tobytes() == b.f_norms.tobytes()
+    assert batch[0].states.tobytes() == traj.states.tobytes()
+    # from 1e100 the state grows to about 1e116 in 200 steps: no square overflows
+    assert batch[1].f_norms.tobytes() == np.array([np.linalg.norm(saddle_gradient(p, z))
+                                                   for z in batch[1].states]).tobytes()
 
 
 def test_run_discrete_immediate_convergence(nondeg):
@@ -839,17 +883,130 @@ def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
     assert {"converged", "nonfinite", "t_end"} <= {t.termination.reason for t in batch}
 
 
+def same_bytes(a, b):
+    """Whether two trajectories agree byte for byte."""
+    return (a.termination == b.termination and a.times.tobytes() == b.times.tobytes()
+            and a.states.tobytes() == b.states.tobytes()
+            and a.f_norms.tobytes() == b.f_norms.tobytes())
+
+
+def written_out_eg_tt(problem, z0, eta, tau, n):
+    """n eg_tt steps, z - eta (lam F(z - eta (lam F(z)))), and the norms of F."""
+    lam = dynamics.timescale_weights(problem.d1, problem.d2, tau)
+    states = [np.asarray(z0, dtype=float)]
+    for _ in range(n):
+        z = states[-1]
+        mid = z - eta * (lam * saddle_gradient(problem, z))
+        states.append(z - eta * (lam * saddle_gradient(problem, mid)))
+    return np.array(states), np.array([np.linalg.norm(saddle_gradient(problem, z))
+                                       for z in states])
+
+
+@pytest.mark.parametrize("name", ["quartic", "coupled"])
+def test_general_path_equals_written_out_reference_bytewise(name):
+    """The engine on a non-quadratic problem, byte for byte against the
+    methods written out from saddle_gradient, the public jacobian_F and
+    np.linalg.solve in the engine's order of operations."""
+    problem = quartic_problem() if name == "quartic" else coupled_problem()
+    rng = np.random.default_rng(21)
+    start, far = rng.uniform(-0.5, 0.5, problem.dim), rng.uniform(-0.9, 0.9, problem.dim)
+    ode = dict(s=0.4 / problem.lipschitz_bound, tau=3.0, dt=0.1, tol_conv=1e-3,
+               diverge_norm=1e3)
+
+    def reference(kind, z0):
+        states, fnorms, reason, step = reference_integrate(
+            problem, kind, z0, lambda z: jacobian_F(problem, z), t_end=2.0, **ode)
+        return np.array(states), np.array(fnorms), Termination(reason, step)
+
+    for kind in ("eg", "eg_tt"):
+        traj = integrate(problem, kind, start, t_end=2.0, **ode)
+        states, fnorms, term = reference(kind, start)
+        assert traj.termination == term and traj.states.tobytes() == states.tobytes()
+        assert traj.f_norms.tobytes() == fnorms.tobytes()
+    # the member at the stationary origin stops at once and leaves the mask
+    # false on its rows for the rest of the chunk
+    Z0 = [np.zeros(problem.dim), start, far]
+    params = MethodParams(method="ode_eg_tt", s=ode["s"], tau=3.0, dt=0.1)
+    batch = run_batch(problem, Z0, params, tol_conv=1e-3, max_iters=20, diverge_norm=1e3,
+                      record=True)
+    assert batch[0].termination == Termination("converged", 0)
+    assert batch[2].termination.step > 0
+    for z0, traj in zip(Z0, batch, strict=True):
+        states, fnorms, term = reference("eg_tt", z0)
+        assert traj.termination == term and traj.states.tobytes() == states.tobytes()
+        assert traj.f_norms.tobytes() == fnorms.tobytes()
+    eta = 0.4 / problem.lipschitz_bound
+    traj = run_discrete(problem, far, MethodParams(method="eg_tt", eta=eta, tau=3.0),
+                        tol_conv=0.0, max_iters=40)
+    states, fnorms = written_out_eg_tt(problem, far, eta, 3.0, 40)
+    assert traj.termination == Termination("max_iters", 40)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.f_norms.tobytes() == fnorms.tobytes()
+
+
+def contract_runs(grad, newton=True):
+    """eg_tt and ode_eg_tt batches, and a Newton solve, on a 1 + 1 problem with grad."""
+    problem = MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=grad, lipschitz_bound=8.0)
+    Z0 = [[0.5, -0.4], [0.9, 0.9]]
+    runs = [run_batch(problem, Z0, MethodParams(method="eg_tt", eta=0.05, tau=2.0),
+                      max_iters=30, record=True),
+            run_batch(problem, Z0, MethodParams(method="ode_eg_tt", s=0.05, tau=2.0, dt=0.1),
+                      max_iters=30, record=True)]
+    return [t for batch in runs for t in batch], (
+        find_stationary(problem, [0.3, 0.2]).tobytes() if newton else None)
+
+
+def test_engine_takes_each_grad_result_whatever_its_container():
+    """A list, an int array, or one buffer that grad overwrites on every
+    call: each result is converted and copied before the next grad call."""
+    def values(z):
+        x, y = z
+        return [x + x ** 3 + y, x - y - y ** 3]
+    buf = np.empty(2)
+
+    def reused(z):
+        buf[:] = values(z)
+        return buf
+    want, want_root = contract_runs(lambda z: np.array(values(z)))
+    for grad in (values, reused):
+        got, root = contract_runs(grad)
+        assert root == want_root and all(map(same_bytes, got, want))
+    # an int-valued grad: rint(4 z), as int64 and as float64
+    want, _ = contract_runs(lambda z: np.rint(4.0 * np.asarray(z)), newton=False)
+    got, _ = contract_runs(lambda z: np.rint(4.0 * np.asarray(z)).astype(np.int64),
+                           newton=False)
+    assert all(map(same_bytes, got, want))
+
+
+def test_engine_names_a_grad_of_the_wrong_shape():
+    good, z0 = quartic_problem(), np.array([0.5, -0.4])
+    everywhere = dataclasses.replace(good, grad=lambda z: np.ones(3))
+    for run in (lambda p: integrate(p, "eg_tt", z0, s=0.05, tau=2.0),
+                lambda p: run_discrete(p, z0, MethodParams(method="eg_tt", eta=0.05))):
+        with pytest.raises(ValueError, match=r"grad must return shape \(2,\), got \(3,\)"):
+            run(everywhere)  # from the rows of F
+    # right at z0, wrong at the points z0 +- h e_i of the Jacobian's rows
+    off = dataclasses.replace(good, grad=lambda z: good.grad(z) if np.array_equal(z, z0)
+                              else np.ones((2, 1)))
+    for run in (lambda p: integrate(p, "eg_tt", z0, s=0.05, tau=2.0),
+                lambda p: find_stationary(p, z0)):
+        with pytest.raises(ValueError, match=r"grad must return shape \(2,\), got \(2, 1\)"):
+            run(off)
+
+
 @pytest.mark.parametrize("method", ODE_METHODS)
 def test_quadratic_ode_batch_overflowing_inside_a_chunk_equals_batches_of_one(method):
     """Stopped members ride the chunk through the stacked solve (quadratic
     fields ignore the mask): the inf start at once, the 1e300 start within
-    25 steps (the flow grows 1.5x to 65x per step), and the 1e140 and
-    1e120 starts once their norms overflow mid-chunk.  Neither they nor
-    the others change."""
+    25 steps (the flow grows 1.5x to 65x per step), and the 1e140, 1e120
+    and (1, -1) starts mid-chunk, each at the first sample with a
+    non-finite coordinate, not where their squares overflow.  Neither they
+    nor the others change, down to the sign of a NaN norm: np.dot signs the
+    NaN of F = Z H' at a NaN state by its row count, and the norm drops it."""
     p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
     Z0 = [[np.inf, 0.0], [1e300, -1e300], [-1e140, 1e140], [1e120, -1e110], [1.0, -1.0]]
     params = MethodParams(method=method, s=0.4, tau=3.0, dt=0.5)
-    options = dict(max_iters=150, diverge_norm=math.inf, record=True)
+    options = dict(max_iters=1000, diverge_norm=math.inf, record=True)
     batch = run_batch(p, Z0, params, **options)
     singles = [run_batch(p, [z0], params, **options)[0] for z0 in Z0]
     for a, b in zip(batch, singles, strict=True):
@@ -858,8 +1015,9 @@ def test_quadratic_ode_batch_overflowing_inside_a_chunk_equals_batches_of_one(me
         assert a.states.tobytes() == b.states.tobytes()
         assert a.f_norms.tobytes() == b.f_norms.tobytes()
     steps = [t.termination.step for t in batch]
-    assert [t.termination.reason for t in batch[:4]] == ["nonfinite"] * 4
-    assert steps[:2] == [0, 0] and all(0 < k < 150 and k % LOCKSTEP_CHUNK for k in steps[2:4])
+    assert steps[0] == 0 and 0 < steps[1] < 25
+    assert all(overflow_stops(t, p) for t in batch[1:])
+    assert all(k % LOCKSTEP_CHUNK for k in steps[2:])
 
 
 def test_ode_run_that_takes_no_step_raises_nothing():

@@ -13,6 +13,7 @@ from minimaxdyn.problems import (
     BUILTIN_NAMES,
     MinimaxProblem,
     QuadraticSpec,
+    _jacobian,
     builtin_problem,
     default_fd_step,
     hessian_blocks_at,
@@ -179,14 +180,41 @@ def test_fd_jacobian_equals_per_column_reference():
 def test_fd_jacobian_keeps_nonfinite_points_local():
     # at z = (inf, 1, -2) the default step is inf; each perturbed point must
     # differ from z in one coordinate only, so grad, which ignores z_0,
-    # stays finite at z +- h e_0 (eye * inf would put NaN in every coordinate)
+    # stays finite at z +- h e_0 (eye * inf would put NaN in every coordinate).
+    # The public jacobian_F refuses such a z; the engine's evaluator takes it.
     p = MinimaxProblem(d1=1, d2=2, value=lambda z: 0.0, lipschitz_bound=1.0,
                        grad=lambda z: np.array([1.0, z[1] ** 2, z[1] * z[2]]))
     z = np.array([np.inf, 1.0, -2.0])
     with np.errstate(invalid="ignore"):
-        H = jacobian_F(p, z)
+        H = _jacobian(p)(z, np.empty((3, 3)))
         assert np.array_equal(H, reference_fd_jacobian(p, z, default_fd_step(z)), equal_nan=True)
     assert np.array_equal(H[:, 0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_jacobian_and_blocks_refuse_nonfinite_points(analytic):
+    # the analytic blocks of a quadratic ignore z, and are refused all the same
+    p = builtin_problem("strict_nonminimax_demo") if analytic else MinimaxProblem(
+        d1=1, d2=2, value=lambda z: 0.0, lipschitz_bound=1.0,
+        grad=lambda z: np.array([1.0, z[1] ** 2, z[1] * z[2]]))
+    for z in ([np.inf, 1.0, -2.0], [1.0, np.nan, 0.0], [-np.inf, 0.0, 0.0]):
+        z = z + [0.0] * (p.dim - 3)
+        for call in (jacobian_F, hessian_blocks_at):
+            with pytest.raises(ValueError, match=r"z must be finite, got \[.*(nan|inf)"):
+                call(p, z)
+
+
+def test_jacobian_F_returns_a_fresh_array_per_call():
+    p = x2y_problem()
+    first = jacobian_F(p, [1.0, 2.0])
+    second = jacobian_F(p, [3.0, -1.0])
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, reference_fd_jacobian(p, np.array([1.0, 2.0]),
+                                                       default_fd_step([1.0, 2.0])))
+    assert np.array_equal(second, reference_fd_jacobian(p, np.array([3.0, -1.0]),
+                                                        default_fd_step([3.0, -1.0])))
+    first[:] = 0.0  # a caller may write into its array
+    assert np.array_equal(jacobian_F(p, [3.0, -1.0]), second)
 
 
 def test_fd_jacobian_takes_each_grad_result_before_the_next_call():
