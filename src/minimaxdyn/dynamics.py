@@ -314,10 +314,9 @@ def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
     moving = []
     for i in range(len(Z)):
         f, z = F[i], Z[i]
-        fn, zn = math.sqrt(f.dot(f)), math.sqrt(z.dot(z))
-        if fn == math.inf or zn == math.inf:
-            fn, zn = _rescaled(f, fn), _rescaled(z, zn)
-        moving.append(tol_conv < fn < math.inf and zn < diverge_norm)
+        fn = _rescaled(f, math.sqrt(f.dot(f)))
+        moving.append(tol_conv < fn < math.inf
+                      and _rescaled(z, math.sqrt(z.dot(z))) < diverge_norm)
     return moving
 
 

@@ -302,12 +302,52 @@ def _label_counts(labels: list[str]) -> tuple[int, int, int]:
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a minimal-total-cost assignment of a square
-    cost matrix.  scipy is imported here, on first use, so that code paths
-    that track no curves (every ``simulate`` run) never load it."""
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(cost)[1]
+    """Column of each row in a minimal-total-cost assignment of a square cost
+    matrix, as scipy's linear_sum_assignment gives it: a port of its shortest
+    augmenting path solver (Crouse, IEEE TAES 52(4), 2016), ties included."""
+    cols = cost.argmin(1)  # the solver's choice for every row while the duals are zero
+    if np.vdot(cost, cost) < np.inf and len(set(cols.tolist())) == len(cost):
+        return cols
+    if np.isnan(cost).any() or -np.inf in cost:
+        raise ValueError("cost matrix holds NaN or -inf entries")
+    rows = cost.tolist()
+    n = len(rows)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    row4col = [-1] * n
+    col4row = [-1] * n
+    for cur in range(n):
+        shortest = [np.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        i = cur
+        low = 0.0
+        while i != -1:  # grow the shortest path tree from row cur until a free column
+            lowest = np.inf
+            for it, j in enumerate(remaining):
+                r = low + rows[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    index = it
+                    lowest = shortest[j]
+            if lowest == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            low = lowest
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            sink = remaining.pop()
+            i = row4col[sink]
+        u[cur] += low
+        for j in set(range(n)).difference(remaining):  # the tree's columns and their rows
+            v[j] -= low - shortest[j]
+            if j != sink:
+                u[row4col[j]] += low - shortest[j]
+        while sink != -1:  # augment along the path back to row cur, which held no column
+            i = path[sink]
+            row4col[sink] = i
+            col4row[i], sink = sink, col4row[i]
+    return np.array(col4row)
 
 
 def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
@@ -323,22 +363,22 @@ def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
     the predicted positions.
     """
     n = H.shape[0]
-    m = len(eps_grid)
-    lam = np.empty((n, m), dtype=complex)
+    lam = np.empty((len(eps_grid), n), dtype=complex)  # one row per grid point
     spectra = np.linalg.eigvals(timescaled_hessian(H, 1.0 / eps_grid, d1))
-    for i, vals in enumerate(spectra):
-        if i == 0:
-            lam[:, 0] = vals[np.lexsort((vals.imag, vals.real))]
-            continue
-        if i == 1:
-            pred = lam[:, 0]
-        else:
-            beta = np.log(eps_grid[i] / eps_grid[i - 1]) / np.log(
-                eps_grid[i - 1] / eps_grid[i - 2])
-            ratio = lam[:, i - 1] / lam[:, i - 2]
-            pred = lam[:, i - 1] * ratio**beta
-        lam[:, i] = vals[_assign(np.abs(pred[:, None] - vals[None, :]))]
-    return lam
+    lam[0] = spectra[0][np.lexsort((spectra[0].imag, spectra[0].real))]
+    pred = lam[0]
+    steps = np.log(eps_grid[1:] / eps_grid[:-1])
+    betas = (steps[1:] / steps[:-1]).tolist()  # the exponent at grid point i is betas[i - 2]
+    diff = np.empty((n, n), dtype=complex)
+    cost = np.empty((n, n))
+    for i in range(1, len(eps_grid)):
+        if i > 1:
+            ratio = lam[i - 1] / lam[i - 2]
+            # lam first: numpy's complex products round differently with operands swapped
+            pred = lam[i - 1] * (ratio if betas[i - 2] == 1.0 else ratio**betas[i - 2])
+        np.subtract(pred[:, None], spectra[i], diff)
+        lam[i] = spectra[i][_assign(np.abs(diff, out=cost))]
+    return lam.T.copy()
 
 
 def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:

@@ -562,11 +562,17 @@ assert cli.main(sim + ["--method", "ode_eg_tt", "--s", "0.4", "--dt", "0.2",
                        "--out", out + "/o"]) == 0
 assert os.path.isfile(out + "/d/traj_0001.csv") and os.path.isfile(out + "/o/traj_0001.csv")
 assert scipy_modules() == [], scipy_modules()
-from minimaxdyn import spectral
+demo = ["--builtin", "strict_nonminimax_demo"]
+assert cli.main(["classify", "--builtin", "bilinear", "--out", out + "/c"]) == 0
+assert cli.main(["sweep", *demo, "--out", out + "/w"]) == 0
+assert cli.main(["avoidance", *demo, "--method", "eg_tt", "--n", "20", "--out", out + "/a"]) == 0
+from minimaxdyn import problems, spectral, stability
+report = stability.characterize_equilibrium(problems.builtin_problem("bilinear"), np.zeros(2))
+assert report.curves.counts() == (2, 0, 0), report.curves.counts()
+assert scipy_modules() == [], scipy_modules()
 blocks = spectral.canonicalize([[2.0]], [[-1.0]], [[1.0]])
 assert np.allclose(spectral.mu_roots_oracle(blocks), [3.0])
-assert cli.main(["classify", "--builtin", "bilinear", "--out", out + "/c"]) == 0
-assert "scipy.optimize" in sys.modules
+assert "scipy.linalg" in sys.modules
 """
 
 

@@ -1,8 +1,13 @@
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 from conftest import assemble_hessian, random_saddle_blocks
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -15,6 +20,7 @@ from minimaxdyn.spectral import (
     LABEL_ORDER_ONE,
     LABEL_SQRT,
     SingularHessianError,
+    _assign,
     canonicalize,
     default_psd_tol,
     eigencurves,
@@ -343,6 +349,162 @@ def test_eigencurves_match_per_eps_reference():
             assert np.array_equal(curves.sigma_by_curve, sigma_by_curve, equal_nan=True), key
             if key == "tie":
                 assert any(has_tie(c) for c in costs)
+
+
+# --- assignment solver ---------------------------------------------------------
+
+ASSIGN_CORPUS = pathlib.Path(__file__).with_name("assign_corpus.json")
+
+
+def assert_assign_is_scipys(cost):
+    """_assign gives scipy's columns, or refuses the matrix where scipy does."""
+    try:
+        want = linear_sum_assignment(cost)[1]
+    except ValueError:
+        with pytest.raises(ValueError, match="^cost matrix (is infeasible|holds NaN or -inf)"):
+            _assign(cost)
+        return
+    got = _assign(cost)
+    assert got.tolist() == want.tolist(), cost
+
+
+def square_costs(elements):
+    """n x n cost matrices, n from 1 to 8, with entries drawn from elements."""
+    return st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (n, n), elements=elements))
+
+
+@given(square_costs(st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=200, deadline=None)
+def test_assign_matches_scipy_on_random_floats(cost):
+    assert_assign_is_scipys(cost)
+
+
+@given(square_costs(st.integers(-2, 2).map(float)))
+@settings(max_examples=300, deadline=None)
+def test_assign_matches_scipy_on_tie_heavy_small_integers(cost):
+    assert_assign_is_scipys(cost)
+
+
+@given(st.integers(1, 8), st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=100, deadline=None)
+def test_assign_matches_scipy_on_constant_matrices(n, value):
+    assert_assign_is_scipys(np.full((n, n), value))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (3, 3), elements=st.integers(0, 3).map(float)),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None)
+def test_assign_matches_scipy_with_duplicated_rows_and_columns(drawn):
+    base, rows, cols = drawn
+    assert_assign_is_scipys(base[np.ix_(rows, cols)])
+
+
+@given(square_costs(st.sampled_from([0.0, 1.0, 2.0, np.inf])))
+@settings(max_examples=150, deadline=None)
+def test_assign_matches_scipy_with_infinite_costs(cost):
+    assert_assign_is_scipys(cost)
+
+
+def test_assign_matches_scipy_on_the_tracking_corpus():
+    """Every cost matrix of one classify_sweep and one general_problem round
+    of perfbench that misses the first-minima fast path: real curve crossings."""
+    corpus = json.loads(ASSIGN_CORPUS.read_text())
+    assert (len(corpus["classify_sweep"]), len(corpus["general_problem"])) == (48, 93)
+    for cost in map(np.array, corpus["classify_sweep"] + corpus["general_problem"]):
+        assert len(set(cost.argmin(1).tolist())) < len(cost)
+        assert_assign_is_scipys(cost)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_assign_refuses_nan_and_minus_inf_by_name(bad):
+    for n in (1, 2, 4):
+        for i, j in itertools.product(range(n), repeat=2):
+            cost = np.arange(n * n, dtype=float).reshape(n, n)
+            cost[i, j] = bad
+            with pytest.raises(ValueError, match="^cost matrix holds NaN or -inf entries$"):
+                _assign(cost)
+            with pytest.raises(ValueError):
+                linear_sum_assignment(cost)
+
+
+@pytest.mark.parametrize("cost", [
+    [[np.inf]],
+    [[1.0, np.inf], [2.0, np.inf]],
+    [[np.inf, np.inf], [0.0, 1.0]],
+    [[0.0, np.inf, np.inf], [np.inf, 0.0, np.inf], [np.inf, 1.0, np.inf]],
+])
+def test_assign_refuses_an_infeasible_matrix_by_name(cost):
+    cost = np.array(cost)
+    with pytest.raises(ValueError, match="^cost matrix is infeasible$"):
+        _assign(cost)
+    with pytest.raises(ValueError, match="infeasible"):
+        linear_sum_assignment(cost)
+
+
+def tracker_betas(grid):
+    """The power-law exponents as the curve tracker computes them: one vector pass."""
+    steps = np.log(grid[1:] / grid[:-1])
+    return (steps[1:] / steps[:-1]).tolist()
+
+
+def eps_grid_forms():
+    """DEFAULT_EPS_GRID, and the geometric grids of sweep's --eps-grid lo:hi:n."""
+    lo, hi = st.floats(1e-12, 1.0), st.floats(1e-300, 1.0)
+    grids = st.tuples(lo, hi, st.integers(4, 200)).filter(lambda t: t[1] < t[0])
+    return st.one_of(st.just(DEFAULT_EPS_GRID), grids.map(lambda t: np.geomspace(*t)))
+
+
+@given(eps_grid_forms(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_vectorised_betas_are_the_per_point_scalars_bit_for_bit(grid, seed):
+    """The tracker computes every exponent in one vector pass and raises the
+    ratios to them as Python floats; each must keep the bits of the scalar
+    np.log(eps_i / eps_{i-1}) / np.log(eps_{i-1} / eps_{i-2}), and so must
+    the complex power, or the tracked curves move in the last bit."""
+    if np.any(np.diff(grid) >= 0):
+        return  # geomspace rounded two points together: no eigencurves grid
+    ratio = np.random.default_rng(seed).standard_normal((6, 2)) @ [1.0, 1j]
+    for i, beta in enumerate(tracker_betas(grid), 2):
+        scalar = np.log(grid[i] / grid[i - 1]) / np.log(grid[i - 1] / grid[i - 2])
+        assert type(beta) is float and beta == scalar
+        assert (ratio**beta).tobytes() == (ratio**scalar).tobytes()
+
+
+def test_tracker_betas_on_the_default_grid_hold_the_unit_powers_it_skips():
+    betas = tracker_betas(DEFAULT_EPS_GRID)
+    assert len(betas) == 38 and betas.count(1.0) == 8
+
+
+def complex_with_specials(rng, shape):
+    """Complex normals over 600 decades, with NaN, infinities, signed zeros,
+    the smallest subnormal and near-overflow values in either part."""
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7e308])
+    parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-300, 300, (2, *shape))
+    hit = rng.random((2, *shape)) < rng.choice([0.0, 0.2, 1.0])
+    parts[hit] = rng.choice(specials, hit.sum())
+    x = np.empty(shape, dtype=complex)
+    x.real, x.imag = parts  # 1j * inf would put NaN into the real part
+    return x
+
+
+def test_complex_power_one_keeps_the_tracking_cost_bit_for_bit():
+    """The tracker takes lam * ratio, not lam * ratio ** beta, where beta ==
+    1.0.  Complex x ** 1.0 keeps every bit of x, NaN and inf included, except
+    that a zero comes back as +0+0j whatever the signs of its parts; the cost
+    |lam * ratio ** 1.0 - v| the tracker assigns on keeps every bit."""
+    rng = np.random.default_rng(22)
+    with np.errstate(all="ignore"):
+        for _ in range(1000):
+            n = int(rng.integers(1, 9))
+            lam, prev, vals = (complex_with_specials(rng, (n,)) for _ in range(3))
+            ratio = lam / prev
+            zero = ratio == 0
+            assert (ratio[~zero] ** 1.0).tobytes() == ratio[~zero].tobytes()
+            assert (ratio[zero] ** 1.0).tobytes() == np.zeros(zero.sum(), complex).tobytes()
+            cost = np.abs(lam[:, None] * ratio[:, None] ** 1.0 - vals)
+            assert cost.tobytes() == np.abs(lam[:, None] * ratio[:, None] - vals).tobytes()
 
 
 # --- mu-equation pencil oracle -------------------------------------------------
