@@ -15,7 +15,12 @@ benchmark's inputs.  The workloads come from perfbench/workloads.py of the
 checkout the script lives in, which it imports and does not change; the
 package is imported from that checkout's src/.
 
-Usage: python scripts/output_digest.py [--seeds 0-5] [--workload NAME ...]
+With --check FILE the digests are compared with FILE, the output of an
+earlier run with the same --seeds and --workload (for example of another
+checkout: --seeds 0-5 > before.txt); each template that differs, or is on
+one side only, is named and the exit status is 1.
+
+Usage: python scripts/output_digest.py [--seeds 0-5] [--workload NAME ...] [--check FILE]
 """
 
 import argparse
@@ -82,6 +87,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="0-5", help="inclusive range, as 0-5 or 3")
     ap.add_argument("--workload", nargs="*", choices=sorted(workloads.WORKLOADS),
                     help="workloads to run (default: all)")
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare with the digests an earlier run wrote to FILE")
     args = ap.parse_args(argv)
 
     digests = {}
@@ -97,9 +104,20 @@ def main(argv=None) -> int:
                     h = digests.setdefault(f"{name}/{template}", hashlib.sha256())
                     feed(h, op.key)
                     feed(h, op.run())
-    for key, h in digests.items():
-        print(f"{h.hexdigest()}  {key}")
-    return 0
+    lines = {key: h.hexdigest() for key, h in digests.items()}
+    if args.check is None:
+        for key, digest in lines.items():
+            print(f"{digest}  {key}")
+        return 0
+    with open(args.check) as fh:
+        before = {key: digest for digest, key in (line.split() for line in fh if line.strip())}
+    differ = [key for key in {**before, **lines} if before.get(key) != lines.get(key)]
+    for key in differ:
+        print(f"differs: {key}" if key in before and key in lines else
+              f"only {'here' if key in lines else 'in ' + args.check}: {key}")
+    print(f"{len(lines) - len(set(differ) & lines.keys())} of {len(lines)} template digests "
+          f"match {args.check}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ TOL_CONV_DEFAULT = 1e-10
 DIVERGE_NORM_DEFAULT = 1e8
 DT_DEFAULT = 1e-2
 SOLVE_COND_LIMIT = 1e12
-LOCKSTEP_CHUNK = 64           # steps between termination checks
+LOCKSTEP_CHUNK = 64           # steps between termination checks, buffered once per live set
 LOCKSTEP_BUFFER = 1 << 20     # floats per chunk buffer (at least two samples)
 
 
@@ -64,7 +64,9 @@ RANGES = {
     **dict.fromkeys(("tol_conv", "stationarity_tol", "rank_tol", "psd_tol", "marginal_tol",
                      "t_end", "newton_tol"), _NONNEGATIVE),
     "diverge_norm": (lambda v: v > 0.0, "> 0"),  # inf: never
-    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (  # a bool is not a count
+        lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0,
+        "an integer >= 0")),
 }
 OPTIONAL = {"dt", "rank_tol", "psd_tol"}  # None stands for the default
 
@@ -132,9 +134,7 @@ class Trajectory:
 
 def timescale_weights(d1: int, d2: int, tau: float) -> np.ndarray:
     """Diagonal of Lam_tau as a vector."""
-    w = np.ones(d1 + d2)
-    w[:d1] = 1.0 / tau
-    return w
+    return np.concatenate((np.full(d1, 1.0 / tau), np.ones(d2)))
 
 
 def _row_field(problem: MinimaxProblem):
@@ -242,9 +242,9 @@ def _stepper(problem: MinimaxProblem, params: MethodParams, field):
     step writes into Znext the states one step after the m rows of Z, given
     F = field(Z), and into Fnext their field, evaluating field only on the
     rows where live is true (all when live is None).  rows(m) is called once
-    per chunk and allocates its buffers, so a quadratic step allocates
-    none; what it builds around (eta, lam, the EG velocity and its
-    checked operator) is built once per run.
+    per live set (again only when members drop out) and allocates its
+    buffers, so a quadratic step allocates none; what it builds around
+    (eta, lam, the EG velocity and its checked operator) is built once per run.
     """
     mul, add, sub = np.multiply, np.add, np.subtract
     if params.method in DISCRETE_METHODS:
@@ -296,13 +296,14 @@ def _rescaled(x, norm: float) -> float:
     return a * math.sqrt((x / a).dot(x / a))
 
 
-def _fix_norms(X, n) -> None:
-    """Correct in place the norms n = sqrt(x.x) of the rows x of X that are not finite:
+def _fix_norms(X, n) -> np.ndarray:
+    """Correct in place the norms n = sqrt(x.x) of the rows x of X, and return isfinite(n):
     a NaN norm becomes +NaN (np.dot signs the NaN of F = Z H' at a NaN state by its row
     count), and a row whose squares overflow on finite entries is rescaled."""
     np.abs(n, n)
     for idx in zip(*np.nonzero(n == math.inf)):
         n[idx] = _rescaled(X[idx], n[idx])
+    return np.isfinite(n)
 
 
 def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
@@ -341,10 +342,11 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     methods, whose times are the running sum of dt).  Live members advance
     through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d), one
     stepper call writing each next row of the chunk's state and F buffers;
-    after each chunk the stopped ones are dropped.  A member's float operations
-    do not depend on the batch, except for BLAS summation order in F = Z H'
-    with a dense H.  With record=False a trajectory keeps only its initial
-    and final states.
+    after each chunk the stopped ones are dropped (buffers are made once per
+    live set, and a middle chunk where none stopped skips the stop pass).  A
+    member's float operations do not depend on the batch, except for BLAS
+    summation order in F = Z H' with a dense H.  With record=False a trajectory
+    keeps only its initial and final states; returned arrays share no memory.
     """
     params.validate(problem)
     check_ranges(tol_conv=tol_conv, max_iters=max_iters, diverge_norm=diverge_norm)
@@ -357,54 +359,61 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     # members are not checked before each step; every other batch stops as
     # soon as all its members have (quadratic evaluators ignore the mask)
     checked = problem.quadratic is None or not discrete
-    K = int(max_iters)
 
     steps, codes = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     Z_end, f_end, f_start = np.empty_like(Z0), np.empty(n), np.empty(n)
     history = [[] for _ in range(n if record else 0)]  # (states, F norms) per chunk
     with np.errstate(all="ignore"):  # members past diverge_norm may overflow
-        ids, k0, Z, F = np.arange(n), 0, Z0, field(Z0)
+        ids, k0, Z, F, m = np.arange(n), 0, Z0, field(Z0), 0
         while ids.size:
-            m = ids.size
-            c = min(LOCKSTEP_CHUNK, max(1, LOCKSTEP_BUFFER // (m * d) - 1), K - k0)
-            Zb, Fb = np.empty((c + 1, m, d)), np.empty((c + 1, m, d))
+            if ids.size != m:  # buffers, their row views and the stepper, once per live set
+                m = ids.size
+                c = min(LOCKSTEP_CHUNK, max(1, LOCKSTEP_BUFFER // (m * d) - 1), max_iters - k0)
+                Zbuf, Fbuf = np.empty((c + 1, m, d)), np.empty((c + 1, m, d))
+                Zr, Fr, step = list(Zbuf), list(Fbuf), rows(m)
+            c = min(len(Zr) - 1, max_iters - k0)
+            Zb, Fb = Zbuf[:c + 1], Fbuf[:c + 1]
             Zb[0], Fb[0] = Z, F
-            Zr, Fr, step = list(Zb), list(Fb), rows(m)
-            for i in range(c):
-                live = None
-                if checked:
+            if checked:
+                for i in range(c):
                     live = _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
                     if not any(live):  # all stopped by sample i
                         Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
                         break
-                step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
+                    step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
+            else:
+                for i in range(c):
+                    step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], None)
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
-            finite = np.isfinite(fn + zn)
-            if not finite.all():  # rare: an overflowed square, a NaN, or a sum past 1.8e308
-                _fix_norms(Fb, fn)
-                _fix_norms(Zb, zn)
-                finite = np.isfinite(fn) & np.isfinite(zn)
-            if k0 == 0:
-                f_start[:] = fn[0]
-            conv, nonfinite = fn <= tol_conv, ~finite
-            div = (zn >= diverge_norm) & (diverge_norm < math.inf)  # inf: never
-            stop = conv | div | nonfinite
-            # sample c is the next chunk's first, unless it is the one after
-            # max_iters, which ends every run and is not tested for divergence
-            div[c], stop[c] = False, k0 + c == K
-            if record:
+            Z, F, f, z = Zb[c], Fb[c], fn[:c], zn[:c]
+            if record:  # sample c is the next chunk's first; the buffers are reused
+                Zs = Zb[:c].copy()
                 for col, i in enumerate(ids.tolist()):
-                    history[i].append((Zb[:, col], fn[:, col]))
-            ended = stop.any(axis=0)
-            Z, F = Zb[c], Fb[c]
-            if ended.any():
-                j, done = stop.argmax(axis=0)[ended], ids[ended]
-                steps[done] = k0 + j
-                codes[done] = np.where(conv[j, ended], 0, np.where(
-                    div[j, ended], 1, np.where(nonfinite[j, ended], 2, 3)))
-                Z_end[done], f_end[done] = Zb[j, ended], fn[j, ended]
-                ids, Z, F = ids[~ended], Z[~ended], F[~ended]
+                    history[i].append((Zs[:, col], f[:, col]))  # f is fixed in place below
+            # in a chunk neither first nor last, no member stopped if samples 0..c-1
+            # all pass this test, which NaN, inf and overflowed squares fail
+            if not (0 < k0 < max_iters - c
+                    and ((tol_conv < f) & (f < math.inf) & (z < diverge_norm)).all()):
+                finite = np.isfinite(fn + zn)
+                if not finite.all():  # rare: an overflowed square, a NaN, or a sum past 1.8e308
+                    finite = _fix_norms(Fb, fn) & _fix_norms(Zb, zn)
+                if k0 == 0:
+                    f_start[:] = fn[0]
+                conv, nonfinite = fn <= tol_conv, ~finite
+                div = (zn >= diverge_norm) & (diverge_norm < math.inf)  # inf: never
+                stop = conv | div | nonfinite
+                # sample c is the next chunk's first, unless it is the one after
+                # max_iters, which ends every run and is not tested for divergence
+                div[c], stop[c] = False, k0 + c == max_iters
+                ended = stop.any(axis=0)
+                if ended.any():
+                    j, done = stop.argmax(axis=0)[ended], ids[ended]
+                    steps[done] = k0 + j
+                    codes[done] = np.where(conv[j, ended], 0, np.where(
+                        div[j, ended], 1, np.where(nonfinite[j, ended], 2, 3)))
+                    Z_end[done], f_end[done] = Zb[j, ended], fn[j, ended]
+                    ids, Z, F = ids[~ended], Z[~ended], F[~ended]
             k0 += c
 
     reasons = ("converged", "diverged", "nonfinite", "max_iters" if discrete else "t_end")
@@ -413,16 +422,14 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
          else np.cumsum(np.r_[0.0, np.full(top, params.dt or DT_DEFAULT)]))
     out = []
     for i, k in enumerate(steps.tolist()):
-        if record:  # a chunk's last sample is also the next one's first
-            parts = history[i][:-1]
-            times = T[:k + 1]
-            states = np.concatenate([z[:-1] for z, _ in parts] + [history[i][-1][0]])[:k + 1]
-            fnorms = np.concatenate([f[:-1] for _, f in parts] + [history[i][-1][1]])[:k + 1]
+        if record:  # the samples before k, from each chunk's first c rows, then sample k
+            zs, fs = zip(*history[i], (Z_end[i, None], f_end[i, None]))
+            times, states, fnorms = T[:k + 1].copy(), np.concatenate(zs), np.concatenate(fs)
         else:
             times = T[[0, k] if k else [0]]
-            states = np.array([Z0[i], Z_end[i]])[:len(times)]
-            fnorms = np.array([f_start[i], f_end[i]])[:len(times)]
-        out.append(Trajectory(times, states, fnorms, Termination(reasons[codes[i]], k), params))
+            states, fnorms = np.array([Z0[i], Z_end[i]]), np.array([f_start[i], f_end[i]])
+        out.append(Trajectory(times, states[:len(times)], fnorms[:len(times)],
+                              Termination(reasons[codes[i]], k), params))
     return out
 
 
@@ -466,27 +473,20 @@ def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,
     """Newton's method on F(z) = 0, F and DF from evaluators built once per call."""
     check_ranges(newton_tol=newton_tol, newton_max=newton_max)
     z = _point(problem, _finite_point(z0, "z0"))
-    field = _saddle_rows(problem)
-    jac = _jacobian(problem)
-    H = np.empty((problem.dim, problem.dim))
-    for _ in range(newton_max):
+    field, jac, H = _saddle_rows(problem), _jacobian(problem), np.empty((problem.dim,) * 2)
+    for it in range(newton_max + 1):  # the last iterate is tested, not stepped from
         F = field(z[None])[0]
         if np.linalg.norm(F) <= newton_tol:
             return z
-        z = z - _solve_checked(jac(z, H), F)
-    F = field(z[None])[0]
-    if np.linalg.norm(F) <= newton_tol:
-        return z
-    raise NewtonError(
-        f"no stationary point within {newton_max} iterations "
-        f"(residual {np.linalg.norm(F):.3e})"
-    )
+        if it < newton_max:
+            z = z - _solve_checked(jac(z, H), F)
+    raise NewtonError(f"no stationary point within {newton_max} iterations "
+                      f"(residual {np.linalg.norm(F):.3e})")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header step,t,z_0,...,z_{d-1},F_norm; one row per sample."""
-    d = traj.states.shape[1]
-    cols = ",".join(f"z_{i}" for i in range(d))
+    cols = ",".join(f"z_{i}" for i in range(traj.states.shape[1]))
     with open(path, "w") as fh:
         fh.write(f"step,t,{cols},F_norm\n")
         rows = np.column_stack((traj.times, traj.states, traj.f_norms)).tolist()

@@ -699,3 +699,27 @@ def test_scripts_run(tmp_path, script, extra):
                              "--out", str(tmp_path / "out")],
                             capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_output_digest_check_names_each_template_that_differs(tmp_path):
+    digest = [sys.executable, os.path.join(SCRIPTS, "output_digest.py"), "--seeds", "0",
+              "--workload", "ensemble_ode"]
+
+    def run(*extra):
+        return subprocess.run(digest + list(extra), capture_output=True, text=True,
+                              env=CHILD_ENV, timeout=120)
+    first = run()
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    n, key = len(lines), lines[0].split()[1]
+    before = tmp_path / "before.txt"
+    before.write_text(first.stdout)
+    same = run("--check", str(before))
+    assert (same.returncode, same.stdout) == (0, f"{n} of {n} template digests match {before}\n")
+    before.write_text("\n".join([f"{'0' * 64}  {key}", *lines[1:],
+                                 f"{'0' * 64}  ensemble_ode/gone"]) + "\n")
+    changed = run("--check", str(before))
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [
+        f"differs: {key}", f"only in {before}: ensemble_ode/gone",
+        f"{n - 1} of {n} template digests match {before}"]

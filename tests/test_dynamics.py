@@ -883,6 +883,77 @@ def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
     assert {"converged", "nonfinite", "t_end"} <= {t.termination.reason for t in batch}
 
 
+# --- buffers made once per live set ------------------------------------------
+
+
+def shrinking_ensemble(name):
+    """(problem, Z0, options) whose members stop in at least three different
+    chunks of a run of REUSE_ITERS steps, besides a NaN start and a member
+    that runs to the end; bilinear and quartic fields are exact in any row order."""
+    if name == "mixed":
+        return mixed_ensemble()
+    if name == "bilinear":
+        r, angle = 2.0 ** -np.arange(12), np.linspace(0.0, 3.0, 12)
+        ring = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+        Z0 = np.concatenate([ring * 1e-6, ring, [[np.nan, 0.0], [1.0, 1.0]]])
+        return builtin_problem("bilinear"), Z0, dict(tol_conv=1e-10, diverge_norm=1e3)
+    rng = np.random.default_rng(11)
+    Z0 = np.concatenate([rng.uniform(-1e-2, 1e-2, (6, 2)) * 10.0 ** -np.arange(6)[:, None],
+                         [[10.0, -10.0], [0.9, 0.9], [np.nan, 0.0]]])
+    return quartic_problem(), Z0, dict(tol_conv=1e-10, diverge_norm=1e3)
+
+
+REUSE_ITERS = 4 * LOCKSTEP_CHUNK + 5
+REUSE_CASES = [(name, MethodParams(method=method, eta=eta, tau=tau))
+               for name, eta, tau in (("bilinear", 0.5, 3.0), ("quartic", 0.1, 2.0))
+               for method in ("gda_tt", "eg_tt")] + [
+    ("mixed", MethodParams(method=method, s=10.0, tau=3.0, dt=0.5)) for method in ODE_METHODS]
+
+
+def trajectory_arrays(batch):
+    return [a for t in batch for a in (t.times, t.states, t.f_norms)]
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name, params", REUSE_CASES,
+                         ids=[f"{n}-{p.method}" for n, p in REUSE_CASES])
+def test_reused_buffers_leak_nothing_between_live_sets_or_runs(name, params, record):
+    problem, Z0, options = shrinking_ensemble(name)
+    options = dict(options, max_iters=REUSE_ITERS, record=record)
+    batch = run_batch(problem, Z0, params, **options)
+    stops = [t.termination.step for t in batch if 0 < t.termination.step < REUSE_ITERS]
+    assert len({k // LOCKSTEP_CHUNK for k in stops}) >= 3  # the live set shrinks 3 times
+    for traj, z0 in zip(batch, Z0, strict=True):
+        (single,) = run_batch(problem, [z0], params, **options)
+        assert traj.termination == single.termination
+        for a, b in zip(trajectory_arrays([traj]), trajectory_arrays([single])):
+            np.testing.assert_array_equal(a, b)  # NaN equals NaN
+    arrays = trajectory_arrays(batch)
+    following = trajectory_arrays(run_batch(problem, Z0, params, **options))
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + following)
+
+
+@pytest.mark.parametrize("k", [LOCKSTEP_CHUNK - 1, LOCKSTEP_CHUNK, 2 * LOCKSTEP_CHUNK - 1,
+                               2 * LOCKSTEP_CHUNK, REUSE_ITERS - 1])
+@pytest.mark.parametrize("method, z0", [("eg_tt", [0.6, -0.8]), ("gda_tt", [6e-4, -8e-4])])
+def test_only_member_stops_at_a_chunk_boundary(bilinear, method, z0, k):
+    """eg_tt converges and gda_tt diverges on bilinear; started from the state
+    k samples before a long run's stop, one member stops at exactly sample k,
+    whether that is the last sample a chunk tests, the first, or the last
+    before max_iters."""
+    params = MethodParams(method=method, eta=0.5, tau=3.0)
+    options = dict(tol_conv=1e-10, diverge_norm=1e3, record=True)
+    far = run_discrete(bilinear, z0, params, max_iters=100000, **options)
+    end = far.termination.step
+    assert end > REUSE_ITERS and far.termination.reason in ("converged", "diverged")
+    traj = run_discrete(bilinear, far.states[end - k], params, max_iters=REUSE_ITERS,
+                        **options)
+    assert traj.termination == Termination(far.termination.reason, k)
+    np.testing.assert_array_equal(traj.states, far.states[end - k:])
+    np.testing.assert_array_equal(traj.f_norms, far.f_norms[end - k:])
+
+
 def same_bytes(a, b):
     """Whether two trajectories agree byte for byte."""
     return (a.termination == b.termination and a.times.tobytes() == b.times.tobytes()
@@ -1040,7 +1111,7 @@ def test_eg_field_on_nan_gradient_names_the_non_finite_operator():
 
 def test_batch_rejects_negative_max_iters(bilinear):
     for method in ("gda_tt", "ode_plain"):
-        with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 0, got -1"):
             run_batch(bilinear, [[1.0, 0.0]], MethodParams(method=method, eta=0.5),
                       max_iters=-1)
 

@@ -95,11 +95,15 @@ ROWS = {
 
 def probes():
     """(row, value, accepted) for NaN, just outside, the boundary and inf; counts
-    (inf accepted None) are probed at the boundary and one below it."""
+    (inf accepted None) are probed at the boundary, one below it, at a numpy
+    integer, at a fraction and at a bool, which a count refuses although True >= 0."""
     for name, (bound, closed, inf_ok, _, _) in ROWS.items():
         if inf_ok is None:
             yield name, bound - 1, False
             yield name, bound, closed
+            yield name, np.int64(bound + 2), True
+            yield name, 2.5, False
+            yield name, True, False
             continue
         yield name, math.nan, False
         yield name, float(np.nextafter(bound, -math.inf)), False
@@ -108,7 +112,9 @@ def probes():
 
 
 PROBES = list(probes())
-CLI_PROBES = [p for p in PROBES if ROWS[p[0]][4] is not None]
+# a count flag goes through argparse's type=int, so only plain ints reach the table
+CLI_PROBES = [(name, value, ok) for name, value, ok in PROBES if ROWS[name][4] is not None
+              and (ROWS[name][2] is not None or type(value) is int)]
 
 
 def ids(probes):
@@ -151,7 +157,7 @@ def test_cli_flag_checks_the_row(tmp_path, capsys, name, value, accepted):
     (["sweep", "--builtin", "bilinear", "--tol-stationary=-1"],
      "stationarity_tol must be finite and >= 0, got -1.0"),
     (["simulate", "--builtin", "bilinear", "--method", "eg_tt", "--eta", "0.5", "--n=-2"],
-     "n must be >= 0, got -2"),
+     "n must be an integer >= 0, got -2"),
 ])
 def test_other_entry_points_check_the_table(tmp_path, capsys, argv, reason):
     out = tmp_path / "run"

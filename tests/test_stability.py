@@ -338,6 +338,16 @@ def test_infinity_verdict_nondegenerate_stable():
         assert infinity_eg_verdict(H, 1, frac / L, "discrete").verdict == "stable"
 
 
+@pytest.mark.parametrize("label, other", [("stable", "unstable"), ("unstable", "stable")])
+def test_terminal_run_of_five_decides_and_four_does_not(label, other):
+    """The terminal run length (stability.K_TAIL) is 5; the literal is deliberate."""
+    grid = np.arange(1.0, 11.0)
+    five = stability._terminal_run("continuous", 0.1, grid, [other] * 5 + [label] * 5)
+    assert (five.verdict, five.tau_star) == (label, 6.0)
+    four = stability._terminal_run("continuous", 0.1, grid, [other] * 6 + [label] * 4)
+    assert (four.verdict, four.tau_star) == ("inconclusive", None)
+
+
 def test_infinity_verdict_validates_grid():
     with pytest.raises(ValueError):
         infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "continuous",
