@@ -2,11 +2,14 @@
 
 Subcommands:
 
-    classify   second-order + spectral classification of an equilibrium,
+    classify   second-order + spectral classification of the equilibrium,
                with predicted and empirically swept stability verdicts
     simulate   trajectory ensembles from random initializations
-    avoidance  measure-zero avoidance experiment around an unstable target
+    avoidance  measure-zero avoidance experiment around the unstable equilibrium
     sweep      eigenvalue curves over eps = 1/tau plus per-tau verdicts
+
+Every problem the CLI loads is a quadratic form F(z) = Hz, so its one
+equilibrium is the origin (classification refuses a singular H).
 
 Exit codes: 0 ok, 1 usage/input error, 2 theory mismatch (a predicted
 verdict contradicted by observation, or a dual-criterion self-test trip).
@@ -26,7 +29,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import dynamics, problems, spectral, stability
-from .dynamics import MethodParams, NewtonError
+from .dynamics import MethodParams
 from .problems import MinimaxProblem, builtin_problem, load_problem
 from .stability import CriterionMismatchError
 
@@ -109,19 +112,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _resolve_target(problem: MinimaxProblem, args) -> np.ndarray:
-    dynamics.check_ranges(stationarity_tol=args.tol_stationary)
-    z0 = _parse_point(args.z0, problem.dim, "z0") if args.z0 else np.zeros(problem.dim)
-    fnorm = float(np.linalg.norm(problems.saddle_gradient(problem, z0)))
-    if fnorm <= args.tol_stationary:
-        return z0
-    if getattr(args, "search", False):
-        return dynamics.find_stationary(problem, z0, newton_tol=args.tol_stationary)
-    raise ValueError(
-        f"z0 is not stationary (||F|| = {fnorm:.3e}); pass --search to run Newton"
-    )
-
-
 # ---------------------------------------------------------------------------
 # classify
 
@@ -129,11 +119,8 @@ def _resolve_target(problem: MinimaxProblem, args) -> np.ndarray:
 def cmd_classify(args) -> int:
     problem = _load_problem_from_args(args)
     tau_grid = _parse_grid(args, "tau_grid")
-    z_star = _resolve_target(problem, args)
     report = stability.characterize_equilibrium(
-        problem, z_star, stationarity_tol=args.tol_stationary, rank_tol=args.rank_tol,
-        psd_tol=args.tol_psd, marginal_tol=args.tol_marginal, tau_grid=tau_grid,
-        s=args.s, eta=args.eta)
+        problem, np.zeros(problem.dim), tau_grid=tau_grid, s=args.s, eta=args.eta)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "classify_report.json")
     _write_json(out_path, report.to_json_dict())
@@ -250,9 +237,8 @@ def cmd_avoidance(args) -> int:
             f"eg_tt avoidance requires 0 < eta < (sqrt(5)-1)/(2L) = {GOLDEN_STEP_FACTOR / L:.6g}"
         )
 
-    z_star = _resolve_target(problem, args)
-    report = stability.characterize_equilibrium(
-        problem, z_star, stationarity_tol=args.tol_stationary, eta=eta)
+    z_star = np.zeros(problem.dim)
+    report = stability.characterize_equilibrium(problem, z_star, eta=eta)
 
     if method == "eg_tt":
         if not report.strict_non_minimax:
@@ -314,8 +300,7 @@ def cmd_avoidance(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = _load_problem_from_args(args)
-    z_star = _resolve_target(problem, args)
-    H = problems.block_hessian(*problems.hessian_blocks_at(problem, z_star))
+    H = problem.quadratic.hessian()
 
     # everything is validated and computed before either file is opened
     eps_grid = _parse_grid(args, "eps_grid", spectral.DEFAULT_EPS_GRID)
@@ -369,13 +354,6 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=None, help="scalar_degenerate: C entry")
 
 
-def _add_target_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z0", help="comma-separated point (default: origin)")
-    p.add_argument("--search", action="store_true",
-                   help="Newton-search a stationary point from z0")
-    p.add_argument("--tol-stationary", type=float, default=1e-8)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minimaxdyn",
@@ -385,13 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an equilibrium")
     _add_problem_args(p)
-    _add_target_args(p)
     p.add_argument("--s", type=float, default=None, help="continuous step size")
     p.add_argument("--eta", type=float, default=None, help="discrete step size")
     p.add_argument("--tau-grid", help="lo:hi:n geometric tau grid")
-    p.add_argument("--tol-psd", type=float, default=None)
-    p.add_argument("--tol-marginal", type=float, default=stability.MARGINAL_TOL)
-    p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("simulate", help="run a trajectory ensemble")
@@ -415,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("avoidance", help="measure-zero avoidance experiment")
     _add_problem_args(p)
-    _add_target_args(p)
     p.add_argument("--method", default="eg_tt", choices=("eg_tt", "gda_tt"))
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None,
@@ -431,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="eigencurve and verdict sweep")
     _add_problem_args(p)
-    _add_target_args(p)
     p.add_argument("--eps-grid", help="lo:hi:n geometric eps grid")
     p.add_argument("--tau-grid", help="lo:hi:n geometric tau grid")
     p.add_argument("--s", type=float, default=None)
@@ -462,7 +434,7 @@ def main(argv=None) -> int:
     except CriterionMismatchError as exc:
         print(f"criterion mismatch: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NewtonError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,28 +60,27 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 RANGES = {
     "tau": (lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
-    **dict.fromkeys(("dt", "box", "cluster_tol", "target_tol"), _POSITIVE),
-    **dict.fromkeys(("tol_conv", "stationarity_tol", "rank_tol", "psd_tol", "marginal_tol",
-                     "t_end", "newton_tol"), _NONNEGATIVE),
+    **dict.fromkeys(("dt", "box", "cluster_tol", "target_tol", "s", "eta"), _POSITIVE),
+    **dict.fromkeys(("tol_conv", "stationarity_tol", "t_end", "newton_tol"), _NONNEGATIVE),
     "diverge_norm": (lambda v: v > 0.0, "> 0"),  # inf: never
-    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (  # a bool is not a count
-        lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0,
-        "an integer >= 0")),
+    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (
+        lambda v: isinstance(v, (int, np.integer)) and v >= 0, "an integer >= 0")),
 }
-OPTIONAL = {"dt", "rank_tol", "psd_tol"}  # None stands for the default
+OPTIONAL = {"dt"}  # None stands for the default
 
 
 def check_ranges(**values) -> None:
-    """Raise a ValueError naming the first value outside its row of RANGES."""
+    """Raise a ValueError naming the first value outside its row of RANGES;
+    a bool is in no row, although True compares as 1."""
     for name, v in values.items():
         test, wording = RANGES[name]
-        if not (name in OPTIONAL if v is None else test(v)):
+        if isinstance(v, (bool, np.bool_)) or not (name in OPTIONAL if v is None else test(v)):
             raise ValueError(f"{name} must be {wording}, got {v}")
 
 
 def check_step(name: str, step, L: float) -> None:
-    """The step-size hypothesis of every method: 0 < step < 1/L."""
-    if step is None or not 0.0 < step < 1.0 / L:
+    """The step-size hypothesis of every method: 0 < step < 1/L (a bool is no step)."""
+    if step is None or isinstance(step, (bool, np.bool_)) or not 0.0 < step < 1.0 / L:
         raise ValueError(f"{name} must lie in (0, 1/L) = (0, {1.0 / L:.6g}), got {step}")
 
 
@@ -204,8 +203,7 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     if kind == "plain":
         return lambda Y, F, out, live: np.negative(field(Y, out, live) if F is None else F, out)
     s = params.s
-    if s is None or not 0.0 < s < math.inf:  # ode_field allows s >= 1/L
-        raise ValueError(f"s must be finite and > 0, got {s}")
+    check_ranges(s=s)  # ode_field allows s >= 1/L
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
     if problem.quadratic is None:
         jac = _jacobian(problem)

@@ -110,19 +110,18 @@ class RestrictedSchur:
         return self.spectrum
 
 
-def canonicalize(A, B, C, rank_tol: float | None = None) -> CanonicalBlocks:
+def canonicalize(A, B, C) -> CanonicalBlocks:
     """Diagonalize B, order nonzero eigenvalues first, zero out the rest."""
     A = symmetrize(A, "A")
     B = symmetrize(B, "B")
     C = np.asarray(C, dtype=float)
     if C.shape != (A.shape[0], B.shape[0]):
         raise ValueError(f"C must be {A.shape[0]}x{B.shape[0]}, got {C.shape}")
-    rank_tol = DEFAULT_RANK_TOL if rank_tol is None else float(rank_tol)
 
     w, V = np.linalg.eigh(B)
     # scaled by the whole Hessian, so finite-difference noise in a zero B counts as zero
     scale = max((float(np.max(np.abs(M))) for M in (w, A, C) if M.size), default=0.0)
-    cut = rank_tol * scale
+    cut = DEFAULT_RANK_TOL * scale
     nonzero = np.abs(w) > cut
     order = np.concatenate([
         np.flatnonzero(nonzero)[np.argsort(-np.abs(w[nonzero]))],

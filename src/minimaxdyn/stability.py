@@ -104,19 +104,13 @@ def _peanut_u(z, eta: float) -> np.ndarray:
     return u
 
 
-def _check_step(name: str, step) -> None:
-    """The step rule of the region tests and verdict_table: 0 < step < inf (NaN fails it)."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
-
-
 def in_disk(z, s: float, cross_check: bool = True):
     """Membership in D_s = {z : |z + 1/(2s)| <= 1/(2s)}.
 
     Cross-checked against the inverse form Re(1/z) <= -s away from the
     boundary; scalars in, scalar bool out.
     """
-    _check_step("s", s)
+    check_ranges(s=s)
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     gap = disk_gap(z, s)
@@ -138,7 +132,7 @@ def in_peanut(z, eta: float, cross_check: bool = True):
     Cross-checked against Re(1/(z(1 - eta z))) > eta/2 for z not in
     {0, 1/eta}.
     """
-    _check_step("eta", eta)
+    check_ranges(eta=eta)
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     gap = peanut_gap(z, eta)
@@ -236,11 +230,12 @@ MODES = {
 }
 
 
-def _labels(margins, tol: float) -> np.ndarray:
+def _labels(margins) -> np.ndarray:
+    tol = MARGINAL_TOL
     return np.where(margins > tol, "stable", np.where(margins < -tol, "unstable", "marginal"))
 
 
-def verdict_table(H, d1: int, pairs, taus, marginal_tol: float = MARGINAL_TOL) -> list[Verdicts]:
+def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
     """The Verdicts over taus of each (mode, step) pair, mode a key of MODES.
 
     The spectrum of the H_tau stack and ||H||_2 are computed once, on first
@@ -254,7 +249,7 @@ def verdict_table(H, d1: int, pairs, taus, marginal_tol: float = MARGINAL_TOL) -
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         m = MODES[mode]
-        _check_step(m.step, step)
+        check_ranges(**{m.step: step})
         if not len(taus):
             empty = np.empty((0, len(H)))
             table.append(Verdicts([], empty, empty, np.empty(0)))
@@ -269,8 +264,8 @@ def verdict_table(H, d1: int, pairs, taus, marginal_tol: float = MARGINAL_TOL) -
         margins = m.region_margin(lams, step)
         jac_eigs = np.linalg.eigvals(m.jacobian(Ht, step))
         jac_margin = m.jac_margin(jac_eigs)
-        region = _labels(margins.min(axis=-1), marginal_tol)
-        jac = _labels(jac_margin, marginal_tol)
+        region = _labels(margins.min(axis=-1))
+        jac = _labels(jac_margin)
         bad = np.flatnonzero((region != jac) & (region != "marginal") & (jac != "marginal"))
         if bad.size:
             i = bad[0]
@@ -423,16 +418,13 @@ def _predict(method: str, so: spectral.SecondOrderVerdict, s0: float,
 
 
 def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
-                             stationarity_tol: float = 1e-8, rank_tol: float | None = None,
-                             psd_tol: float | None = None, marginal_tol: float = MARGINAL_TOL,
-                             tau_grid=None, s: float | None = None,
+                             stationarity_tol: float = 1e-8, tau_grid=None, s: float | None = None,
                              eta: float | None = None) -> EquilibriumReport:
     """Bundle the second-order verdicts, curve asymptotics, the stability
     predictions they imply for infinity-EG/GDA, and the empirically swept
     verdicts; flag any prediction/observation mismatch.  s and eta default
     to 0.5/L, tau_grid to DEFAULT_TAU_GRID."""
-    check_ranges(stationarity_tol=stationarity_tol, rank_tol=rank_tol, psd_tol=psd_tol,
-                 marginal_tol=marginal_tol)
+    check_ranges(stationarity_tol=stationarity_tol)
     L = problem.lipschitz_bound
     s_eval = 0.5 / L if s is None else float(s)
     eta_eval = 0.5 / L if eta is None else float(eta)
@@ -446,8 +438,8 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
             f"z is not stationary: ||F(z)|| = {f_norm:.3e} > {stationarity_tol:.1e}"
         )
     A, B, C = hessian_blocks_at(problem, z)
-    blocks = canonicalize(A, B, C, rank_tol=rank_tol)
-    so = second_order_necessary(blocks, psd_tol=psd_tol)
+    blocks = canonicalize(A, B, C)
+    so = second_order_necessary(blocks)
     rsc = so.rsc
 
     H = block_hessian(A, B, C)
@@ -474,7 +466,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
     pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
     tau_grid = _tau_grid(tau_grid)
-    table = verdict_table(H, problem.d1, pairs, tau_grid, marginal_tol)
+    table = verdict_table(H, problem.d1, pairs, tau_grid)
     observed = {mode: _terminal_run(mode, step, tau_grid, v.labels)
                 for (mode, step), v in zip(pairs, table)}
     mismatches = [f"{mode}: predicted {pred} but observed {observed[mode].verdict} "

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Run one-line mutants of src/ against the Tier-1 suite and report which are killed.
+
+Each mutant replaces one fragment, which must occur exactly once, in one
+file of src/minimaxdyn.  For each mutant the repository (less .git and
+caches) is copied to a temporary directory, the fragment is replaced there,
+and `python -m pytest -x -q` runs in the copy, whose pyproject puts the
+copy's src/ first on the path.  A mutant is killed when pytest fails; it
+survives when every test passes.  The working tree is never edited.
+
+Pytest does not collect this file (no test_ prefix).  The whole table takes
+a few minutes; give mutant names to run only those.  The exit status is 0
+when every mutant run was killed.
+
+Usage: python tests/mutation_probe.py [NAME ...]
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                ".perfbench_out", "out")
+
+# name: (file under src/minimaxdyn, fragment, replacement)
+MUTANTS = {
+    "K_TAIL 5 -> 4": ("stability.py", "K_TAIL = 5", "K_TAIL = 4"),
+    "K_TAIL 5 -> 7": ("stability.py", "K_TAIL = 5", "K_TAIL = 7"),
+    "_CROSS_CHECK_GUARD 1e-9 -> 1e-3": ("stability.py", "_CROSS_CHECK_GUARD = 1e-9",
+                                        "_CROSS_CHECK_GUARD = 1e-3"),
+    "MARGINAL_TOL 1e-8 -> 1e-6": ("stability.py", "MARGINAL_TOL = 1e-8", "MARGINAL_TOL = 1e-6"),
+    "SIGMA_SEP_TOL 1e-6 -> 1e-2": ("spectral.py", "SIGMA_SEP_TOL = 1e-6", "SIGMA_SEP_TOL = 1e-2"),
+    "_rho_margin: mean for max": ("stability.py", "np.abs(jac_eigs).max(axis=-1)",
+                                  "np.abs(jac_eigs).mean(axis=-1)"),
+    "continuous Jacobian margin: min for max": (
+        "stability.py", "lambda jac_eigs: -jac_eigs.real.max(axis=-1)",
+        "lambda jac_eigs: -jac_eigs.real.min(axis=-1)"),
+    "gda Lipschitz flag False -> True": ("stability.py", "_gda_jacobian, _rho_margin, False)",
+                                         "_gda_jacobian, _rho_margin, True)"),
+    "hemicurvature: flat extrapolation": ("spectral.py", "    t = np.sqrt(eps)\n",
+                                          "    return float(vals[-1])\n"),
+    "hemicurvature: +-inf cutoff x10": ("spectral.py", "> 0.5 * curves.eps[-1] ** (-0.25)",
+                                        "> 5.0 * curves.eps[-1] ** (-0.25)"),
+    "RK4: k3 weight 2 -> 1": ("dynamics.py", "add(S, mul(2.0, k3, Y), S)",
+                              "add(S, mul(1.0, k3, Y), S)"),
+    "run_batch: divergence tested at max_iters": (
+        "dynamics.py", "div[c], stop[c] = False, k0 + c == max_iters",
+        "stop[c] = k0 + c == max_iters"),
+    "SOLVE_COND_LIMIT 1e12 -> 1e20": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",
+                                      "SOLVE_COND_LIMIT = 1e20"),
+    "SOLVE_COND_LIMIT 1e12 -> 1e6": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",
+                                     "SOLVE_COND_LIMIT = 1e6"),
+    "finite-difference step: sqrt(eps) for cbrt(eps)": (
+        "problems.py", "_CBRT_EPS = float(np.cbrt(np.finfo(float).eps))",
+        "_CBRT_EPS = float(np.sqrt(np.finfo(float).eps))"),
+}
+
+
+def run_mutant(name: str, tmp: str) -> tuple[bool, str]:
+    """(killed, the first failing test or pytest's last line) of one mutant."""
+    file, old, new = MUTANTS[name]
+    copy = os.path.join(tmp, "repo")
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(ROOT, copy, ignore=IGNORE)
+    path = os.path.join(copy, "src", "minimaxdyn", file)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant {name!r}: {old!r} occurs {text.count(old)} times in {file}")
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+    result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                            cwd=copy, capture_output=True, text=True)
+    lines = result.stdout.strip().splitlines()
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return result.returncode != 0, (failed or lines or [""])[-1]
+
+
+def main(names) -> int:
+    unknown = set(names) - MUTANTS.keys()
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    names = names or list(MUTANTS)
+    killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            start = time.perf_counter()
+            dead, detail = run_mutant(name, tmp)
+            killed += dead
+            print(f"{'killed  ' if dead else 'SURVIVED'} {name} "
+                  f"({time.perf_counter() - start:.0f} s): {detail}", flush=True)
+    print(f"score: {killed} of {len(names)} mutants killed")
+    return 0 if killed == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import minimaxdyn
-from minimaxdyn import cli, stability
+from minimaxdyn import cli, problems, stability
 from minimaxdyn.cli import main
 
 # child processes import the same package as this one, installed or not
@@ -51,18 +51,23 @@ def test_classify_scalar_degenerate(tmp_path):
     assert {v["stable"] for v in report["verdicts"]} == {"stable"}
 
 
-def test_classify_nonstationary_without_search(tmp_path):
-    code = run_cli("classify", "--builtin", "bilinear", "--z0", "1,1",
-                   "--out", str(tmp_path))
-    assert code == 1
+CLI_PROBLEMS = [  # one JSON form per builtin, and a quadratic file
+    {"kind": "builtin", "name": name} for name in problems.BUILTIN_NAMES
+    if name != "nondegenerate_quadratic"] + [
+    {"kind": "builtin", "name": "nondegenerate_quadratic",
+     "A": [[2.0, 0.3], [0.3, -1.0]], "B": [[-1.5]], "C": [[0.7], [-0.2]]},
+    {"kind": "quadratic", "A": [[-0.4]], "B": [[0.9, 0.1], [0.1, 0.0]], "C": [[1.3, -2.1]]},
+]
 
 
-def test_classify_nonstationary_with_search(tmp_path):
-    code = run_cli("classify", "--builtin", "bilinear", "--z0", "0.4,-0.3", "--search",
-                   "--out", str(tmp_path))
-    assert code == 0
-    report = read_json(tmp_path / "classify_report.json")
-    assert np.max(np.abs(report["point"])) <= 1e-8
+@pytest.mark.parametrize("data", CLI_PROBLEMS, ids=lambda d: d.get("name", d["kind"]))
+def test_every_cli_problem_is_stationary_at_the_origin(data):
+    """classify, avoidance and sweep work at the origin with no target to resolve."""
+    p = problems.problem_from_json_dict(data)
+    assert p.quadratic is not None and np.array_equal(
+        problems.saddle_gradient(p, np.zeros(p.dim)), np.zeros(p.dim)), (
+        "the CLI works at the origin: a problem kind that is not a quadratic form "
+        "F(z) = Hz has to bring back target resolution (a point option and a Newton search)")
 
 
 def test_simulate_eg_converges(tmp_path):
@@ -291,10 +296,6 @@ def test_config_problem_rebuilds_the_run_problem(tmp_path, source):
     (["simulate", "--center", "1,2,3"], "center must have 2 components, got 3"),
     (["simulate", "--center", "nan,0"], "center must be finite, got nan,0"),
     (["simulate", "--center", "inf,0"], "center must be finite, got inf,0"),
-    (["avoidance", "--method", "gda_tt", "--z0", "nan,0"], "z0 must be finite, got nan,0"),
-    (["avoidance", "--method", "gda_tt", "--z0", "0"], "z0 must have 2 components, got 1"),
-    (["classify", "--z0", "0,-inf"], "z0 must be finite, got 0,-inf"),
-    (["classify", "--z0", "0,0,0"], "z0 must have 2 components, got 3"),
 ])
 def test_points_are_checked_by_dim_and_finiteness(tmp_path, capsys, argv, reason):
     out = tmp_path / "run"

@@ -497,6 +497,15 @@ def test_solve_checked_still_raises_on_singular_operators(M):
     assert (type(info.value), str(info.value)) == singular_error(M)
 
 
+def test_cond_limit_is_one_trillion():
+    """dynamics.SOLVE_COND_LIMIT is 1e12: cond 1e11 is solved, 1e13 raises; the
+    literals are deliberate."""
+    x = dynamics._solve_checked(np.diag([1.0, 1e-11]), np.ones(2))
+    assert_allclose(x, [1.0, 1e11], rtol=1e-15)
+    with pytest.raises(SingularOperatorError, match="numerically singular"):
+        dynamics._solve_checked(np.diag([1.0, 1e-13]), np.ones(2))
+
+
 def test_solve_checked_names_the_first_failing_member_of_a_stack(monkeypatch):
     calls = {}
     monkeypatch.setattr(np.linalg, "cond", counting(calls, "cond", np.linalg.cond))

@@ -27,7 +27,7 @@ from minimaxdyn.dynamics import (
     run_discrete,
 )
 from minimaxdyn.problems import builtin_problem
-from minimaxdyn.stability import characterize_equilibrium
+from minimaxdyn.stability import characterize_equilibrium, in_disk, in_peanut
 
 BILINEAR = builtin_problem("bilinear")
 
@@ -38,10 +38,6 @@ def simulate(flag, method="gda_tt"):
     args.pop(flag, None)
     return ["simulate", "--builtin", "bilinear", *itertools.chain(*args.items()),
             "--no-trajectories", flag]
-
-
-def classify(flag):
-    return ["classify", "--builtin", "bilinear", flag]
 
 
 def config(command, **kw):
@@ -73,12 +69,9 @@ ROWS = {
                    ["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5",
                     "--target-tol"]),
     "tol_conv": (0.0, True, False, lambda v: batch(tol_conv=v), simulate("--tol-conv")),
-    "stationarity_tol": (0.0, True, False, lambda v: characterize(stationarity_tol=v),
-                         classify("--tol-stationary")),
-    "rank_tol": (0.0, True, False, lambda v: characterize(rank_tol=v), classify("--rank-tol")),
-    "psd_tol": (0.0, True, False, lambda v: characterize(psd_tol=v), classify("--tol-psd")),
-    "marginal_tol": (0.0, True, False, lambda v: characterize(marginal_tol=v),
-                     classify("--tol-marginal")),
+    "stationarity_tol": (0.0, True, False, lambda v: characterize(stationarity_tol=v), None),
+    "s": (0.0, False, False, lambda v: in_disk(-0.5, v), None),
+    "eta": (0.0, False, False, lambda v: in_peanut(0.5, v), None),
     "t_end": (0.0, True, False, lambda v: integrate(BILINEAR, "plain", [0.5, 0.5], t_end=v),
               None),
     "diverge_norm": (0.0, False, True, lambda v: batch(diverge_norm=v),
@@ -96,14 +89,15 @@ ROWS = {
 def probes():
     """(row, value, accepted) for NaN, just outside, the boundary and inf; counts
     (inf accepted None) are probed at the boundary, one below it, at a numpy
-    integer, at a fraction and at a bool, which a count refuses although True >= 0."""
+    integer and at a fraction.  Every row is probed at a bool, which no row
+    takes although True compares as 1."""
     for name, (bound, closed, inf_ok, _, _) in ROWS.items():
+        yield name, True, False
         if inf_ok is None:
             yield name, bound - 1, False
             yield name, bound, closed
             yield name, np.int64(bound + 2), True
             yield name, 2.5, False
-            yield name, True, False
             continue
         yield name, math.nan, False
         yield name, float(np.nextafter(bound, -math.inf)), False
@@ -112,9 +106,9 @@ def probes():
 
 
 PROBES = list(probes())
-# a count flag goes through argparse's type=int, so only plain ints reach the table
+# argparse's type=int or type=float lets only plain ints or floats reach the table
 CLI_PROBES = [(name, value, ok) for name, value, ok in PROBES if ROWS[name][4] is not None
-              and (ROWS[name][2] is not None or type(value) is int)]
+              and type(value) is (int if ROWS[name][2] is None else float)]
 
 
 def ids(probes):
@@ -152,10 +146,10 @@ def test_cli_flag_checks_the_row(tmp_path, capsys, name, value, accepted):
 @pytest.mark.parametrize("argv, reason", [
     (["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "50", "--diverge-norm=-1"],
      "diverge_norm must be > 0, got -1.0"),
-    (["sweep", "--builtin", "bilinear", "--tol-stationary=nan"],
-     "stationarity_tol must be finite and >= 0, got nan"),
-    (["sweep", "--builtin", "bilinear", "--tol-stationary=-1"],
-     "stationarity_tol must be finite and >= 0, got -1.0"),
+    (["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5", "--tau=0.5"],
+     "tau must be finite and >= 1, got 0.5"),
+    (["avoidance", "--builtin", "strict_nonminimax_demo", "--n", "5", "--tol-conv=nan"],
+     "tol_conv must be finite and >= 0, got nan"),
     (["simulate", "--builtin", "bilinear", "--method", "eg_tt", "--eta", "0.5", "--n=-2"],
      "n must be an integer >= 0, got -2"),
 ])
@@ -175,6 +169,14 @@ def test_step_rule_is_one_rule(method, name, step):
         run_batch(BILINEAR, [[0.5, 0.5]], params)
 
 
+@pytest.mark.parametrize("method, name", [("gda_tt", "eta"), ("ode_eg", "s")])
+def test_step_rule_refuses_a_bool(method, name):
+    problem = builtin_problem("scalar_degenerate", a=0.5, c=0.5)  # L < 1: True lies in (0, 1/L)
+    params = MethodParams(method=method, **{name: True})
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1/L\) = .*, got True$"):
+        run_batch(problem, [[0.5, 0.5]], params)
+
+
 def numeric(annotation) -> bool:
     return re.search(r"\b(float|int)\b", str(annotation)) is not None
 
@@ -186,19 +188,17 @@ def numeric_flags(command):
 
 
 def test_every_numeric_run_parameter_has_a_row():
-    """A numeric parameter added without a range fails here; eta and s are
-    checked against 1/L by the step rule, dynamics.check_step."""
+    """A numeric parameter added without a range fails here; where a run takes
+    eta and s, the step rule dynamics.check_step checks them against 1/L."""
     names = {f.name for f in dataclasses.fields(MethodParams) if numeric(f.type)}
     for fn in (characterize_equilibrium, run_batch, run_discrete, integrate, ode_field,
                find_stationary):
         names |= {p.name for p in inspect.signature(fn).parameters.values()
                   if numeric(p.annotation)}
-    flags = numeric_flags("simulate") | numeric_flags("avoidance")
-    # --tol-stationary sets characterize_equilibrium's stationarity_tol
-    names |= {"stationarity_tol" if f == "tol_stationary" else f for f in flags}
-    assert {"tol_conv", "max_iters", "diverge_norm", "n", "psd_tol", "tau", "box", "seed",
-            "cluster_tol", "target_tol", "newton_tol", "newton_max"} <= names
-    assert names - {"eta", "s"} <= RANGES.keys()
+    names |= numeric_flags("simulate") | numeric_flags("avoidance")
+    assert {"tol_conv", "max_iters", "diverge_norm", "n", "stationarity_tol", "tau", "box",
+            "seed", "cluster_tol", "target_tol", "newton_tol", "newton_max"} <= names
+    assert names <= RANGES.keys()
 
 
 @pytest.mark.parametrize("name, value", [("newton_tol", math.nan), ("newton_tol", -1.0),
@@ -212,7 +212,7 @@ def test_find_stationary_checks_its_settings_before_any_grad_call(name, value):
 
 
 def test_none_passes_only_where_it_means_the_default():
-    dynamics.check_ranges(dt=None, rank_tol=None, psd_tol=None)
+    dynamics.check_ranges(dt=None)
     for name in set(RANGES) - dynamics.OPTIONAL:
         with pytest.raises(ValueError, match=f"^{name} must be .*, got None$"):
             dynamics.check_ranges(**{name: None})

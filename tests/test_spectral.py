@@ -21,6 +21,7 @@ from minimaxdyn.spectral import (
     LABEL_SQRT,
     SingularHessianError,
     _assign,
+    _repeated_sigma_gap,
     canonicalize,
     default_psd_tol,
     eigencurves,
@@ -593,6 +594,14 @@ def test_hemicurvature_closed_form_refuses_repeated_sigma():
     blocks = canonicalize(np.eye(2), np.zeros((2, 2)), np.eye(2))  # sigma = {1, 1}
     with pytest.raises(ValueError, match="not distinct"):
         hemicurvature_closed_form(blocks, 0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_sigma_pairs_repeat_within_one_millionth(scale):
+    """spectral.SIGMA_SEP_TOL is 1e-6 of max(1, sigma_0); the literals are deliberate."""
+    assert _repeated_sigma_gap([scale * (1 + 1e-5), scale]) is None
+    gap = _repeated_sigma_gap([scale * (1 + 1e-7), scale])
+    assert gap == pytest.approx(scale * 1e-7, rel=1e-6)
 
 
 def test_hemicurvature_numeric_matches_closed_form_on_random_instances():

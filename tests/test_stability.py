@@ -75,7 +75,22 @@ def test_in_peanut_examples():
 @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_regions_reject_bad_steps(region, z, name, step):
     # NaN and inf used to fail every comparison and answer False
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {step}$"):
+        region(z, step)
+
+
+@pytest.mark.parametrize("region, z, step, off", [
+    (in_disk, -2.0 - 2e-6, 0.5, -1e-6),                    # gap -2e-6, Re(1/z) + s = 5e-7
+    (in_peanut, 0.5 + 1j * (1.75**0.5 + 1e-6), 1.0, 1e-6),  # gap -1.1e-6, margin -6.6e-7
+], ids=["in_disk", "in_peanut"])
+def test_inverse_form_off_by_one_millionth_raises(monkeypatch, region, z, step, off):
+    """The cross-check guard (stability._CROSS_CHECK_GUARD) is 1e-9: an inverse
+    form wrong by 1e-6 trips it at a point 1e-6 outside the region."""
+    assert region(z, step) is False
+    monkeypatch.setattr(stability, "_mismatch_count", stability.mismatch_count())
+    right = stability._inverse_margin
+    monkeypatch.setattr(stability, "_inverse_margin", lambda u, shift: right(u, shift) + off)
+    with pytest.raises(CriterionMismatchError, match="forms disagree"):
         region(z, step)
 
 
@@ -223,6 +238,17 @@ def test_gda_stability_examples():
         assert v.labels == ["unstable"]
     assert verdict("gda", np.array([[1.0]]), 0.5, 1.0, 1).labels == ["stable"]
     assert verdict("gda", np.array([[-1.0]]), 0.5, 1.0, 1).labels == ["unstable"]
+
+
+@pytest.mark.parametrize("margin, label", [(1e-7, "stable"), (1e-9, "marginal"),
+                                           (-1e-9, "marginal"), (-1e-7, "unstable")])
+def test_marginal_band_is_one_hundred_millionth(margin, label):
+    """stability.MARGINAL_TOL is 1e-8: a margin of ten times it decides, a tenth of it
+    is marginal; the literals are deliberate.  With H = [[lam]] and eta = 1 the gda
+    margin is 1/lam - 1/2."""
+    v = verdict("gda", np.array([[1.0 / (0.5 + margin)]]), 1.0, 1.0, 1)
+    assert v.margins[0, 0] == pytest.approx(margin, rel=1e-6)
+    assert v.labels == [label]
 
 
 def test_verdict_margins_respect_invariant():
@@ -492,7 +518,7 @@ def test_engine_selftest_trips_on_flipped_jacobian(monkeypatch):
 
 def test_engine_validates_step_once():
     H = hessian_of("bilinear")
-    with pytest.raises(ValueError, match="eta must be positive"):
+    with pytest.raises(ValueError, match="^eta must be finite and > 0, got 0.0$"):
         one_pair(H, 1, "gda", 0.0, [1.0])
     with pytest.raises(ValueError, match=r"requires s < 1/L \(s \* \|\|H\|\| < 1\)"):
         one_pair(H, 1, "continuous", 1.5, [1.0, 10.0])
@@ -607,8 +633,7 @@ def test_verdict_table_validates_pairs_in_order():
 def test_engine_rejects_non_finite_steps(step):
     H = hessian_of("strict_nonminimax_demo")
     for mode, m in stability.MODES.items():
-        reason = f"{m.step} must be positive and finite"
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match=f"^{m.step} must be finite and > 0, got {step}$"):
             one_pair(H, 2, mode, step, [1.0])
 
 
