@@ -369,19 +369,19 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 c = min(LOCKSTEP_CHUNK, max(1, LOCKSTEP_BUFFER // (m * d) - 1), max_iters - k0)
                 Zbuf, Fbuf = np.empty((c + 1, m, d)), np.empty((c + 1, m, d))
                 Zr, Fr, step = list(Zbuf), list(Fbuf), rows(m)
-            c = min(len(Zr) - 1, max_iters - k0)
-            Zb, Fb = Zbuf[:c + 1], Fbuf[:c + 1]
-            Zb[0], Fb[0] = Z, F
+            c, cut = min(len(Zr) - 1, max_iters - k0), False
+            Zbuf[0], Fbuf[0] = Z, F
             if checked:
                 for i in range(c):
                     live = _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
-                    if not any(live):  # all stopped by sample i
-                        Zb[i + 1:], Fb[i + 1:] = np.nan, np.nan
+                    if not any(live):  # all stopped by sample i: the chunk ends there
+                        c, cut = i, True
                         break
                     step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
             else:
                 for i in range(c):
                     step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], None)
+            Zb, Fb = Zbuf[:c + 1], Fbuf[:c + 1]
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
             Z, F, f, z = Zb[c], Fb[c], fn[:c], zn[:c]
@@ -389,9 +389,9 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 Zs = Zb[:c].copy()
                 for col, i in enumerate(ids.tolist()):
                     history[i].append((Zs[:, col], f[:, col]))  # f is fixed in place below
-            # in a chunk neither first nor last, no member stopped if samples 0..c-1
-            # all pass this test, which NaN, inf and overflowed squares fail
-            if not (0 < k0 < max_iters - c
+            # in a chunk neither first, last nor cut, no member stopped if samples
+            # 0..c-1 all pass this test, which NaN, inf and overflowed squares fail
+            if cut or not (0 < k0 < max_iters - c
                     and ((tol_conv < f) & (f < math.inf) & (z < diverge_norm)).all()):
                 finite = np.isfinite(fn + zn)
                 if not finite.all():  # rare: an overflowed square, a NaN, or a sum past 1.8e308
@@ -401,9 +401,9 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 conv, nonfinite = fn <= tol_conv, ~finite
                 div = (zn >= diverge_norm) & (diverge_norm < math.inf)  # inf: never
                 stop = conv | div | nonfinite
-                # sample c is the next chunk's first, unless it is the one after
-                # max_iters, which ends every run and is not tested for divergence
-                div[c], stop[c] = False, k0 + c == max_iters
+                if not cut:  # sample c is the next chunk's first, unless it is the one after
+                    # max_iters, which ends every run and is not tested for divergence
+                    div[c], stop[c] = False, k0 + c == max_iters
                 ended = stop.any(axis=0)
                 if ended.any():
                     j, done = stop.argmax(axis=0)[ended], ids[ended]

@@ -27,7 +27,6 @@ _CBRT_EPS = float(np.cbrt(np.finfo(float).eps))  # scale of the finite-differenc
 BUILTIN_NAMES = (
     "bilinear",
     "scalar_degenerate",
-    "nondegenerate_quadratic",
     "strict_nonminimax_demo",
 )
 
@@ -271,7 +270,6 @@ def builtin_problem(name: str, **params) -> MinimaxProblem:
 
     bilinear                 f(x, y) = x y
     scalar_degenerate(a, c)  d1 = d2 = 1 with A = [a], B = [0], C = [c]
-    nondegenerate_quadratic  quadratic with caller-supplied (A, B, C)
     strict_nonminimax_demo   stationary origin whose restricted Schur
                              complement has a negative eigenvalue
     """
@@ -281,11 +279,6 @@ def builtin_problem(name: str, **params) -> MinimaxProblem:
         a = float(params.pop("a", 2.0))
         c = float(params.pop("c", 1.0))
         spec = QuadraticSpec(A=[[a]], B=[[0.0]], C=[[c]])
-    elif name == "nondegenerate_quadratic":
-        try:
-            spec = QuadraticSpec(A=params.pop("A"), B=params.pop("B"), C=params.pop("C"))
-        except KeyError as exc:
-            raise ValueError("nondegenerate_quadratic requires A, B, C") from exc
     elif name == "strict_nonminimax_demo":
         spec = QuadraticSpec(
             A=[[-2.0, 0.0], [0.0, 1.0]],
@@ -301,7 +294,7 @@ def builtin_problem(name: str, **params) -> MinimaxProblem:
 
 def problem_to_json_dict(problem: MinimaxProblem) -> dict:
     """JSON form of a quadratic or builtin problem."""
-    if problem.name in BUILTIN_NAMES and problem.name != "nondegenerate_quadratic":
+    if problem.name in BUILTIN_NAMES:
         out = {"kind": "builtin", "name": problem.name}
         if problem.name == "scalar_degenerate" and problem.quadratic is not None:
             out["a"] = float(problem.quadratic.A[0, 0])

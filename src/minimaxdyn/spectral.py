@@ -42,6 +42,8 @@ SIGMA_SEP_TOL = 1e-6  # singular values closer than this, relative, count as rep
 LABEL_SQRT = "sqrt_eps_pair"
 LABEL_LINEAR = "linear_eps"
 LABEL_ORDER_ONE = "order_one"
+_LABELS = (LABEL_SQRT, LABEL_LINEAR, LABEL_ORDER_ONE)
+_SLOPE_CENTRES = np.array([0.5, 1.0, 0.0])  # the slope of each label's curves
 
 
 class SingularHessianError(np.linalg.LinAlgError):
@@ -297,7 +299,7 @@ class EigenCurves:
 
 def _label_counts(labels: list[str]) -> tuple[int, int, int]:
     """How many curves carry each label: (sqrt_eps_pair, linear_eps, order_one)."""
-    return tuple(labels.count(lbl) for lbl in (LABEL_SQRT, LABEL_LINEAR, LABEL_ORDER_ONE))
+    return tuple(labels.count(lbl) for lbl in _LABELS)
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -414,30 +416,20 @@ def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> Eigen
     d1, d2, r = blocks.d1, blocks.d2, blocks.r
     lam = _track_curves(H, d1, eps_grid)
 
-    # slope of log|lambda| vs log eps over the finest decade
-    finest = eps_grid <= eps_grid[-1] * 10.0 * (1.0 + 1e-12)
-    if np.count_nonzero(finest) < 2:
-        finest = np.zeros_like(finest)
-        finest[-2:] = True
-    log_eps = np.log(eps_grid[finest])
-    slopes = np.empty(lam.shape[0])
-    labels: list[str] = []
-    for j in range(lam.shape[0]):
-        mags = np.abs(lam[j, finest])
-        if np.any(mags == 0.0):
-            raise SingularHessianError("tracked eigenvalue hit zero on the grid")
-        slope = float(np.polyfit(log_eps, np.log(mags), 1)[0])
-        slopes[j] = slope
-        if abs(slope - 0.5) <= SLOPE_BAND:
-            labels.append(LABEL_SQRT)
-        elif abs(slope - 1.0) <= SLOPE_BAND:
-            labels.append(LABEL_LINEAR)
-        elif abs(slope) <= SLOPE_BAND:
-            labels.append(LABEL_ORDER_ONE)
-        else:
-            raise EigencurveLabelError(
-                f"curve {j}: slope {slope:.3f} fits no asymptotic type"
-            )
+    # slope of log|lambda| vs log eps over the finest decade, a suffix of the
+    # grid of at least two points, for every curve in one fit
+    k = max(2, np.count_nonzero(eps_grid <= eps_grid[-1] * 10.0 * (1.0 + 1e-12)))
+    mags = np.abs(lam[:, -k:])
+    if not mags.all():
+        raise SingularHessianError("tracked eigenvalue hit zero on the grid")
+    slopes = np.polyfit(np.log(eps_grid[-k:]), np.log(mags).T, 1)[0]
+    fits = np.abs(slopes[:, None] - _SLOPE_CENTRES) <= SLOPE_BAND  # the bands are disjoint
+    fitted = fits.any(axis=1)
+    if not fitted.all():
+        j = int(fitted.argmin())  # the first curve that fits no band
+        raise EigencurveLabelError(f"curve {j}: slope {slopes[j]:.3f} fits no asymptotic type")
+    kind = fits.argmax(axis=1)
+    labels = np.array(_LABELS)[kind].tolist()
 
     expected = (2 * (d2 - r), d1 - d2 + r, r)
     got = _label_counts(labels)
@@ -449,9 +441,9 @@ def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> Eigen
     # values only: with vectors, LAPACK returns sigma with other last bits
     sigma = np.linalg.svd(blocks.C2, compute_uv=False) if blocks.C2.size else np.array([])
     sigma_by_curve = np.full(lam.shape[0], np.nan)
-    sqrt_idx = [j for j, lbl in enumerate(labels) if lbl == LABEL_SQRT]
-    if sqrt_idx:
-        est = np.array([abs(lam[j, -1]) / np.sqrt(eps_grid[-1]) for j in sqrt_idx])
+    sqrt_idx = np.flatnonzero(kind == 0)  # LABEL_SQRT
+    if sqrt_idx.size:
+        est = np.abs(lam[sqrt_idx, -1]) / np.sqrt(eps_grid[-1])
         targets = np.repeat(sigma, 2)
         sigma_by_curve[sqrt_idx] = targets[_assign(np.abs(est[:, None] - targets[None, :]))]
 
@@ -479,23 +471,15 @@ def hemicurvature(curves: EigenCurves, j: int) -> float:
     """
     if curves.labels[j] != LABEL_SQRT:
         raise ValueError(f"curve {j} is {curves.labels[j]}, not {LABEL_SQRT}")
-    eps = curves.eps[-3:]
     vals = np.real(1.0 / curves.lam[j, -3:])
     if abs(vals[-1]) > 0.5 * curves.eps[-1] ** (-0.25):
         return float(np.sign(vals[-1]) * np.inf)
-    t = np.sqrt(eps)
-    # value at t = 0 of the quadratic through (t_i, f_i)
-    total = 0.0
-    for i in range(3):
-        num = 1.0
-        den = 1.0
-        for k in range(3):
-            if k == i:
-                continue
-            num *= -t[k]
-            den *= t[i] - t[k]
-        total += vals[i] * num / den
-    return float(total)
+    t0, t1, t2 = np.sqrt(curves.eps[-3:])
+    # value at t = 0 of the quadratic through (t_i, vals_i): Lagrange's three
+    # terms, summed from 0.0 so that a -0.0 sum reads 0.0
+    return float(0.0 + vals[0] * (t1 * t2) / ((t0 - t1) * (t0 - t2))
+                 + vals[1] * (t0 * t2) / ((t1 - t0) * (t1 - t2))
+                 + vals[2] * (t0 * t1) / ((t2 - t0) * (t2 - t1)))
 
 
 def _repeated_sigma_gap(sigma) -> float | None:

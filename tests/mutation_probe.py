@@ -41,15 +41,22 @@ MUTANTS = {
         "lambda jac_eigs: -jac_eigs.real.min(axis=-1)"),
     "gda Lipschitz flag False -> True": ("stability.py", "_gda_jacobian, _rho_margin, False)",
                                          "_gda_jacobian, _rho_margin, True)"),
-    "hemicurvature: flat extrapolation": ("spectral.py", "    t = np.sqrt(eps)\n",
+    "hemicurvature: flat extrapolation": ("spectral.py",
+                                          "    t0, t1, t2 = np.sqrt(curves.eps[-3:])\n",
                                           "    return float(vals[-1])\n"),
     "hemicurvature: +-inf cutoff x10": ("spectral.py", "> 0.5 * curves.eps[-1] ** (-0.25)",
                                         "> 5.0 * curves.eps[-1] ** (-0.25)"),
+    "slope bands: centres 0.5 <-> 1.0": ("spectral.py", "np.array([0.5, 1.0, 0.0])",
+                                         "np.array([1.0, 0.5, 0.0])"),
+    "slope fit: two-point floor 2 -> 3": ("spectral.py", "k = max(2, np.count", "k = max(3, np.count"),
     "RK4: k3 weight 2 -> 1": ("dynamics.py", "add(S, mul(2.0, k3, Y), S)",
                               "add(S, mul(1.0, k3, Y), S)"),
     "run_batch: divergence tested at max_iters": (
         "dynamics.py", "div[c], stop[c] = False, k0 + c == max_iters",
         "stop[c] = k0 + c == max_iters"),
+    "run_batch: cut sample not tested for divergence": (
+        "dynamics.py", "                if not cut:  # sample c",
+        "                div[c] = False\n                if not cut:  # sample c"),
     "SOLVE_COND_LIMIT 1e12 -> 1e20": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",
                                       "SOLVE_COND_LIMIT = 1e20"),
     "SOLVE_COND_LIMIT 1e12 -> 1e6": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",

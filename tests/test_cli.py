@@ -52,10 +52,7 @@ def test_classify_scalar_degenerate(tmp_path):
 
 
 CLI_PROBLEMS = [  # one JSON form per builtin, and a quadratic file
-    {"kind": "builtin", "name": name} for name in problems.BUILTIN_NAMES
-    if name != "nondegenerate_quadratic"] + [
-    {"kind": "builtin", "name": "nondegenerate_quadratic",
-     "A": [[2.0, 0.3], [0.3, -1.0]], "B": [[-1.5]], "C": [[0.7], [-0.2]]},
+    {"kind": "builtin", "name": name} for name in problems.BUILTIN_NAMES] + [
     {"kind": "quadratic", "A": [[-0.4]], "B": [[0.9, 0.1], [0.1, 0.0]], "C": [[1.3, -2.1]]},
 ]
 
@@ -194,10 +191,18 @@ def test_avoidance_refuses_runs_that_test_no_member(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_avoidance_refuses_gda_on_nondegenerate(tmp_path):
-    code = run_cli("avoidance", "--builtin", "nondegenerate_quadratic",
-                   "--method", "gda_tt", "--n", "5", "--out", str(tmp_path))
-    assert code == 1  # usage error: builtin requires A, B, C via --problem file
+def test_avoidance_refuses_gda_on_nondegenerate(tmp_path, capsys):
+    # B = [[-1]] has full rank: no degenerate direction for gda_tt to be trapped along
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"kind": "quadratic", "A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}))
+    out = tmp_path / "run"
+    code = run_cli("avoidance", "--problem", str(path), "--method", "gda_tt", "--n", "5",
+                   "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: gda_tt avoidance target must satisfy the second-order necessary condition "
+        "with degenerate B and some hemicurvature below eta/2\n")
+    assert not out.exists()
 
 
 def test_avoidance_refuses_gda_without_hemicurvature_witness(tmp_path):
@@ -368,15 +373,9 @@ def test_sweep_step_size_grid(tmp_path):
     assert all(r[3] == "unstable" for r in cont if float(r[2]) == tau_max)
 
     out2 = tmp_path / "pos"
-    code = run_cli("sweep", "--builtin", "nondegenerate_quadratic",
-                   "--problem", "", "--out", str(out2))
-    assert code == 1  # nondegenerate_quadratic needs a problem file
-
     spec = {"kind": "quadratic", "A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}
     path = tmp_path / "prob.json"
-    import json as _json
-
-    path.write_text(_json.dumps(spec))
+    path.write_text(json.dumps(spec))
     code = run_cli("sweep", "--problem", str(path), "--s-grid", "0.05:0.3:3",
                    "--tau-grid", "1:1e6:7", "--out", str(out2))
     assert code == 0

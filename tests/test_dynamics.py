@@ -23,6 +23,7 @@ from minimaxdyn.dynamics import (
 )
 from minimaxdyn.problems import (
     MinimaxProblem,
+    QuadraticSpec,
     builtin_problem,
     default_fd_step,
     jacobian_F,
@@ -37,7 +38,7 @@ def bilinear():
 
 @pytest.fixture
 def nondeg():
-    return builtin_problem("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    return QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).to_problem()
 
 
 # --- steppers ---------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_ode_field_eg_matches_eg_tt_at_tau_one(nondeg):
 
 def test_ode_field_singular_solve():
     # H = diag(-2, -1), so I + s H is singular at s = 1/2 = 1/L
-    p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
+    p = QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem()
     with pytest.raises(SingularOperatorError):
         ode_field(p, "eg", [1.0, 1.0], s=0.5)
 
@@ -188,8 +189,8 @@ def test_integrate_times_are_the_running_sum_of_dt(bilinear):
 def dense_quadratic(d1, d2, seed):
     rng = np.random.default_rng(seed)
     A, B = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
-    return builtin_problem("nondegenerate_quadratic", A=(A + A.T) / 2, B=(B + B.T) / 2,
-                           C=rng.standard_normal((d1, d2)))
+    return QuadraticSpec(A=(A + A.T) / 2, B=(B + B.T) / 2,
+                         C=rng.standard_normal((d1, d2))).to_problem()
 
 
 def reference_integrate(problem, kind, z0, jacobian, s, tau, dt, t_end, tol_conv,
@@ -525,7 +526,7 @@ def test_singular_operator_raises_only_once_stepped():
     # H = diag(-2, -1), so I + s H is singular at s = 1/2; an understated
     # lipschitz_bound lets s = 1/2 through validation
     p = dataclasses.replace(
-        builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]]),
+        QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem(),
         lipschitz_bound=1.0)
     traj = integrate(p, "eg", [0.0, 0.0], s=0.5, dt=0.1, t_end=1.0)
     assert (traj.termination.reason, traj.termination.step) == ("converged", 0)
@@ -579,7 +580,7 @@ def test_finite_state_whose_squares_overflow_is_not_nonfinite():
     overflows, at step 101; until then its norms are finite, rescaled by
     max|x|.  Rows whose squares do not overflow keep the bits of
     np.linalg.norm, and a batch equals its batches of one."""
-    p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
+    p = QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem()
     params = MethodParams(method="gda_tt", eta=0.1)
     traj = run_discrete(p, [1e300, -1e300], params, diverge_norm=math.inf)
     assert traj.termination == Termination("nonfinite", 101) and overflow_stops(traj, p)
@@ -682,7 +683,7 @@ def mixed_ensemble():
     with tol_conv = 1e-3 and diverge_norm = 2 members started on the axes
     converge or diverge at indices set by their distance from the origin,
     and the far ones run to max_iters.  NaN and inf starts end at once."""
-    problem = builtin_problem("nondegenerate_quadratic", A=[[0.01]], B=[[0.01]], C=[[0.0]])
+    problem = QuadraticSpec(A=[[0.01]], B=[[0.01]], C=[[0.0]]).to_problem()
     j = np.arange(0, 150, 7)
     Z0 = np.concatenate([
         np.stack([0.1 / 0.995 ** j, np.zeros_like(j, dtype=float)], axis=1),
@@ -721,9 +722,8 @@ PINNED = [
 
 def pinned_problem(name):
     if name == "dense":
-        return builtin_problem("nondegenerate_quadratic", A=[[2.0, 0.3], [0.3, 1.0]],
-                               B=[[-1.0, 0.2], [0.2, -0.5]],
-                               C=[[0.7, -0.4], [0.25, 0.9]])
+        return QuadraticSpec(A=[[2.0, 0.3], [0.3, 1.0]], B=[[-1.0, 0.2], [0.2, -0.5]],
+                             C=[[0.7, -0.4], [0.25, 0.9]]).to_problem()
     if name == "quartic":
         return quartic_problem()
     return builtin_problem(name)
@@ -963,6 +963,36 @@ def test_only_member_stops_at_a_chunk_boundary(bilinear, method, z0, k):
     np.testing.assert_array_equal(traj.f_norms, far.f_norms[end - k:])
 
 
+@pytest.mark.parametrize("j", [5, LOCKSTEP_CHUNK + 5])
+@pytest.mark.parametrize("method", ODE_METHODS)
+def test_last_member_diverging_mid_chunk_is_diverged(method, j):
+    """A checked batch ends at the sample where its last live member stops,
+    here j samples in, in the first chunk and in the second; that sample is
+    tested for divergence like any other.  The other member stops at once."""
+    p = QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem()  # the flow leaves 0
+    params = MethodParams(method=method, s=0.4, tau=3.0, dt=0.01)
+    far = run_discrete(p, [1e-4, -1e-4], params, max_iters=3000, diverge_norm=10.0)
+    k = far.termination.step
+    assert far.termination.reason == "diverged" and k > j
+    batch = run_batch(p, [[0.0, 0.0], far.states[k - j]], params, max_iters=1000,
+                      diverge_norm=10.0, record=True)
+    assert [t.termination for t in batch] == [Termination("converged", 0),
+                                              Termination("diverged", j)]
+    np.testing.assert_array_equal(batch[1].states, far.states[k - j:])
+
+
+def test_finite_run_stopping_mid_chunk_fixes_no_norm(monkeypatch):
+    """The chunk ends at the sample where the run converged, so its stop pass
+    sees only finite norms and leaves _fix_norms alone."""
+    calls, fix = [], dynamics._fix_norms
+    monkeypatch.setattr(dynamics, "_fix_norms", lambda *a: calls.append(a) or fix(*a))
+    p = builtin_problem("scalar_degenerate", a=2.0, c=1.0)
+    traj = run_discrete(p, [0.1, -0.1], MethodParams(method="ode_plain", dt=0.2),
+                        tol_conv=1e-2, max_iters=60)
+    assert traj.termination == Termination("converged", 14)
+    assert np.isfinite(traj.f_norms).all() and calls == []
+
+
 def same_bytes(a, b):
     """Whether two trajectories agree byte for byte."""
     return (a.termination == b.termination and a.times.tobytes() == b.times.tobytes()
@@ -1083,7 +1113,7 @@ def test_quadratic_ode_batch_overflowing_inside_a_chunk_equals_batches_of_one(me
     non-finite coordinate, not where their squares overflow.  Neither they
     nor the others change, down to the sign of a NaN norm: np.dot signs the
     NaN of F = Z H' at a NaN state by its row count, and the norm drops it."""
-    p = builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]])
+    p = QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem()
     Z0 = [[np.inf, 0.0], [1e300, -1e300], [-1e140, 1e140], [1e120, -1e110], [1.0, -1.0]]
     params = MethodParams(method=method, s=0.4, tau=3.0, dt=0.5)
     options = dict(max_iters=1000, diverge_norm=math.inf, record=True)
@@ -1104,7 +1134,7 @@ def test_ode_run_that_takes_no_step_raises_nothing():
     # I + s H is singular; a batch whose members all stop at their first
     # sample never builds a stage, so the operator is never checked
     p = dataclasses.replace(
-        builtin_problem("nondegenerate_quadratic", A=[[-2.0]], B=[[1.0]], C=[[0.0]]),
+        QuadraticSpec(A=[[-2.0]], B=[[1.0]], C=[[0.0]]).to_problem(),
         lipschitz_bound=1.0)
     params = MethodParams(method="ode_eg", s=0.5, dt=0.1)
     batch = run_batch(p, [[0.0, 0.0], [np.nan, 0.0], [1e9, 0.0]], params, max_iters=10)
@@ -1207,7 +1237,7 @@ def test_newton_already_stationary(nondeg):
 
 def test_newton_singular_jacobian():
     # H = [[1, 1], [-1, -1]] is singular
-    p = builtin_problem("nondegenerate_quadratic", A=[[1.0]], B=[[1.0]], C=[[1.0]])
+    p = QuadraticSpec(A=[[1.0]], B=[[1.0]], C=[[1.0]]).to_problem()
     with pytest.raises(SingularOperatorError):
         find_stationary(p, [1.0, 1.0])
 

@@ -43,7 +43,7 @@ def test_saddle_gradient_bilinear():
 
 
 def test_saddle_gradient_quadratic():
-    p = builtin_problem("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    p = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).to_problem()
     assert_allclose(saddle_gradient(p, [0.0, 0.0]), [0.0, 0.0])
     # Ax + Cy = 2 + 2, -(C'x + By) = -(1 - 2)
     assert_allclose(saddle_gradient(p, [1.0, 2.0]), [4.0, 1.0])
@@ -62,10 +62,7 @@ def test_jacobian_bilinear_constant():
 
 
 def test_jacobian_quadratic_exact():
-    p = builtin_problem(
-        "nondegenerate_quadratic",
-        A=[[2.0, 0.5], [0.5, 1.0]], B=[[-1.0]], C=[[1.0], [0.0]],
-    )
+    p = QuadraticSpec(A=[[2.0, 0.5], [0.5, 1.0]], B=[[-1.0]], C=[[1.0], [0.0]]).to_problem()
     H = jacobian_F(p, np.zeros(3))
     assert_allclose(H, [[2.0, 0.5, 1.0], [0.5, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 
@@ -120,11 +117,12 @@ def test_builtin_strict_nonminimax_demo_has_negative_sres():
     ("bilinear", {}),
     ("scalar_degenerate", {"a": 2.0, "c": 1.0}),
     ("scalar_degenerate", {"a": -2.0, "c": 1.0}),
-    ("nondegenerate_quadratic", {"A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}),
+    ("quadratic", {"A": [[2.0]], "B": [[-1.0]], "C": [[1.0]]}),
     ("strict_nonminimax_demo", {}),
 ])
 def test_jacobian_matches_finite_differences(name, params):
-    p = builtin_problem(name, **params)
+    p = (QuadraticSpec(**params).to_problem() if name == "quadratic"
+         else builtin_problem(name, **params))
     fd_twin = dataclasses.replace(p, hessian_blocks=None)
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -302,10 +300,7 @@ def test_bilinear_value_and_grad_consistent(x, y):
 
 
 def test_json_round_trip_quadratic(tmp_path):
-    p = builtin_problem(
-        "nondegenerate_quadratic",
-        A=[[2.0, 0.5], [0.5, 1.0]], B=[[-1.0]], C=[[1.0], [0.25]],
-    )
+    p = QuadraticSpec(A=[[2.0, 0.5], [0.5, 1.0]], B=[[-1.0]], C=[[1.0], [0.25]]).to_problem()
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem_to_json_dict(p)))
     q = load_problem(path)

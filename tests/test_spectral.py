@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from minimaxdyn.problems import builtin_problem, hessian_blocks_at
+from minimaxdyn.problems import QuadraticSpec, builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import (
     DEFAULT_EPS_GRID,
     EigenCurves,
@@ -19,6 +19,7 @@ from minimaxdyn.spectral import (
     LABEL_LINEAR,
     LABEL_ORDER_ONE,
     LABEL_SQRT,
+    SLOPE_BAND,
     SingularHessianError,
     _assign,
     _repeated_sigma_gap,
@@ -205,7 +206,7 @@ def test_eigencurves_bilinear_exact():
 
 
 def test_eigencurves_nondegenerate_types():
-    H = hessian_of("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    H = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).hessian()
     curves = eigencurves(H, 1)
     assert sorted(curves.labels) == [LABEL_LINEAR, LABEL_ORDER_ONE]
     j_lin = curves.labels.index(LABEL_LINEAR)
@@ -247,8 +248,12 @@ def test_eigencurves_rejects_bad_grid():
 def test_eigencurves_label_error_on_coarse_grid():
     # real roots at eps in [0.3, 0.9] for a=4, c=1; slopes fit no band there
     H = hessian_of("scalar_degenerate", a=4.0, c=1.0)
-    with pytest.raises(EigencurveLabelError):
-        eigencurves(H, 1, eps_grid=np.geomspace(0.9, 0.3, 5))
+    grid = np.geomspace(0.9, 0.3, 5)
+    _, slopes, labels, _, _ = reference_curves(H, 1, grid)
+    j = labels.index(None)
+    with pytest.raises(EigencurveLabelError,
+                       match=rf"^curve {j}: slope {slopes[j]:.3f} fits no asymptotic type$"):
+        eigencurves(H, 1, eps_grid=grid)
 
 
 def test_eigencurves_structural_counts_on_random_instances():
@@ -289,10 +294,12 @@ def test_eigencurves_never_vanish():
         assert np.min(np.abs(curves.lam)) > 0.0
 
 
-def reference_curves(H, d1, eps_grid, labels):
-    """lam and sigma_by_curve computed one eps at a time: one eigvals call per
-    grid point and scipy's assignment per step, with the same power-law
-    prediction as eigencurves.  Also returns the tracking cost matrices."""
+def reference_curves(H, d1, eps_grid):
+    """lam, slopes, labels and sigma_by_curve computed one at a time: one
+    eigvals call per grid point and scipy's assignment per step, with the same
+    power-law prediction as eigencurves; one np.polyfit per curve over the
+    finest decade (the last two points when it holds one) and the bands tested
+    in turn, None for a slope in none.  Also returns the tracking cost matrices."""
     n = H.shape[0]
     lam = np.empty((n, len(eps_grid)), dtype=complex)
     costs = []
@@ -310,6 +317,20 @@ def reference_curves(H, d1, eps_grid, labels):
         costs.append(np.abs(pred[:, None] - vals[None, :]))
         _, cols = linear_sum_assignment(costs[-1])
         lam[:, i] = vals[cols]
+    finest = eps_grid <= eps_grid[-1] * 10.0 * (1.0 + 1e-12)
+    if np.count_nonzero(finest) < 2:
+        finest[-2:] = True
+    slopes, labels = np.empty(n), []
+    for j in range(n):
+        slopes[j] = np.polyfit(np.log(eps_grid[finest]), np.log(np.abs(lam[j, finest])), 1)[0]
+        if abs(slopes[j] - 0.5) <= SLOPE_BAND:
+            labels.append(LABEL_SQRT)
+        elif abs(slopes[j] - 1.0) <= SLOPE_BAND:
+            labels.append(LABEL_LINEAR)
+        elif abs(slopes[j]) <= SLOPE_BAND:
+            labels.append(LABEL_ORDER_ONE)
+        else:
+            labels.append(None)
     C2 = canonicalize(H[:d1, :d1], -H[d1:, d1:], H[:d1, d1:]).C2
     sigma = np.linalg.svd(C2, compute_uv=False) if C2.size else np.array([])
     sigma_by_curve = np.full(n, np.nan)
@@ -320,7 +341,7 @@ def reference_curves(H, d1, eps_grid, labels):
         rows, cols = linear_sum_assignment(np.abs(est[:, None] - targets[None, :]))
         for a, b in zip(rows, cols):
             sigma_by_curve[sqrt_idx[a]] = targets[b]
-    return lam, sigma_by_curve, costs
+    return lam, slopes, labels, sigma_by_curve, costs
 
 
 def has_tie(cost):
@@ -342,13 +363,17 @@ def test_eigencurves_match_per_eps_reference():
     for d1, d2, r in SHAPES:
         for k in range(3):
             cases[(d1, d2, r, k)] = (assemble_hessian(*random_saddle_blocks(rng, d1, d2, r)), d1)
-    for grid in (DEFAULT_EPS_GRID, np.geomspace(0.5, 1e-8, 17)):
+    coarse = np.geomspace(1e-1, 1e-9, 4)
+    assert np.count_nonzero(coarse <= 10.0 * coarse[-1]) == 1  # slopes from the last two points
+    for grid in (DEFAULT_EPS_GRID, np.geomspace(0.5, 1e-8, 17), coarse):
         for key, (H, d1) in cases.items():
             curves = eigencurves(H, d1, eps_grid=grid)
-            lam, sigma_by_curve, costs = reference_curves(H, d1, grid, curves.labels)
+            lam, slopes, labels, sigma_by_curve, costs = reference_curves(H, d1, grid)
             assert np.array_equal(curves.lam, lam), key
+            assert curves.slopes.tobytes() == slopes.tobytes(), key
+            assert curves.labels == labels, key
             assert np.array_equal(curves.sigma_by_curve, sigma_by_curve, equal_nan=True), key
-            if key == "tie":
+            if key == "tie" and grid is not coarse:
                 assert any(has_tie(c) for c in costs)
 
 
@@ -512,8 +537,7 @@ def test_complex_power_one_keeps_the_tracking_cost_bit_for_bit():
 
 
 def test_mu_roots_worked_examples():
-    roots = mu_roots_oracle(blocks_of("nondegenerate_quadratic",
-                                      A=[[2.0]], B=[[-1.0]], C=[[1.0]]))
+    roots = mu_roots_oracle(canonicalize([[2.0]], [[-1.0]], [[1.0]]))
     assert_allclose(roots, [3.0 + 0.0j], atol=1e-10)
     roots = mu_roots_oracle(canonicalize(np.diag([3.0, -5.0]), [[0.0]], [[1.0], [0.0]]))
     assert_allclose(roots, [-5.0 + 0.0j], atol=1e-10)
@@ -574,7 +598,7 @@ def test_hemicurvature_scalar_degenerate(a, c):
 
 
 def test_hemicurvature_requires_sqrt_label():
-    H = hessian_of("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    H = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).hessian()
     curves = eigencurves(H, 1)
     with pytest.raises(ValueError):
         hemicurvature(curves, 0)
@@ -638,7 +662,7 @@ def test_s_zero_values():
         == pytest.approx(-1.0, abs=1e-3)
     assert s_zero(eigencurves(hessian_of("scalar_degenerate", a=-2.0, c=1.0), 1)) \
         == pytest.approx(1.0, abs=1e-3)
-    H = hessian_of("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    H = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).hessian()
     assert s_zero(eigencurves(H, 1)) == -np.inf
 
 

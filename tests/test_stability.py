@@ -322,8 +322,7 @@ def test_nonsingularity_bounds():
         assert abs(np.linalg.det(J_gda)) > 0
         # EG map Jacobian away from equilibria, via finite differences
         eta_eg = rng.uniform(0.05, 0.99) * golden / L
-        spec_q = builtin_problem(
-            "nondegenerate_quadratic", A=A, B=B, C=C)
+        spec_q = QuadraticSpec(A=A, B=B, C=C).to_problem()
         z = rng.standard_normal(d1 + d2)
         h = 1e-6
         J_fd = np.empty((d1 + d2, d1 + d2))
@@ -357,7 +356,7 @@ def test_infinity_verdict_negative_hemicurvature():
 
 
 def test_infinity_verdict_nondegenerate_stable():
-    H = hessian_of("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    H = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).hessian()
     L = np.linalg.norm(H, 2)
     for frac in (0.1, 0.5, 0.9):
         assert infinity_eg_verdict(H, 1, frac / L, "continuous").verdict == "stable"
@@ -847,7 +846,7 @@ def test_default_grids_cannot_be_changed_through_a_report():
 def test_characterize_json_is_serializable():
     import json
 
-    p = builtin_problem("nondegenerate_quadratic", A=[[2.0]], B=[[-1.0]], C=[[1.0]])
+    p = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).to_problem()
     rep = characterize_equilibrium(p, np.zeros(2))
     payload = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert '"s0": "-inf"' in payload
