@@ -49,10 +49,6 @@ def _parse_grid(args, name: str, default=None):
         raise ValueError(f"grid must look like lo:hi:n, got {text!r}") from exc
     if n < 0:
         raise ValueError("grid length must be nonnegative")
-    if n == 0:
-        return np.array([])
-    if n == 1:
-        return np.array([lo])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
     if lo <= 0 or hi <= 0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import block_hessian, symmetrize
+from .problems import _as_matrix, block_hessian, symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EPS_GRID = np.geomspace(1e-1, 1e-9, 40)
@@ -116,7 +116,7 @@ def canonicalize(A, B, C) -> CanonicalBlocks:
     """Diagonalize B, order nonzero eigenvalues first, zero out the rest."""
     A = symmetrize(A, "A")
     B = symmetrize(B, "B")
-    C = np.asarray(C, dtype=float)
+    C = _as_matrix(C, "C")
     if C.shape != (A.shape[0], B.shape[0]):
         raise ValueError(f"C must be {A.shape[0]}x{B.shape[0]}, got {C.shape}")
 
@@ -390,7 +390,7 @@ def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
     constraint is a hard consistency check, never a relabeling heuristic).
     """
     H = np.asarray(H, dtype=float)
-    n = H.shape[0]
+    n = H.shape[0] if H.ndim else 0
     if H.shape != (n, n) or not 0 < d1 <= n:
         raise ValueError("H must be square with 0 < d1 <= n")
     C = H[:d1, d1:]

@@ -1,21 +1,21 @@
 """Stability regions, equilibrium Jacobians, and strict-linear-stability verdicts.
 
 Continuous tau-EG is stable at an equilibrium iff spec(H_tau) avoids the
-closed disk D_s of radius 1/(2s) centered at -1/(2s); discrete tau-EG is
-stable iff spec(H_tau) lies inside the open peanut-shaped region P_eta;
-two-timescale GDA is stable iff the spectral radius of I - eta H_tau is
-below one.  Each region test has an equivalent inverse form
-
-    disk     z in D_s        <=>  Re(1/z) <= -s            (z != 0)
-    peanut   z in P_eta      <=>  Re(1/(z(1 - eta z))) > eta/2
-    gda      |1 - eta z| > 1 <=>  Re(1/z) < eta/2
-
+closed disk D_s of radius 1/(2s) centered at -1/(2s); discrete tau-EG iff
+it lies in the open peanut-shaped region P_eta; two-timescale GDA iff the
+spectral radius of I - eta H_tau is below one.  A row of MODES holds one
+mode's facts: the name of its step ("s" or "eta"); its inverse form, stable
+iff Re(1/u) + shift > 0 on spec(H_tau), with u = lam (1 - eta lam) for the
+peanut and u = lam otherwise, shift = s for the disk and -eta/2 otherwise,
 which stays well conditioned as the eigenvalues collapse toward the origin
-with growing tau, so verdict margins are measured in inverse form.  MODES
-holds both sides of each equivalence, and verdict_table() evaluates (mode,
-step) pairs over one tau grid, computing both sides as array operations; it
-raises CriterionMismatchError where they disagree outside their marginal
-bands, so the criterion equivalences run as permanent self-tests.
+with growing tau, so margins are measured in it; the Jacobian J at an
+equilibrium and the margin of the direct criterion on spec(J); whether the
+step must obey step * ||H|| < 1; and the large-tau threshold (lhs, rhs),
+predicting stable iff lhs > rhs.  in_disk and in_peanut cross-check the
+direct regions against the rows' inverse forms, and verdict_table()
+evaluates (mode, step) pairs over one tau grid, both criteria as array
+operations; each raises CriterionMismatchError where the two sides disagree
+outside their marginal bands, so the equivalences run as permanent self-tests.
 """
 
 from __future__ import annotations
@@ -104,48 +104,39 @@ def _peanut_u(z, eta: float) -> np.ndarray:
     return u
 
 
-def in_disk(z, s: float, cross_check: bool = True):
-    """Membership in D_s = {z : |z + 1/(2s)| <= 1/(2s)}.
-
-    Cross-checked against the inverse form Re(1/z) <= -s away from the
-    boundary; scalars in, scalar bool out.
-    """
-    check_ranges(s=s)
+def _in_region(z, step: float, mode: str, gap: Callable, closed: bool, cross_check: bool):
+    """Membership of z in a region given by its direct gap: the closed region
+    (gap >= 0) where MODES[mode]'s inverse-form margin is <= 0, or the open one
+    (gap > 0) where it is > 0.  The two forms are cross-checked away from the
+    boundary and from u = 0; scalars in, scalar bool out."""
+    m = MODES[mode]
+    check_ranges(**{m.step: step})
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    gap = disk_gap(z, s)
-    primary = gap >= 0.0
+    g = gap(z, step)
+    primary = g >= 0.0 if closed else g > 0.0
     if cross_check:
-        # z = 0 sits on the boundary of the closed disk: margin 0, inside
-        inv = _inverse_margin(z, s) <= 0.0
-        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & (np.abs(z) > 1e-300)
+        u = m.u(z, step)
+        margin = _inverse_margin(u, m.shift(step))
+        inv = margin <= 0.0 if closed else margin > 0.0
+        bad = (primary != inv) & (np.abs(g) > _CROSS_CHECK_GUARD) & (np.abs(u) > 1e-300)
         if np.any(bad):
+            name = gap.__name__.removesuffix("_gap")
             raise CriterionMismatchError(
-                f"disk forms disagree at z={z[bad][0]} (gap {gap[bad][0]:.3e})"
-            )
+                f"{name} forms disagree at z={z[bad][0]} (gap {g[bad][0]:.3e})")
     return bool(primary[0]) if scalar else primary
+
+
+def in_disk(z, s: float, cross_check: bool = True):
+    """Membership in D_s = {z : |z + 1/(2s)| <= 1/(2s)}, cross-checked
+    against Re(1/z) <= -s (z = 0 is on the boundary: inside)."""
+    return _in_region(z, s, "continuous", disk_gap, True, cross_check)
 
 
 def in_peanut(z, eta: float, cross_check: bool = True):
-    """Membership in the open peanut-shaped region P_eta.
-
-    Cross-checked against Re(1/(z(1 - eta z))) > eta/2 for z not in
-    {0, 1/eta}.
-    """
-    check_ranges(eta=eta)
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    gap = peanut_gap(z, eta)
-    primary = gap > 0.0
-    if cross_check:
-        u = _peanut_u(z, eta)
-        inv = _inverse_margin(u, -eta / 2.0) > 0.0
-        bad = (primary != inv) & (np.abs(gap) > _CROSS_CHECK_GUARD) & (np.abs(u) > 1e-300)
-        if np.any(bad):
-            raise CriterionMismatchError(
-                f"peanut forms disagree at z={z[bad][0]} (gap {gap[bad][0]:.3e})"
-            )
-    return bool(primary[0]) if scalar else primary
+    """Membership in the open peanut-shaped region P_eta, cross-checked
+    against Re(1/(z(1 - eta z))) > eta/2 for z not in {0, 1/eta}."""
+    return _in_region(z, eta, "discrete", peanut_gap, False, cross_check)
 
 
 def mobius_map(lam, s: float):
@@ -201,13 +192,15 @@ class Verdicts:
 
 @dataclass(frozen=True)
 class VerdictMode:
-    """Both sides of one stability equivalence (a row of MODES)."""
+    """The facts of one stability mode (a row of MODES)."""
 
     step: str                # name of the step size: "s" or "eta"
-    region_margin: Callable  # (spec(H_tau), step) -> inverse-form margins
+    u: Callable              # (spec(H_tau), step) -> u; inverse-form margin Re(1/u) + shift
+    shift: Callable          # step -> shift
     jacobian: Callable       # (H_tau stack, step) -> Jacobian stack
     jac_margin: Callable     # spec(J) stack -> margin per tau, positive = stable
     lipschitz: bool          # requires step * ||H|| < 1
+    threshold: Callable      # (s0, step) -> (lhs, rhs): stable for large tau iff lhs > rhs
 
 
 def _rho_margin(jac_eigs) -> np.ndarray:
@@ -215,18 +208,20 @@ def _rho_margin(jac_eigs) -> np.ndarray:
 
 
 MODES = {
-    # eg_tt_continuous: spec(H_tau) outside disk <=> spec(J) in open left half-plane
+    # eg_tt_continuous: spec(H_tau) outside D_s <=> spec(J) in the open left half-plane
     "continuous": VerdictMode(
-        "s", _inverse_margin, eg_jacobian_continuous,  # region margin Re(1/lam) + s
-        lambda jac_eigs: -jac_eigs.real.max(axis=-1), True),
-    # eg_tt_discrete: spec(H_tau) inside peanut <=> rho(J) < 1
+        "s", lambda lams, s: lams, lambda s: s,
+        eg_jacobian_continuous, lambda jac_eigs: -jac_eigs.real.max(axis=-1), True,
+        lambda s0, s: (s, s0)),
+    # eg_tt_discrete: spec(H_tau) inside P_eta <=> rho(J) < 1
     "discrete": VerdictMode(
-        "eta", lambda lams, eta: _inverse_margin(_peanut_u(lams, eta), -eta / 2.0),
-        _eg_discrete_jacobian, _rho_margin, True),
-    # gda_tt: Re(1/lambda) > eta/2 for all lambda <=> rho(I - eta H_tau) < 1
+        "eta", _peanut_u, lambda eta: -eta / 2.0,
+        _eg_discrete_jacobian, _rho_margin, True, lambda s0, eta: (eta / 2.0, s0)),
+    # gda_tt: Re(1/lam) > eta/2 for all lam <=> rho(I - eta H_tau) < 1; large tau:
+    # stable iff every hemicurvature exceeds eta/2, i.e. -s0 > eta/2
     "gda": VerdictMode(
-        "eta", lambda lams, eta: _inverse_margin(lams, -eta / 2.0),
-        _gda_jacobian, _rho_margin, False),
+        "eta", lambda lams, eta: lams, lambda eta: -eta / 2.0,
+        _gda_jacobian, _rho_margin, False, lambda s0, eta: (-s0, eta / 2.0)),
 }
 
 
@@ -250,18 +245,18 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
             raise ValueError(f"unknown mode {mode!r}")
         m = MODES[mode]
         check_ranges(**{m.step: step})
-        if not len(taus):
-            empty = np.empty((0, len(H)))
-            table.append(Verdicts([], empty, empty, np.empty(0)))
-            continue
         if m.lipschitz:
             norm = np.linalg.norm(H, 2) if norm is None else norm
             if step * norm >= 1.0:
                 raise ValueError(f"requires {m.step} < 1/L ({m.step} * ||H|| < 1)")
+        if not len(taus):
+            empty = np.empty((0, len(H)))
+            table.append(Verdicts([], empty, empty, np.empty(0)))
+            continue
         if Ht is None:
             Ht = timescaled_hessian(H, taus, d1)
             lams = np.linalg.eigvals(Ht)
-        margins = m.region_margin(lams, step)
+        margins = _inverse_margin(m.u(lams, step), m.shift(step))
         jac_eigs = np.linalg.eigvals(m.jacobian(Ht, step))
         jac_margin = m.jac_margin(jac_eigs)
         region = _labels(margins.min(axis=-1))
@@ -395,20 +390,9 @@ class EquilibriumReport:
         }
 
 
-def _predict(method: str, so: spectral.SecondOrderVerdict, s0: float,
-             s_eval: float, eta_eval: float) -> str:
-    """Large-tau stability prediction from the second-order data.
-
-    The type-(ii)/(iii) eigenvalue families force instability whenever the
-    necessary conditions fail; the sqrt-order family compares the step
-    size against s0 (continuous), eta/2 (discrete), or the hemicurvatures
-    against eta/2 (gda).
-    """
-    if not (so.B_nsd and so.Sres_psd):
-        return "unstable"
-    # gda is stable iff every hemicurvature exceeds eta/2, i.e. -s0 > eta/2
-    lhs, rhs = {"continuous": (s_eval, s0), "discrete": (eta_eval / 2.0, s0),
-                "gda": (-s0, eta_eval / 2.0)}[method]
+def _predict(lhs: float, rhs: float) -> str:
+    """"stable" if lhs > rhs, "unstable" if lhs < rhs, each by more than a
+    relative 1e-9 guard band around rhs; "indeterminate" inside it."""
     guard = 1e-9 * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
     if lhs > rhs + guard:
         return "stable"
@@ -463,8 +447,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
         tol_u = default_psd_tol(rsc.S)
         stable_for_all_steps = bool(necessary and all(v >= -tol_u for v in u_S_u))
 
-    predictions = {mode: _predict(mode, so, s0, s_eval, eta_eval) for mode in MODES}
+    # the type-(ii)/(iii) eigenvalue families force instability whenever the
+    # necessary conditions fail; the sqrt-order family sets each row's threshold
     pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
+    predictions = {mode: _predict(*MODES[mode].threshold(s0, step)) if necessary else "unstable"
+                   for mode, step in pairs}
     tau_grid = _tau_grid(tau_grid)
     table = verdict_table(H, problem.d1, pairs, tau_grid)
     observed = {mode: _terminal_run(mode, step, tau_grid, v.labels)

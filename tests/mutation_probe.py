@@ -5,8 +5,10 @@ Each mutant replaces one fragment, which must occur exactly once, in one
 file of src/minimaxdyn.  For each mutant the repository (less .git and
 caches) is copied to a temporary directory, the fragment is replaced there,
 and `python -m pytest -x -q` runs in the copy, whose pyproject puts the
-copy's src/ first on the path.  A mutant is killed when pytest fails; it
-survives when every test passes.  The working tree is never edited.
+copy's src/ first on the path.  A mutant is killed when pytest fails, or
+when it runs past TIMEOUT_S (as it does under a mutant that makes the
+engine loop), and then pytest's whole process group is killed; it survives
+when every test passes.  The working tree is never edited.
 
 Pytest does not collect this file (no test_ prefix).  The whole table takes
 a few minutes; give mutant names to run only those.  The exit status is 0
@@ -17,6 +19,7 @@ Usage: python tests/mutation_probe.py [NAME ...]
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,6 +28,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench_out", "out")
+TIMEOUT_S = 120  # several times the whole suite's run
 
 # name: (file under src/minimaxdyn, fragment, replacement)
 MUTANTS = {
@@ -37,10 +41,15 @@ MUTANTS = {
     "_rho_margin: mean for max": ("stability.py", "np.abs(jac_eigs).max(axis=-1)",
                                   "np.abs(jac_eigs).mean(axis=-1)"),
     "continuous Jacobian margin: min for max": (
-        "stability.py", "lambda jac_eigs: -jac_eigs.real.max(axis=-1)",
-        "lambda jac_eigs: -jac_eigs.real.min(axis=-1)"),
-    "gda Lipschitz flag False -> True": ("stability.py", "_gda_jacobian, _rho_margin, False)",
-                                         "_gda_jacobian, _rho_margin, True)"),
+        "stability.py",
+        "eg_jacobian_continuous, lambda jac_eigs: -jac_eigs.real.max(axis=-1)",
+        "eg_jacobian_continuous, lambda jac_eigs: -jac_eigs.real.min(axis=-1)"),
+    "gda Lipschitz flag False -> True": ("stability.py", "_gda_jacobian, _rho_margin, False,",
+                                         "_gda_jacobian, _rho_margin, True,"),
+    "discrete shift sign: -eta/2 -> eta/2": ("stability.py", "_peanut_u, lambda eta: -eta / 2.0",
+                                             "_peanut_u, lambda eta: eta / 2.0"),
+    "gda threshold: sides swapped": ("stability.py", "lambda s0, eta: (-s0, eta / 2.0)",
+                                     "lambda s0, eta: (eta / 2.0, -s0)"),
     "hemicurvature: flat extrapolation": ("spectral.py",
                                           "    t0, t1, t2 = np.sqrt(curves.eps[-3:])\n",
                                           "    return float(vals[-1])\n"),
@@ -54,6 +63,8 @@ MUTANTS = {
     "run_batch: divergence tested at max_iters": (
         "dynamics.py", "div[c], stop[c] = False, k0 + c == max_iters",
         "stop[c] = k0 + c == max_iters"),
+    "run_batch: cut chunk takes the nobody-stopped shortcut (loops)": (
+        "dynamics.py", "if cut or not (0 < k0", "if not (0 < k0"),
     "run_batch: cut sample not tested for divergence": (
         "dynamics.py", "                if not cut:  # sample c",
         "                div[c] = False\n                if not cut:  # sample c"),
@@ -80,11 +91,18 @@ def run_mutant(name: str, tmp: str) -> tuple[bool, str]:
         raise SystemExit(f"mutant {name!r}: {old!r} occurs {text.count(old)} times in {file}")
     with open(path, "w") as fh:
         fh.write(text.replace(old, new))
-    result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                            cwd=copy, capture_output=True, text=True)
-    lines = result.stdout.strip().splitlines()
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                            cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                            start_new_session=True)  # its own process group, children included
+    try:
+        out = proc.communicate(timeout=TIMEOUT_S)[0]
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return True, f"timed out after {TIMEOUT_S} s"
+    lines = out.strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
-    return result.returncode != 0, (failed or lines or [""])[-1]
+    return proc.returncode != 0, (failed or lines or [""])[-1]
 
 
 def main(names) -> int:

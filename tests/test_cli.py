@@ -414,9 +414,9 @@ def test_classify_rejects_bad_tau_grid(tmp_path, capsys, grid, reason):
 @pytest.mark.parametrize("argv, reason", [
     (["classify", "--tau-grid", "nan:1:1"], "tau_grid must be finite"),
     (["classify", "--tau-grid", "1:inf:3"], "tau_grid must be finite"),
-    (["sweep", "--tau-grid", "inf:inf:1"], "tau must be finite"),
-    (["sweep", "--tau-grid", "nan:1:1"], "tau must be finite"),
-    # endpoints of a grid of n >= 2 points are checked by the grid's name
+    # the endpoints of a grid of any length are checked by the grid's name
+    (["sweep", "--tau-grid", "inf:inf:1"], "tau_grid must be finite"),
+    (["sweep", "--tau-grid", "nan:1:1"], "tau_grid must be finite"),
     (["sweep", "--eps-grid", "nan:1e-3:5"], "eps_grid must be finite"),
     (["sweep", "--eps-grid", "1e-1:-inf:5"], "eps_grid must be finite"),
     (["sweep", "--tau-grid", "1:nan:4"], "tau_grid must be finite"),

@@ -3,7 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_fd_jacobian, replay_deviation, step
+from conftest import (
+    random_saddle_blocks,
+    random_sufficient_blocks,
+    reference_fd_jacobian,
+    replay_deviation,
+    step,
+)
 from numpy.testing import assert_allclose
 
 from minimaxdyn import dynamics
@@ -29,6 +35,8 @@ from minimaxdyn.problems import (
     jacobian_F,
     saddle_gradient,
 )
+from minimaxdyn.spectral import timescaled_hessian
+from minimaxdyn.stability import MODES, verdict_table
 
 
 @pytest.fixture
@@ -676,6 +684,90 @@ def coupled_problem():
                          x1 - y1 - y1 ** 3, 0.5 * x2 + 0.5 * x1 * x2 - y2])
     return MinimaxProblem(d1=2, d2=2, value=lambda z: 0.0, grad=grad,
                           lipschitz_bound=8.0, name="coupled")
+
+
+# --- the engine runs the operator that the verdicts judge --------------------
+
+OPERATOR_TAUS = (1.0, 10.0, 1e4)
+OPERATOR_STEPS = (0.1, 0.5, 0.95)  # times 1/L
+# method -> the MODES row of its linearization, and the tau of that operator
+# (None: the run's tau); ode_plain's operator is -H
+OPERATORS = {"gda_tt": ("gda", None), "eg_tt": ("discrete", None),
+             "ode_eg_tt": ("continuous", None), "ode_eg": ("continuous", 1.0)}
+
+
+def judged_operator(H, d1, method, step, tau):
+    """The stability module's operator of the method at an equilibrium with Jacobian H."""
+    if method == "ode_plain":
+        return -H
+    mode, op_tau = OPERATORS[method]
+    return MODES[mode].jacobian(timescaled_hessian(H, op_tau or tau, d1), step)
+
+
+def engine_map(problem, method, step, tau):
+    """Z -> rows of one engine step from the rows of Z (discrete methods, by
+    run_batch) or of the ODE field at them (ode_field)."""
+    if method in dynamics.DISCRETE_METHODS:
+        params = MethodParams(method, eta=step, tau=tau)
+        return lambda Z: np.array([t.states[-1] for t in run_batch(
+            problem, Z, params, tol_conv=0.0, max_iters=1, diverge_norm=math.inf)])
+    kind = dynamics.FIELD_KINDS[method]
+    return lambda Z: np.array([ode_field(problem, kind, z, s=step, tau=tau) for z in Z])
+
+
+def operator_problems():
+    """The builtins and random quadratics of random_saddle_blocks shapes, and
+    one local minimax, whose gda and eg verdicts turn stable at large tau."""
+    out = [builtin_problem(name) for name in ("bilinear", "scalar_degenerate",
+                                              "strict_nonminimax_demo")]
+    rng = np.random.default_rng(26)
+    for d1, d2, r in [(1, 1, 0), (1, 2, 1), (2, 1, 1), (2, 2, 0), (2, 3, 2), (3, 3, 3)]:
+        A, B, C = random_saddle_blocks(rng, d1, d2, r)
+        out.append(QuadraticSpec(A=A, B=B, C=C).to_problem())
+    A, B, C = random_sufficient_blocks(rng, 2, 2, 1)
+    return out + [QuadraticSpec(A=A, B=B, C=C).to_problem()]
+
+
+def test_engine_runs_the_judged_operator():
+    """On a quadratic one engine step is linear: run_batch from the basis
+    vectors gives the rows of the discrete Jacobian J', and ode_field at them
+    the columns of the continuous one.  Both equal the operators whose spectra
+    the verdicts judge, within 1e-13 relative, at steps inside and outside
+    every mode's region."""
+    seen = {mode: set() for mode in MODES}
+    for problem in operator_problems():
+        H, d1, n = problem.quadratic.hessian(), problem.d1, problem.dim
+        for tau in OPERATOR_TAUS:
+            for step in np.array(OPERATOR_STEPS) / problem.lipschitz_bound:
+                for method in dynamics.METHODS:
+                    got = engine_map(problem, method, step, tau)(np.eye(n)).T
+                    want = judged_operator(H, d1, method, step, tau)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                        (problem.name, method, tau, step)
+                table = verdict_table(H, d1, [(mode, step) for mode in MODES], [tau])
+                for mode, v in zip(MODES, table):
+                    seen[mode].update(v.labels)
+    assert all(labels == {"stable", "unstable"} for labels in seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["quartic", "coupled"])
+def test_engine_linearizes_to_the_judged_operator(name):
+    """On a general problem, the central difference of the engine step (or
+    field) about z* = 0 over +-h e_i matches the operator built on
+    jacobian_F(z*): within 1e-7 relative, above the O(h^2) = 1e-10 error of
+    the difference (times third derivatives of at most 6) and jacobian_F's
+    own finite-difference error."""
+    problem = quartic_problem() if name == "quartic" else coupled_problem()
+    z_star, h = np.zeros(problem.dim), 1e-5
+    DF, E = jacobian_F(problem, z_star), h * np.eye(problem.dim)
+    for tau in OPERATOR_TAUS:
+        for step in np.array(OPERATOR_STEPS) / problem.lipschitz_bound:
+            for method in dynamics.METHODS:
+                G = engine_map(problem, method, step, tau)
+                got = ((G(z_star + E) - G(z_star - E)) / (2.0 * h)).T
+                want = judged_operator(DF, problem.d1, method, step, tau)
+                assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), \
+                    (method, tau, step)
 
 
 def mixed_ensemble():

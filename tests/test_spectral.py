@@ -88,6 +88,13 @@ def test_canonicalize_orders_by_magnitude():
     assert_allclose(np.diag(b.B_diag), [-3.0, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("C", [[[np.nan]], [[np.inf]]], ids=["nan", "inf"])
+def test_canonicalize_rejects_non_finite_C(C):
+    # a NaN in C used to pass through to C2 and fail later as an SVD that did not converge
+    with pytest.raises(ValueError, match="^C contains non-finite entries$"):
+        canonicalize(np.eye(1), np.zeros((1, 1)), C)
+
+
 # --- restricted Schur complement ---------------------------------------------
 
 
@@ -231,6 +238,13 @@ def test_eigencurves_scalar_degenerate_closed_form():
 def test_eigencurves_rejects_singular_H():
     H = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularHessianError):
+        eigencurves(H, 1)
+
+
+@pytest.mark.parametrize("H", [np.float64(1.0), 1.0, np.ones(2), np.ones((2, 3))],
+                         ids=["float64", "float", "vector", "2x3"])
+def test_eigencurves_rejects_non_square_H(H):
+    with pytest.raises(ValueError, match=r"^H must be square with 0 < d1 <= n$"):
         eigencurves(H, 1)
 
 
