@@ -19,6 +19,7 @@ only per-method part is the stepper: one descent (two for EG) for the
 discrete methods, one RK4 step over the rows for the ODE methods.
 run_discrete and integrate are batches of one, a run of max_iters = 1 is
 one step of the stepper, and ode_field is one evaluation of its velocity.
+Non-quadratic members run one at a time, each as a batch of one.
 """
 
 from __future__ import annotations
@@ -137,16 +138,16 @@ def timescale_weights(d1: int, d2: int, tau: float) -> np.ndarray:
 
 
 def _row_field(problem: MinimaxProblem):
-    """Evaluator field(Z, out=None, live=None) of F on each row of an (m, d) array.
+    """Evaluator field(Z, out=None) of F on each row of an (m, d) array.
 
     Quadratic problems compute F = Z H' as np.dot(Z, H.T, out), H built once:
     the bits of np.matmul(Z, H.T) and, for m = 1, of saddle_gradient.  np.dot
     wants out C-contiguous float64 and apart from Z, as chunk rows are.  Other
-    problems run _saddle_rows, whose mask keeps grad off stopped members.
+    problems run _saddle_rows, one grad call per row.
     """
     if problem.quadratic is not None:
         HT, dot = problem.quadratic.hessian().T, np.dot
-        return lambda Z, out=None, live=None: dot(Z, HT, out)
+        return lambda Z, out=None: dot(Z, HT, out)
     return _saddle_rows(problem)
 
 
@@ -190,18 +191,18 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray, *out, scratch=None) -> np.nda
 
 
 def _velocity(problem: MinimaxProblem, params: MethodParams, field):
-    """Evaluator v(Y, F, out, live) of the method's ODE field on the rows of Y.
+    """Evaluator v(Y, F, out) of the method's ODE field on the rows of Y.
 
     v writes the velocity into out and returns it; F is field(Y), or None to
     evaluate it into out first.  Quadratic EG fields build M = I + s Lam_tau H
     once, check it on the first call (a run that takes no step raises nothing),
     then solve every row in place with the bare gesv gufunc, whose error state
     depends on M alone.  Other problems solve against I + s Lam_tau DF(y) row by
-    row in per-run buffers, with NaN and no grad call where live is false.
+    row in per-run buffers.
     """
     kind = FIELD_KINDS[params.method]
     if kind == "plain":
-        return lambda Y, F, out, live: np.negative(field(Y, out, live) if F is None else F, out)
+        return lambda Y, F, out: np.negative(field(Y, out) if F is None else F, out)
     s = params.s
     check_ranges(s=s)  # ode_field allows s >= 1/L
     lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
@@ -211,21 +212,18 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
         J, M, D = np.empty((3, problem.dim, problem.dim))  # DF(y), the operator, M - I
         rhs = np.empty(problem.dim)
 
-        def rows(Y, F, out, live):
-            F = field(Y, out, live) if F is None else F  # row i is read before out[i] is set
+        def rows(Y, F, out):
+            F = field(Y, out) if F is None else F  # row i is read before out[i] is set
             for i, y in enumerate(Y):
-                if live is None or live[i]:
-                    np.multiply(lam_col, jac(y, J), M)
-                    np.add(np.multiply(s, M, M), eye, M)  # eye + s (lam J), bit for bit
-                    np.negative(_solve_checked(M, np.multiply(lam, F[i], rhs), scratch=D), out[i])
-                else:
-                    out[i] = np.nan
+                np.multiply(lam_col, jac(y, J), M)
+                np.add(np.multiply(s, M, M), eye, M)  # eye + s (lam J), bit for bit
+                np.negative(_solve_checked(M, np.multiply(lam, F[i], rhs), scratch=D), out[i])
             return out
         return rows
     M = np.eye(problem.dim) + s * (lam[:, None] * problem.quadratic.hessian())
     solve = _solve_checked  # checks the condition of M on the first call only
 
-    def stacked(Y, F, out, live):
+    def stacked(Y, F, out):
         nonlocal solve
         R = np.multiply(lam, field(Y, out) if F is None else F, out)[..., None]
         solve(M, R, R)
@@ -235,14 +233,13 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
 
 
 def _stepper(problem: MinimaxProblem, params: MethodParams, field):
-    """The method's one step, as rows(m) -> step(Z, F, Znext, Fnext, live).
+    """The method's one step, as rows(m) -> step(Z, F, Znext, Fnext).
 
     step writes into Znext the states one step after the m rows of Z, given
-    F = field(Z), and into Fnext their field, evaluating field only on the
-    rows where live is true (all when live is None).  rows(m) is called once
-    per live set (again only when members drop out) and allocates its
-    buffers, so a quadratic step allocates none; what it builds around
-    (eta, lam, the EG velocity and its checked operator) is built once per run.
+    F = field(Z), and into Fnext their field.  rows(m) is called once per
+    live set (again only when members drop out) and allocates its buffers,
+    so a quadratic step allocates none; what it builds around (eta, lam, the
+    EG velocity and its checked operator) is built once per run.
     """
     mul, add, sub = np.multiply, np.add, np.subtract
     if params.method in DISCRETE_METHODS:
@@ -254,15 +251,15 @@ def _stepper(problem: MinimaxProblem, params: MethodParams, field):
             # same-shape eta and lam skip the broadcasting set-up of few-row ufuncs
             eta_m, lam_m, F_mid = np.full((m, d), eta), lam * np.ones((m, 1)), np.empty((m, d))
 
-            def step(Z, F, Zn, Fn, live):
+            def step(Z, F, Zn, Fn):
                 mul(lam_m, F, Zn)  # Zn = Z - eta * (lam * F), in this order
                 mul(eta_m, Zn, Zn)
                 sub(Z, Zn, Zn)
                 if is_eg:  # Zn holds the midpoint
-                    mul(lam_m, field(Zn, F_mid, live), Zn)
+                    mul(lam_m, field(Zn, F_mid), Zn)
                     mul(eta_m, Zn, Zn)
                     sub(Z, Zn, Zn)
-                field(Zn, Fn, live)
+                field(Zn, Fn)
             return step
         return rows
     v, dt = _velocity(problem, params, field), params.dt or DT_DEFAULT
@@ -271,16 +268,16 @@ def _stepper(problem: MinimaxProblem, params: MethodParams, field):
     def rows(m):
         Y, S, k1, k2, k3, k4 = np.empty((6, m, problem.dim))  # stage point, weighted sum
 
-        def rk4(Z, F, Zn, Fn, live):
-            v(Z, F, k1, live)
-            v(add(Z, mul(half, k1, Y), Y), None, k2, live)
-            v(add(Z, mul(half, k2, Y), Y), None, k3, live)
-            v(add(Z, mul(dt, k3, Y), Y), None, k4, live)
+        def rk4(Z, F, Zn, Fn):
+            v(Z, F, k1)
+            v(add(Z, mul(half, k1, Y), Y), None, k2)
+            v(add(Z, mul(half, k2, Y), Y), None, k3)
+            v(add(Z, mul(dt, k3, Y), Y), None, k4)
             add(k1, mul(2.0, k2, S), S)  # Zn = Z + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
             add(S, mul(2.0, k3, Y), S)
             add(S, k4, S)
             add(Z, mul(sixth, S, S), Zn)
-            field(Zn, Fn, live)
+            field(Zn, Fn)
         return rk4
     return rows
 
@@ -304,19 +301,14 @@ def _fix_norms(X, n) -> np.ndarray:
     return np.isfinite(n)
 
 
-def _moving(Z, F, tol_conv: float, diverge_norm: float) -> list:
-    """Per row, whether the stopping rule lets it take another step.
-
-    Row by row in Python, which costs less than array calls for the few
-    rows of a typical batch; the norms are those run_batch records.
-    """
-    moving = []
-    for i in range(len(Z)):
-        f, z = F[i], Z[i]
-        fn = _rescaled(f, math.sqrt(f.dot(f)))
-        moving.append(tol_conv < fn < math.inf
-                      and _rescaled(z, math.sqrt(z.dot(z))) < diverge_norm)
-    return moving
+def _moving(Z, F, tol_conv: float, diverge_norm: float) -> bool:
+    """Whether the stopping rule, on the norms run_batch records, lets some row
+    take another step; row by row in Python, up to the first row that can."""
+    for f, z in zip(F, Z):
+        if (tol_conv < _rescaled(f, math.sqrt(f.dot(f))) < math.inf
+                and _rescaled(z, math.sqrt(z.dot(z))) < diverge_norm):
+            return True
+    return False
 
 
 def _as_states(problem: MinimaxProblem, Z, name: str) -> np.ndarray:
@@ -341,7 +333,9 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     through chunks of LOCKSTEP_CHUNK steps (fewer for large m * d), one
     stepper call writing each next row of the chunk's state and F buffers;
     after each chunk the stopped ones are dropped (buffers are made once per
-    live set, and a middle chunk where none stopped skips the stop pass).  A
+    live set, and a middle chunk where none stopped skips the stop pass).
+    Members of a non-quadratic problem run one at a time, as batches of one,
+    so grad is called member by member and never past a member's stop.  A
     member's float operations do not depend on the batch, except for BLAS
     summation order in F = Z H' with a dense H.  With record=False a trajectory
     keeps only its initial and final states; returned arrays share no memory.
@@ -350,12 +344,15 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
     check_ranges(tol_conv=tol_conv, max_iters=max_iters, diverge_norm=diverge_norm)
     Z0 = _as_states(problem, Z0, "Z0")
     n, d = Z0.shape
+    if problem.quadratic is None and n > 1:
+        return [run_batch(problem, z0[None], params, tol_conv, max_iters, diverge_norm,
+                          record)[0] for z0 in Z0]
     field = _row_field(problem)
     rows = _stepper(problem, params, field)
     discrete = params.method in DISCRETE_METHODS
     # a discrete step on a quadratic costs about as much as a check, so such
     # members are not checked before each step; every other batch stops as
-    # soon as all its members have (quadratic evaluators ignore the mask)
+    # soon as no member can move (stopped quadratic members are stepped on)
     checked = problem.quadratic is None or not discrete
 
     steps, codes = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -371,16 +368,11 @@ def run_batch(problem: MinimaxProblem, Z0, params: MethodParams,
                 Zr, Fr, step = list(Zbuf), list(Fbuf), rows(m)
             c, cut = min(len(Zr) - 1, max_iters - k0), False
             Zbuf[0], Fbuf[0] = Z, F
-            if checked:
-                for i in range(c):
-                    live = _moving(Zr[i], Fr[i], tol_conv, diverge_norm)
-                    if not any(live):  # all stopped by sample i: the chunk ends there
-                        c, cut = i, True
-                        break
-                    step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], live)
-            else:
-                for i in range(c):
-                    step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1], None)
+            for i in range(c):
+                if checked and not _moving(Zr[i], Fr[i], tol_conv, diverge_norm):
+                    c, cut = i, True  # all stopped by sample i: the chunk ends there
+                    break
+                step(Zr[i], Fr[i], Zr[i + 1], Fr[i + 1])
             Zb, Fb = Zbuf[:c + 1], Fbuf[:c + 1]
             fn = np.sqrt(np.vecdot(Fb, Fb))  # bit-equal to np.linalg.norm per row
             zn = np.sqrt(np.vecdot(Zb, Zb))
@@ -463,7 +455,7 @@ def ode_field(problem: MinimaxProblem, kind: str, z, s: float | None = None,
               tau: float = 1.0) -> np.ndarray:
     """Vector field of the named continuous system at z."""
     params, Y = MethodParams(method=f"ode_{kind}", s=s, tau=tau), _as_states(problem, [z], "z")
-    return _velocity(problem, params, _row_field(problem))(Y, None, np.empty_like(Y), None)[0]
+    return _velocity(problem, params, _row_field(problem))(Y, None, np.empty_like(Y))[0]
 
 
 def find_stationary(problem: MinimaxProblem, z0, newton_tol: float = 1e-10,

@@ -174,16 +174,13 @@ def _finite_point(z, name: str) -> np.ndarray:
 
 
 def _saddle_rows(problem: MinimaxProblem):
-    """Evaluator rows(Z, out=None, live=None) of F on the rows of Z, NaN where live is
-    false: the one loop over grad, each result checked and copied before the next call."""
+    """Evaluator rows(Z, out=None) of F on the rows of Z: the one loop over grad,
+    each result checked and copied before the next call."""
     grad, d1, shape = problem.grad, problem.d1, (problem.dim,)
 
-    def rows(Z, out=None, live=None):
+    def rows(Z, out=None):
         out = np.empty_like(Z) if out is None else out
         for i in range(len(Z)):
-            if live is not None and not live[i]:
-                out[i] = np.nan
-                continue
             g = np.asarray(grad(Z[i]), dtype=float)
             if g.shape != shape:
                 raise ValueError(f"grad must return shape {shape}, got {g.shape}")

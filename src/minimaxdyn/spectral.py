@@ -229,6 +229,17 @@ def second_order_necessary(blocks: CanonicalBlocks,
     return SecondOrderVerdict(lam_max_B <= tol_B, Sres_psd, rsc)
 
 
+def _saddle_shape(H, d1) -> np.ndarray:
+    """H as a float array, refused unless square with d1 an integer in 1..n, not a bool."""
+    H = np.asarray(H, dtype=float)
+    n = H.shape[0] if H.ndim else 0
+    if H.shape != (n, n):
+        raise ValueError("H must be square with 0 < d1 <= n")
+    if isinstance(d1, bool) or not isinstance(d1, (int, np.integer)) or not 0 < d1 <= n:
+        raise ValueError(f"d1 must be an integer with 0 < d1 <= {n}, got {d1!r}")
+    return H
+
+
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
     gives the stack of H_tau."""
@@ -389,10 +400,7 @@ def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
     when the fitted labels contradict the structural counts (the count
     constraint is a hard consistency check, never a relabeling heuristic).
     """
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0] if H.ndim else 0
-    if H.shape != (n, n) or not 0 < d1 <= n:
-        raise ValueError("H must be square with 0 < d1 <= n")
+    H = _saddle_shape(H, d1)
     C = H[:d1, d1:]
     if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > 1e-8 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H is not in saddle block form: lower-left != -C'")

@@ -33,10 +33,10 @@ from .spectral import (
     EigenCurves,
     _eigencurves,
     _repeated_sigma_gap,
+    _saddle_shape,
     canonicalize,
     default_psd_tol,
     hemicurvature,
-    s_zero,
     second_order_necessary,
     timescaled_hessian,
 )
@@ -238,6 +238,7 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
     Pairs are validated and evaluated in order, so a failing pair raises
     what a table of it alone raises.
     """
+    H = _saddle_shape(H, d1)
     Ht = lams = norm = None
     table = []
     for mode, step in pairs:
@@ -429,12 +430,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     H = block_hessian(A, B, C)
     curves = _eigencurves(H, blocks)
     sigma = curves.sigma
-    iota_by_sigma = []
-    for sg in sigma:
-        vals = [hemicurvature(curves, j) for j in curves.sqrt_indices
-                if np.isclose(curves.sigma_by_curve[j], sg)]
-        iota_by_sigma.append(float(np.mean(vals)) if vals else float("nan"))
-    s0 = s_zero(curves)
+    iota = {j: hemicurvature(curves, j) for j in curves.sqrt_indices}  # one per curve
+    groups = [[v for j, v in iota.items() if np.isclose(curves.sigma_by_curve[j], sg)]
+              for sg in sigma]
+    iota_by_sigma = [float(np.mean(vals)) if vals else float("nan") for vals in groups]
+    s0 = max((-v for v in iota.values()), default=-math.inf)  # s_zero
 
     distinct = _repeated_sigma_gap(sigma) is None
     u_S_u = [float(u @ rsc.S @ u) for u in rsc.U_sigma.T] if distinct else None

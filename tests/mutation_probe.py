@@ -68,6 +68,12 @@ MUTANTS = {
     "run_batch: cut sample not tested for divergence": (
         "dynamics.py", "                if not cut:  # sample c",
         "                div[c] = False\n                if not cut:  # sample c"),
+    "_moving: every row read, no early return": (
+        "dynamics.py", "            return True\n    return False",
+        "            moving = True\n    return 'moving' in locals()"),
+    "run_batch: non-quadratic members in lockstep": (
+        "dynamics.py", "if problem.quadratic is None and n > 1:",
+        "if problem.quadratic is None and n < 1:"),
     "SOLVE_COND_LIMIT 1e12 -> 1e20": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",
                                       "SOLVE_COND_LIMIT = 1e20"),
     "SOLVE_COND_LIMIT 1e12 -> 1e6": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",

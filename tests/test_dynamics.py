@@ -984,6 +984,47 @@ def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
     assert {"converged", "nonfinite", "t_end"} <= {t.termination.reason for t in batch}
 
 
+@pytest.mark.parametrize("method", dynamics.METHODS)
+def test_general_batch_runs_member_by_member(method):
+    """A non-quadratic batch runs its members one at a time: grad sees every
+    point of the first member, then of the second, and so on, and each
+    recorded trajectory has the bytes of its recorded batch of one."""
+    points, quartic = [], quartic_problem()
+    problem = dataclasses.replace(quartic, grad=lambda z: points.append(z.copy())
+                                  or quartic.grad(z))
+    Z0 = [[1e-3, -1e-3], [0.9, 0.9], [np.nan, 0.0], [10.0, -10.0], [0.2, 0.1]]
+    params = MethodParams(method=method, eta=0.1, s=0.05, tau=2.0, dt=0.1)
+    options = dict(tol_conv=1e-6, max_iters=120, diverge_norm=1e3, record=True)
+    batch = run_batch(problem, Z0, params, **options)
+    in_batch, points[:] = points[:], []
+    singles = [run_batch(problem, [z0], params, **options)[0] for z0 in Z0]
+    assert np.array_equal(in_batch, points, equal_nan=True)
+    assert all(same_bytes(a, b) for a, b in zip(batch, singles, strict=True))
+    assert sum(t.termination.step > 0 for t in batch) >= 3  # the order shows
+
+
+@pytest.mark.parametrize("method", ODE_METHODS)
+def test_checked_quadratic_batch_reads_one_row_per_step(monkeypatch, bilinear, method):
+    """Before each step, a checked batch looks only as far as the first member
+    that can move; here that is the first member at every step, so the check
+    rescales its two norms and reads no other row."""
+    calls, rescaled = [0], dynamics._rescaled
+
+    def counted(x, norm):
+        calls[0] += 1
+        return rescaled(x, norm)
+    monkeypatch.setattr(dynamics, "_rescaled", counted)
+    Z0 = [[1.0, 0.0], [0.0, 0.0], [np.nan, 0.0], [0.5, 0.5], [0.3, -0.2]]
+    max_iters = 2 * LOCKSTEP_CHUNK + 3
+    batch = run_batch(bilinear, Z0, MethodParams(method=method, s=0.3, tau=2.0, dt=0.01),
+                      max_iters=max_iters)
+    assert [t.termination for t in batch] == [
+        Termination("t_end", max_iters), Termination("converged", 0),
+        Termination("nonfinite", 0), Termination("t_end", max_iters),
+        Termination("t_end", max_iters)]
+    assert calls[0] == 2 * max_iters
+
+
 # --- buffers made once per live set ------------------------------------------
 
 

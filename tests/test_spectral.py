@@ -248,6 +248,15 @@ def test_eigencurves_rejects_non_square_H(H):
         eigencurves(H, 1)
 
 
+@pytest.mark.parametrize("d1", [1.5, True, np.True_, 0, 3],  # H is 2 x 2
+                         ids=["fraction", "True", "np.True_", "zero", "n+1"])
+def test_eigencurves_rejects_bad_d1(d1):
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match=r"^d1 must be an integer with 0 < d1 <= 2, got "):
+        eigencurves(H, d1)
+    assert eigencurves(H, np.int64(1)).counts() == eigencurves(H, 1).counts()
+
+
 def test_eigencurves_rejects_bad_grid():
     H = hessian_of("bilinear")
     with pytest.raises(ValueError):

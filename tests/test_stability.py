@@ -630,6 +630,16 @@ def test_verdict_table_validates_pairs_in_order():
         stability.verdict_table(H, 1, [("gda", 0.5), ("continuous", 1.5)], [2.0, 3.0])
 
 
+@pytest.mark.parametrize("d1", [1.5, True, np.True_, 0, 3],  # H is 2 x 2
+                         ids=["fraction", "True", "np.True_", "zero", "n+1"])
+def test_verdict_table_rejects_bad_d1(d1):
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match=r"^d1 must be an integer with 0 < d1 <= 2, got "):
+        stability.verdict_table(H, d1, [("gda", 0.5)], [1.0])
+    with pytest.raises(ValueError, match=r"^d1 must be an integer"):  # before the empty grid
+        stability.verdict_table(H, d1, [("gda", 0.5)], [])
+
+
 @pytest.mark.parametrize("step", [np.inf, np.nan, -np.inf])
 def test_engine_rejects_non_finite_steps(step):
     H = hessian_of("strict_nonminimax_demo")
@@ -721,6 +731,21 @@ def test_library_entry_points_reject_non_finite_points(problem, point, reason):
     if isinstance(problem, str):
         with pytest.raises(ValueError, match=reason.replace("z_star", "z0")):
             find_stationary(p, point)
+
+
+def test_characterize_takes_one_hemicurvature_per_curve(monkeypatch):
+    calls, hemicurvature = [], spectral.hemicurvature
+    for module in (spectral, stability):  # s_zero calls the one in spectral
+        monkeypatch.setattr(module, "hemicurvature",
+                            lambda curves, j: calls.append(j) or hemicurvature(curves, j))
+    repeated = QuadraticSpec(A=np.diag([1.0, 2.0]), B=np.zeros((2, 2)), C=np.eye(2))
+    for p in [builtin_problem(name) for name in ("bilinear", "strict_nonminimax_demo",
+                                                 "scalar_degenerate")] + [repeated.to_problem()]:
+        rep = characterize_equilibrium(p, np.zeros(p.dim))
+        assert calls == rep.curves.sqrt_indices and calls
+        assert rep.s0 == spectral.s_zero(rep.curves)
+        calls.clear()
+    assert rep.sigma == [1.0, 1.0] and rep.iota[0] == rep.iota[1]  # one group of four curves
 
 
 def test_characterize_makes_one_verdict_table(monkeypatch):
