@@ -34,8 +34,7 @@ from numpy.linalg import _umath_linalg
 from .problems import MinimaxProblem, _finite_point, _jacobian, _point, _saddle_rows
 
 DISCRETE_METHODS = ("gda_tt", "eg_tt")
-FIELD_KINDS = {"ode_plain": "plain", "ode_eg": "eg", "ode_eg_tt": "eg_tt"}  # method -> field
-METHODS = DISCRETE_METHODS + tuple(FIELD_KINDS)
+METHODS = DISCRETE_METHODS + ("ode_plain", "ode_eg", "ode_eg_tt")
 
 TOL_CONV_DEFAULT = 1e-10
 DIVERGE_NORM_DEFAULT = 1e8
@@ -200,12 +199,12 @@ def _velocity(problem: MinimaxProblem, params: MethodParams, field):
     depends on M alone.  Other problems solve against I + s Lam_tau DF(y) row by
     row in per-run buffers.
     """
-    kind = FIELD_KINDS[params.method]
-    if kind == "plain":
+    if params.method == "ode_plain":
         return lambda Y, F, out: np.negative(field(Y, out) if F is None else F, out)
     s = params.s
     check_ranges(s=s)  # ode_field allows s >= 1/L
-    lam = timescale_weights(problem.d1, problem.d2, 1.0 if kind == "eg" else params.tau)
+    tau = 1.0 if params.method == "ode_eg" else params.tau
+    lam = timescale_weights(problem.d1, problem.d2, tau)
     if problem.quadratic is None:
         jac = _jacobian(problem)
         eye, lam_col = _identity(problem.dim), lam[:, None]

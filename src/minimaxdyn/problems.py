@@ -129,9 +129,6 @@ class QuadraticSpec:
         """The saddle Jacobian H = [[A, C], [-C', -B]] (shared, read-only)."""
         return self._H
 
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.hessian(), 2))
-
     def to_problem(self, name: str = "") -> MinimaxProblem:
         A, B, C = self.A, self.B, self.C
         G = np.block([[A, C], [C.T, B]])  # grad f(z) = G z
@@ -152,7 +149,7 @@ class QuadraticSpec:
             value=value,
             grad=grad,
             hessian_blocks=blocks,
-            lipschitz_bound=self.lipschitz(),
+            lipschitz_bound=float(np.linalg.norm(self._H, 2)),
             name=name,
             quadratic=self,
         )
@@ -262,6 +259,17 @@ def hessian_blocks_at(problem: MinimaxProblem, z):
     return A, B, C
 
 
+def _builtin_blocks(name: str, params: dict) -> list:
+    """[A, B, C] of a builtin as nested lists, its parameters popped from params."""
+    if name == "bilinear":
+        return [[[0.0]], [[0.0]], [[1.0]]]
+    if name == "scalar_degenerate":
+        return [[[float(params.pop("a", 2.0))]], [[0.0]], [[float(params.pop("c", 1.0))]]]
+    if name == "strict_nonminimax_demo":
+        return [[[-2.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]
+    raise ValueError(f"unknown builtin problem {name!r}")
+
+
 def builtin_problem(name: str, **params) -> MinimaxProblem:
     """Named instances used throughout the test families.
 
@@ -270,42 +278,25 @@ def builtin_problem(name: str, **params) -> MinimaxProblem:
     strict_nonminimax_demo   stationary origin whose restricted Schur
                              complement has a negative eigenvalue
     """
-    if name == "bilinear":
-        spec = QuadraticSpec(A=[[0.0]], B=[[0.0]], C=[[1.0]])
-    elif name == "scalar_degenerate":
-        a = float(params.pop("a", 2.0))
-        c = float(params.pop("c", 1.0))
-        spec = QuadraticSpec(A=[[a]], B=[[0.0]], C=[[c]])
-    elif name == "strict_nonminimax_demo":
-        spec = QuadraticSpec(
-            A=[[-2.0, 0.0], [0.0, 1.0]],
-            B=[[-1.0, 0.0], [0.0, 0.0]],
-            C=[[1.0, 0.0], [0.0, 1.0]],
-        )
-    else:
-        raise ValueError(f"unknown builtin problem {name!r}")
+    A, B, C = _builtin_blocks(name, params)
     if params:
         raise ValueError(f"unused parameters for {name!r}: {sorted(params)}")
-    return spec.to_problem(name=name)
+    return QuadraticSpec(A=A, B=B, C=C).to_problem(name=name)
 
 
 def problem_to_json_dict(problem: MinimaxProblem) -> dict:
-    """JSON form of a quadratic or builtin problem."""
-    if problem.name in BUILTIN_NAMES:
-        out = {"kind": "builtin", "name": problem.name}
-        if problem.name == "scalar_degenerate" and problem.quadratic is not None:
-            out["a"] = float(problem.quadratic.A[0, 0])
-            out["c"] = float(problem.quadratic.C[0, 0])
-        return out
-    if problem.quadratic is None:
-        raise ValueError("only quadratic or builtin problems have a JSON form")
+    """JSON form of a quadratic problem: a builtin's name (and parameters) when
+    the problem bears that name and has that builtin's blocks, else its blocks."""
     q = problem.quadratic
-    return {
-        "kind": "quadratic",
-        "A": q.A.tolist(),
-        "B": q.B.tolist(),
-        "C": q.C.tolist(),
-    }
+    if q is None:
+        raise ValueError("only quadratic or builtin problems have a JSON form")
+    blocks = {"A": q.A.tolist(), "B": q.B.tolist(), "C": q.C.tolist()}
+    if problem.name in BUILTIN_NAMES:
+        params = ({"a": blocks["A"][0][0], "c": blocks["C"][0][0]}
+                  if problem.name == "scalar_degenerate" else {})
+        if _builtin_blocks(problem.name, dict(params)) == list(blocks.values()):
+            return {"kind": "builtin", "name": problem.name, **params}
+    return {"kind": "quadratic", **blocks}
 
 
 def _non_numbers(value):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import _as_matrix, block_hessian, symmetrize
+from .problems import SYMMETRY_TOL, _as_matrix, block_hessian, symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EPS_GRID = np.geomspace(1e-1, 1e-9, 40)
@@ -92,11 +92,13 @@ class CanonicalBlocks:
 @dataclass(frozen=True)
 class RestrictedSchur:
     """U spans range(C2)^perp; S = A - C B^+ C'; S_res = U' S U (w x w);
-    U_sigma holds the left singular vectors u_j of C2 and spectrum spec(S_res)."""
+    sigma holds the singular values sigma_j of C2 (descending), U_sigma their
+    left singular vectors u_j, and spectrum spec(S_res)."""
 
     U: np.ndarray
     S: np.ndarray
     S_res: np.ndarray
+    sigma: np.ndarray
     U_sigma: np.ndarray
     spectrum: np.ndarray
 
@@ -154,13 +156,10 @@ def generalized_schur(blocks: CanonicalBlocks) -> np.ndarray:
 
 def restricted_schur(blocks: CanonicalBlocks) -> RestrictedSchur:
     """Restricted Schur complement (a 0 x 0 one is vacuously PSD); one full
-    SVD of C2 gives both the basis of range(C2)^perp and the u_j."""
+    SVD of C2 gives the basis of range(C2)^perp, the sigma_j and the u_j."""
     C2 = blocks.C2
-    if C2.size:
-        V, sv, _ = np.linalg.svd(C2, full_matrices=True)
-        rank = int(np.count_nonzero(sv > max(C2.shape) * np.finfo(float).eps * sv[0]))
-    else:
-        V, sv, rank = np.eye(blocks.d1), [], 0
+    V, sv, _ = np.linalg.svd(C2, full_matrices=True)  # V = I when C2 has no column
+    rank = int(np.count_nonzero(sv > max(C2.shape) * np.finfo(float).eps * sv[:1]))
     U = V[:, rank:]
     S = generalized_schur(blocks)
     S_res = U.T @ S @ U
@@ -172,28 +171,21 @@ def restricted_schur(blocks: CanonicalBlocks) -> RestrictedSchur:
     # the thin SVD's layout, whose column strides set the bits of u' S u
     U_sigma = np.ascontiguousarray(V[:, :len(sv)])
     spectrum = np.linalg.eigvalsh(S_res) if S_res.size else np.array([])
-    return RestrictedSchur(U=U, S=S, S_res=S_res, U_sigma=U_sigma, spectrum=spectrum)
+    return RestrictedSchur(U=U, S=S, S_res=S_res, sigma=sv, U_sigma=U_sigma, spectrum=spectrum)
 
 
-def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200,
-                        seed: int = 0, psd_tol: float | None = None) -> bool:
+def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200, seed: int = 0) -> bool:
     """Sampling check of the subspace form of the PSD condition.
 
     Draws random v with C'v in range(B) -- equivalently v orthogonal to
-    range(C2) -- and tests min v'Sv >= -psd_tol.  Independent of the
+    range(C2) -- and tests min v'Sv >= -default_psd_tol(S).  Independent of the
     restricted_schur construction except for the canonical split.
     """
     S = generalized_schur(blocks)
     Gamma = blocks.C2
-    if Gamma.size:
-        Q, sv, _ = np.linalg.svd(Gamma, full_matrices=False)
-        tol = max(Gamma.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        Q = Q[:, sv > tol]
-    else:
-        Q = np.zeros((blocks.d1, 0))
+    Q, sv, _ = np.linalg.svd(Gamma, full_matrices=False)
+    Q = Q[:, sv > max(Gamma.shape) * np.finfo(float).eps * sv[:1]]
     rng = np.random.default_rng(seed)
-    if psd_tol is None:
-        psd_tol = default_psd_tol(S)
     worst = np.inf
     for _ in range(n_samples):
         v = rng.standard_normal(blocks.d1)
@@ -207,7 +199,7 @@ def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200,
     if not np.isfinite(worst):
         # null space of Gamma' is trivial: vacuously true
         return True
-    return worst >= -psd_tol
+    return worst >= -default_psd_tol(S)
 
 
 @dataclass(frozen=True)
@@ -229,32 +221,46 @@ def second_order_necessary(blocks: CanonicalBlocks,
     return SecondOrderVerdict(lam_max_B <= tol_B, Sres_psd, rsc)
 
 
+def _integer(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is none."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _saddle_shape(H, d1) -> np.ndarray:
-    """H as a float array, refused unless square with d1 an integer in 1..n, not a bool."""
+    """H as a float array, refused unless square with d1 an integer in 1..n."""
     H = np.asarray(H, dtype=float)
     n = H.shape[0] if H.ndim else 0
     if H.shape != (n, n):
         raise ValueError("H must be square with 0 < d1 <= n")
-    if isinstance(d1, bool) or not isinstance(d1, (int, np.integer)) or not 0 < d1 <= n:
+    if not (_integer(d1) and 0 < d1 <= n):
         raise ValueError(f"d1 must be an integer with 0 < d1 <= {n}, got {d1!r}")
     return H
+
+
+def _check_invertible(H: np.ndarray) -> None:
+    """Raise SingularHessianError unless cond(H) is finite and at most HESSIAN_COND_LIMIT."""
+    cond = np.linalg.cond(H)
+    if not cond <= HESSIAN_COND_LIMIT:  # NaN included
+        raise SingularHessianError(f"H numerically singular (cond ~ {cond:.3e})")
 
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
     gives the stack of H_tau."""
     tau = np.asarray(tau, dtype=float)
+    if tau.ndim > 1:
+        raise ValueError(f"tau must be a scalar or a 1-d grid, got shape {tau.shape}")
     if not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite")
     if np.any(tau < 1.0):
         raise ValueError("tau must be >= 1")
-    H = np.asarray(H, dtype=float)
+    H = _saddle_shape(H, d1)
     out = np.broadcast_to(H, tau.shape + H.shape).copy()
     out[..., :d1, :] /= tau[..., None, None]
     return out
 
 
-def mu_roots_oracle(blocks: CanonicalBlocks, beta_tol: float = 1e-8) -> np.ndarray:
+def mu_roots_oracle(blocks: CanonicalBlocks) -> np.ndarray:
     """Finite roots of det(mu * diag(I, 0) - H) = 0 via a QZ matrix pencil.
 
     These must coincide with spec(S_res) when H is invertible; the pencil
@@ -263,15 +269,13 @@ def mu_roots_oracle(blocks: CanonicalBlocks, beta_tol: float = 1e-8) -> np.ndarr
     import scipy.linalg
 
     Hc = block_hessian(blocks.A, blocks.B_diag, np.hstack([blocks.C1, blocks.C2]))
+    _check_invertible(Hc)
     n = Hc.shape[0]
-    cond = np.linalg.cond(Hc)
-    if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
-        raise SingularHessianError(f"H numerically singular (cond ~ {cond:.3e})")
     N = np.zeros((n, n))
     N[: blocks.d1, : blocks.d1] = np.eye(blocks.d1)
     w, _ = scipy.linalg.eig(Hc, N, right=True, homogeneous_eigvals=True)
     alpha, beta = w[0], w[1]
-    finite = np.abs(beta) > beta_tol * np.max(np.abs(beta))
+    finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))  # relative to the largest |beta|
     roots = alpha[finite] / beta[finite]
     expected = blocks.d1 - blocks.C2.shape[1]
     if roots.size != expected:
@@ -402,7 +406,7 @@ def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
     """
     H = _saddle_shape(H, d1)
     C = H[:d1, d1:]
-    if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > 1e-8 * max(1.0, np.max(np.abs(H))):
+    if C.size and np.max(np.abs(H[d1:, :d1] + C.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(H))):
         raise ValueError("H is not in saddle block form: lower-left != -C'")
     A, B = symmetrize(H[:d1, :d1], "A"), symmetrize(-H[d1:, d1:], "B")
     return _eigencurves(H, canonicalize(A, B, C), eps_grid)
@@ -410,9 +414,7 @@ def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
 
 def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> EigenCurves:
     """eigencurves of H, whose canonical blocks are already at hand."""
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
-        raise SingularHessianError(f"H numerically singular (cond ~ {cond:.3e})")
+    _check_invertible(H)
     eps_grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or len(eps_grid) < 4:
         raise ValueError("eps_grid must be a 1-d grid with at least 4 points")
@@ -469,14 +471,14 @@ def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> Eigen
 
 
 def hemicurvature(curves: EigenCurves, j: int) -> float:
-    """Hemicurvature estimate for curve j: the limit of Re(1/lambda_j(eps)).
-
-    Polynomial extrapolation in sqrt(eps) through the three finest grid
-    points; values reaching the eps^{-1/4} scale are reported as +-inf
-    (the divergent case, where the leading real-part exponent drops below
-    one).  Note the finite/infinite boundary is grid-limited: magnitudes
-    beyond ~0.5 * eps_min^{-1/4} are classified as infinite.
+    """Hemicurvature estimate for the sqrt-order curve of integer index j: the
+    limit of Re(1/lambda_j(eps)), extrapolated in sqrt(eps) through the three
+    finest grid points.  A magnitude beyond 0.5 * eps_min^{-1/4} is reported
+    as +-inf (the divergent case, where the leading real-part exponent drops
+    below one); that finite/infinite boundary is grid-limited.
     """
+    if not (_integer(j) and 0 <= j < len(curves.labels)):
+        raise ValueError(f"j must be an integer with 0 <= j < {len(curves.labels)}, got {j!r}")
     if curves.labels[j] != LABEL_SQRT:
         raise ValueError(f"curve {j} is {curves.labels[j]}, not {LABEL_SQRT}")
     vals = np.real(1.0 / curves.lam[j, -3:])
@@ -490,34 +492,38 @@ def hemicurvature(curves: EigenCurves, j: int) -> float:
                  + vals[2] * (t0 * t1) / ((t2 - t0) * (t2 - t1)))
 
 
+def _sigma_gaps(a, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(|a_i - sigma_k|, whether a_i and sigma_k count as one repeated singular
+    value): the one test, a gap within SIGMA_SEP_TOL of max(1, max sigma)."""
+    gaps = np.abs(np.subtract.outer(a, sigma))
+    return gaps, gaps <= SIGMA_SEP_TOL * np.max(sigma, initial=1.0)
+
+
 def _repeated_sigma_gap(sigma) -> float | None:
-    """The smallest gap between two of the descending singular values sigma
-    when it is within SIGMA_SEP_TOL of max(1, sigma_0); None when they are
-    pairwise distinct."""
-    if len(sigma) < 2:
-        return None
-    gaps = np.abs(np.subtract.outer(sigma, sigma))
-    min_gap = float(np.min(gaps[~np.eye(len(sigma), dtype=bool)]))
-    return min_gap if min_gap <= SIGMA_SEP_TOL * max(1.0, float(sigma[0])) else None
+    """The smallest gap between two of the singular values sigma when they
+    count as repeated; None when they are pairwise distinct."""
+    gaps, same = _sigma_gaps(sigma, sigma)
+    off = ~np.eye(len(sigma), dtype=bool)
+    return float(np.min(gaps[off])) if same[off].any() else None
 
 
 def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int) -> float:
     """Closed-form hemicurvature (u_j' S u_j) / (2 sigma_j^2).
 
-    Valid only when the singular values of C2 are pairwise distinct; u_j is
-    the left singular vector for sigma_j (descending order).
+    Valid only when the singular values of C2 are pairwise distinct; sigma_j
+    (descending order), its left singular vector u_j and S are the fields
+    sigma, U_sigma and S of restricted_schur(blocks).
     """
     if blocks.C2.size == 0:
         raise ValueError("no sqrt-order curves: C2 is empty")
-    U2, sv, _ = np.linalg.svd(blocks.C2, full_matrices=False)
-    min_gap = _repeated_sigma_gap(sv)
+    rsc = restricted_schur(blocks)
+    min_gap = _repeated_sigma_gap(rsc.sigma)
     if min_gap is not None:
         raise ValueError(f"singular values of C2 not distinct (min gap {min_gap:.3e})")
-    if not 0 <= j < len(sv):
+    if not (_integer(j) and 0 <= j < len(rsc.sigma)):
         raise ValueError(f"no singular value with index {j}")
-    S = generalized_schur(blocks)
-    u = U2[:, j]
-    return float(0.5 * (u @ S @ u) / sv[j] ** 2)
+    u = rsc.U_sigma[:, j]
+    return float(0.5 * (u @ rsc.S @ u) / rsc.sigma[j] ** 2)
 
 
 def s_zero(curves: EigenCurves) -> float:

@@ -34,6 +34,7 @@ from .spectral import (
     _eigencurves,
     _repeated_sigma_gap,
     _saddle_shape,
+    _sigma_gaps,
     canonicalize,
     default_psd_tol,
     hemicurvature,
@@ -238,7 +239,9 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
     Pairs are validated and evaluated in order, so a failing pair raises
     what a table of it alone raises.
     """
-    H = _saddle_shape(H, d1)
+    H, taus = _saddle_shape(H, d1), np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-d grid, got shape {taus.shape}")
     Ht = lams = norm = None
     table = []
     for mode, step in pairs:
@@ -336,7 +339,7 @@ class EquilibriumReport:
     spec_Sres: list
     spec_negB: list
     sigma: list
-    iota: list           # one value per sigma: the mean over its curves
+    iota: list           # one value per sigma: the mean over the curves of that sigma
     s0: float
     second_order: spectral.SecondOrderVerdict
     strict_non_minimax: bool
@@ -430,11 +433,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     H = block_hessian(A, B, C)
     curves = _eigencurves(H, blocks)
     sigma = curves.sigma
-    iota = {j: hemicurvature(curves, j) for j in curves.sqrt_indices}  # one per curve
-    groups = [[v for j, v in iota.items() if np.isclose(curves.sigma_by_curve[j], sg)]
-              for sg in sigma]
-    iota_by_sigma = [float(np.mean(vals)) if vals else float("nan") for vals in groups]
-    s0 = max((-v for v in iota.values()), default=-math.inf)  # s_zero
+    sqrt = curves.sqrt_indices
+    iota = [hemicurvature(curves, j) for j in sqrt]  # one per curve
+    same = _sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]  # (curve, sigma), own two included
+    iota_by_sigma = [float(np.mean(np.compress(m, iota))) for m in same.T]
+    s0 = max((-v for v in iota), default=-math.inf)  # s_zero
 
     distinct = _repeated_sigma_gap(sigma) is None
     u_S_u = [float(u @ rsc.S @ u) for u in rsc.U_sigma.T] if distinct else None

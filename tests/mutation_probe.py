@@ -38,6 +38,11 @@ MUTANTS = {
                                         "_CROSS_CHECK_GUARD = 1e-3"),
     "MARGINAL_TOL 1e-8 -> 1e-6": ("stability.py", "MARGINAL_TOL = 1e-8", "MARGINAL_TOL = 1e-6"),
     "SIGMA_SEP_TOL 1e-6 -> 1e-2": ("spectral.py", "SIGMA_SEP_TOL = 1e-6", "SIGMA_SEP_TOL = 1e-2"),
+    "iota grouping: np.isclose restored": (
+        "stability.py", "_sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]",
+        "np.isclose(curves.sigma_by_curve[sqrt][:, None], sigma)"),
+    "singular-H check: cond limit x10": ("spectral.py", "if not cond <= HESSIAN_COND_LIMIT:",
+                                         "if not cond <= 10 * HESSIAN_COND_LIMIT:"),
     "_rho_margin: mean for max": ("stability.py", "np.abs(jac_eigs).max(axis=-1)",
                                   "np.abs(jac_eigs).mean(axis=-1)"),
     "continuous Jacobian margin: min for max": (

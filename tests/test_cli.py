@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -307,6 +308,71 @@ def test_points_are_checked_by_dim_and_finiteness(tmp_path, capsys, argv, reason
     code = run_cli(*argv, "--builtin", "bilinear", "--out", str(out))
     assert code == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+def test_simulate_samples_around_a_valid_center(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--builtin", "bilinear", "--method", "gda_tt", "--eta", "0.1",
+                   "--center", "0.5,-0.25", "--box", "0.1", "--n", "4", "--max-iters", "2",
+                   "--out", str(out)) == 0
+    assert read_json(out / "simulate_summary.json")["config"]["center"] == [0.5, -0.25]
+    for i in range(4):
+        z0 = np.array((out / f"traj_{i:04d}.csv").read_text().splitlines()[1].split(",")[2:4],
+                      dtype=float)
+        assert np.all(np.abs(z0 - [0.5, -0.25]) <= 0.1)
+
+
+def test_classify_exits_two_on_a_prediction_mismatch(tmp_path, capsys, monkeypatch):
+    # every decisive prediction turned round: each contradicts its observed verdict
+    monkeypatch.setattr(stability, "_predict",
+                        lambda lhs, rhs: "unstable" if lhs > rhs else "stable")
+    out = tmp_path / "run"
+    assert run_cli("classify", "--builtin", "bilinear", "--out", str(out)) == 2
+    mismatches = read_json(out / "classify_report.json")["mismatches"]
+    assert mismatches and capsys.readouterr().err == "".join(
+        f"mismatch: {m}\n" for m in mismatches)
+
+
+def test_avoidance_exits_two_when_the_sweep_disagrees(tmp_path, capsys, monkeypatch):
+    # no terminal run is long enough to decide: every observed verdict is inconclusive
+    monkeypatch.setattr(stability, "K_TAIL", 10**6)
+    out = tmp_path / "run"
+    code = run_cli("avoidance", "--builtin", "strict_nonminimax_demo", "--method", "eg_tt",
+                   "--n", "5", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "theory predicts an unstable terminal run but the sweep says 'inconclusive'\n")
+    assert not out.exists()
+
+
+def test_criterion_mismatch_exits_two(tmp_path, capsys, monkeypatch):
+    # a continuous Jacobian of the wrong sign: the dual criterion trips at tau = 1
+    monkeypatch.setattr(stability, "_mismatch_count", stability.mismatch_count())
+    row = stability.MODES["continuous"]
+    monkeypatch.setitem(stability.MODES, "continuous", dataclasses.replace(
+        row, jacobian=lambda Ht, s: -row.jacobian(Ht, s)))
+    before = stability.mismatch_count()
+    assert run_cli("classify", "--builtin", "bilinear", "--out", str(tmp_path / "run")) == 2
+    assert stability.mismatch_count() == before + 1
+    assert capsys.readouterr().err == (
+        "criterion mismatch: continuous verdict (s=0.5, tau=1.0): region criterion says "
+        "stable, Jacobian criterion says unstable\n")
+
+
+def test_avoidance_refuses_gda_inside_the_prediction_guard_band(tmp_path, capsys):
+    # at eta = 2 iota the gda prediction is indeterminate, so the target is refused
+    problem = problems.builtin_problem("scalar_degenerate", a=0.2, c=1.0)
+    eta = -2.0 * stability.characterize_equilibrium(problem, np.zeros(2)).s0
+    rep = stability.characterize_equilibrium(problem, np.zeros(2), eta=eta)
+    assert rep.predictions["gda"] == "indeterminate"
+    out = tmp_path / "run"
+    code = run_cli("avoidance", "--builtin", "scalar_degenerate", "--a", "0.2", "--c", "1",
+                   "--method", "gda_tt", "--eta", repr(eta), "--n", "5", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: gda_tt avoidance target must satisfy the second-order necessary condition "
+        "with degenerate B and some hemicurvature below eta/2\n")
     assert not out.exists()
 
 
@@ -635,7 +701,7 @@ def per_member_run_members(problem, config, record):
                                         record=record, **options)
         else:
             dt = 1e-2 if config["dt"] is None else config["dt"]  # simulate's default step
-            yield dynamics.integrate(problem, dynamics.FIELD_KINDS[method], z0,
+            yield dynamics.integrate(problem, method.removeprefix("ode_"), z0,
                                      s=config["s"], tau=tau, dt=dt,
                                      t_end=dt * max_iters, **options)
 

@@ -711,7 +711,7 @@ def engine_map(problem, method, step, tau):
         params = MethodParams(method, eta=step, tau=tau)
         return lambda Z: np.array([t.states[-1] for t in run_batch(
             problem, Z, params, tol_conv=0.0, max_iters=1, diverge_norm=math.inf)])
-    kind = dynamics.FIELD_KINDS[method]
+    kind = method.removeprefix("ode_")
     return lambda Z: np.array([ode_field(problem, kind, z, s=step, tau=tau) for z in Z])
 
 
@@ -944,7 +944,7 @@ def test_ode_batch_equals_batches_of_one(method, max_iters):
 @pytest.mark.parametrize("method", ODE_METHODS)
 def test_ode_batch_record_equals_integrate(monkeypatch, method):
     problem, Z0, options = mixed_ensemble()
-    kind = dynamics.FIELD_KINDS[method]
+    kind = method.removeprefix("ode_")
     singles = [integrate(problem, kind, z0, s=10.0, tau=3.0, dt=0.5, t_end=75.0, **options)
                for z0 in Z0]
     # a buffer cap below one chunk of this batch forces shorter chunks
@@ -973,7 +973,7 @@ def test_ode_batch_general_problem_calls_grad_like_single_runs(method):
     batch = run_batch(problem, Z0, params, max_iters=120, **options)
     batch_calls = counter[0]
     counter[0] = 0
-    singles = [integrate(problem, dynamics.FIELD_KINDS[method], z0, s=0.05, tau=2.0, dt=0.1,
+    singles = [integrate(problem, method.removeprefix("ode_"), z0, s=0.05, tau=2.0, dt=0.1,
                          t_end=12.0, **options) for z0 in Z0]
     for traj, single in zip(batch, singles):
         assert traj.termination.reason == single.termination.reason

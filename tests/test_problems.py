@@ -328,3 +328,27 @@ def test_json_dict_shape():
     p = builtin_problem("bilinear")
     d = problem_to_json_dict(p)
     assert d == {"kind": "builtin", "name": "bilinear"}
+
+
+def test_json_names_a_builtin_only_for_its_blocks():
+    for name, params in (("bilinear", {}), ("strict_nonminimax_demo", {}),
+                         ("scalar_degenerate", {}), ("scalar_degenerate", {"a": 5.0, "c": 2.0})):
+        d = problem_to_json_dict(builtin_problem(name, **params))
+        assert d == {"kind": "builtin", "name": name,
+                     **({"a": params.get("a", 2.0), "c": params.get("c", 1.0)}
+                        if name == "scalar_degenerate" else {})}
+    impostors = {
+        "bilinear": QuadraticSpec(A=[[5.0]], B=[[1.0]], C=[[2.0]]),
+        "scalar_degenerate": QuadraticSpec(A=[[5.0, 0.0], [0.0, 1.0]], B=[[0.0]],
+                                           C=[[2.0], [0.0]]),  # 2 x 1
+        "strict_nonminimax_demo": QuadraticSpec(A=-np.eye(2), B=-np.eye(2), C=np.eye(2)),
+    }
+    for name, spec in impostors.items():
+        d = problem_to_json_dict(spec.to_problem(name=name))
+        assert d == {"kind": "quadratic", "A": spec.A.tolist(), "B": spec.B.tolist(),
+                     "C": spec.C.tolist()}
+        assert np.array_equal(problem_from_json_dict(d).quadratic.hessian(), spec.hessian())
+    general = MinimaxProblem(d1=1, d2=1, value=lambda z: 0.0, grad=lambda z: np.zeros(2),
+                             lipschitz_bound=1.0, name="bilinear")
+    with pytest.raises(ValueError, match="only quadratic or builtin problems have a JSON form"):
+        problem_to_json_dict(general)

@@ -22,6 +22,7 @@ from minimaxdyn.spectral import (
     SLOPE_BAND,
     SingularHessianError,
     _assign,
+    _check_invertible,
     _repeated_sigma_gap,
     canonicalize,
     default_psd_tol,
@@ -199,6 +200,28 @@ def test_timescaled_scales_top_rows_only():
         timescaled_hessian(H, 0.5, 2)
 
 
+@pytest.mark.parametrize("d1", [1.5, True, np.True_, 0, 3, 5],  # H is 2 x 2
+                         ids=["fraction", "True", "np.True_", "zero", "n+1", "5"])
+def test_timescaled_hessian_rejects_bad_d1(d1):
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match=r"^d1 must be an integer with 0 < d1 <= 2, got "):
+        timescaled_hessian(H, 10.0, d1)
+    with pytest.raises(ValueError, match=r"^H must be square with 0 < d1 <= n$"):
+        timescaled_hessian(np.ones((2, 3)), 10.0, 1)
+    assert timescaled_hessian(H, 10.0, np.int64(1)).tobytes() == timescaled_hessian(
+        H, 10.0, 1).tobytes()
+
+
+@pytest.mark.parametrize("tau", [np.ones((2, 2)), np.ones((1, 3)), np.ones((0, 2))],
+                         ids=["2x2", "1x3", "0x2"])
+def test_timescaled_hessian_takes_a_scalar_or_a_1d_grid(tau):
+    H = hessian_of("bilinear")
+    with pytest.raises(ValueError, match=r"^tau must be a scalar or a 1-d grid, got shape "):
+        timescaled_hessian(H, tau, 1)
+    assert timescaled_hessian(H, [1.0, 2.0], 1).shape == (2, 2, 2)
+    assert timescaled_hessian(H, np.float64(2.0), 1).shape == (2, 2)
+
+
 # --- eigencurves ---------------------------------------------------------------
 
 
@@ -239,6 +262,26 @@ def test_eigencurves_rejects_singular_H():
     H = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularHessianError):
         eigencurves(H, 1)
+
+
+def test_singular_H_is_one_check_at_cond_1e12():
+    """spectral.HESSIAN_COND_LIMIT is 1e12; the literals are deliberate.  eigencurves
+    and mu_roots_oracle refuse through the same check, with the same message."""
+    for cond in (1e12 * 0.999, 1e12):
+        _check_invertible(np.diag([1.0, 1.0 / cond]))
+    for cond in (1e12 * 1.001, np.inf):
+        with pytest.raises(SingularHessianError, match=r"^H numerically singular \(cond ~ "):
+            _check_invertible(np.diag([1.0, 1.0 / cond]))
+    singular = canonicalize(np.zeros((2, 2)), [[0.0]], [[1.0], [0.0]])  # H has a zero row
+    messages = []
+    for call in (lambda: eigencurves(np.block([[singular.A, singular.C2],
+                                               [-singular.C2.T, -singular.B_diag]]), 2),
+                 lambda: mu_roots_oracle(singular)):
+        with pytest.raises(SingularHessianError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("H numerically singular (cond ~ ")
 
 
 @pytest.mark.parametrize("H", [np.float64(1.0), 1.0, np.ones(2), np.ones((2, 3))],
@@ -620,6 +663,15 @@ def test_hemicurvature_scalar_degenerate(a, c):
     assert hemicurvature_closed_form(blocks, 0) == expected
 
 
+@pytest.mark.parametrize("j", [-1, -2, True, np.True_, 1.0, 0.5, 2, None],
+                         ids=["-1", "-2", "True", "np.True_", "1.0", "0.5", "n", "None"])
+def test_hemicurvature_rejects_bad_index(j):
+    curves = eigencurves(hessian_of("bilinear"), 1)  # two sqrt-order curves
+    with pytest.raises(ValueError, match=r"^j must be an integer with 0 <= j < 2, got "):
+        hemicurvature(curves, j)
+    assert hemicurvature(curves, np.int64(1)) == hemicurvature(curves, 1)
+
+
 def test_hemicurvature_requires_sqrt_label():
     H = QuadraticSpec(A=[[2.0]], B=[[-1.0]], C=[[1.0]]).hessian()
     curves = eigencurves(H, 1)
@@ -635,6 +687,14 @@ def test_hemicurvature_closed_form_two_dim_example():
     curves = eigencurves(H, 2)
     for j in curves.sqrt_indices:
         assert hemicurvature(curves, j) == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("j", [True, 1.0, -1, 2])
+def test_hemicurvature_closed_form_rejects_bad_index(j):
+    blocks = canonicalize(np.diag([4.0, -4.0]), np.zeros((2, 2)), np.diag([1.0, 2.0]))
+    assert hemicurvature_closed_form(blocks, np.int64(1)) == hemicurvature_closed_form(blocks, 1)
+    with pytest.raises(ValueError, match=r"^no singular value with index "):
+        hemicurvature_closed_form(blocks, j)
 
 
 def test_hemicurvature_closed_form_refuses_repeated_sigma():

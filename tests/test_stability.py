@@ -640,6 +640,14 @@ def test_verdict_table_rejects_bad_d1(d1):
         stability.verdict_table(H, d1, [("gda", 0.5)], [])
 
 
+@pytest.mark.parametrize("taus", [np.ones((2, 2)), np.ones((1, 3)), np.ones((0, 2)), 10.0],
+                         ids=["2x2", "1x3", "0x2", "scalar"])
+def test_verdict_table_refuses_a_tau_grid_that_is_not_1d(taus):
+    H = hessian_of("strict_nonminimax_demo")
+    with pytest.raises(ValueError, match=r"^taus must be a 1-d grid, got shape "):
+        stability.verdict_table(H, 2, [("gda", 0.1)], taus)
+
+
 @pytest.mark.parametrize("step", [np.inf, np.nan, -np.inf])
 def test_engine_rejects_non_finite_steps(step):
     H = hessian_of("strict_nonminimax_demo")
@@ -746,6 +754,54 @@ def test_characterize_takes_one_hemicurvature_per_curve(monkeypatch):
         assert rep.s0 == spectral.s_zero(rep.curves)
         calls.clear()
     assert rep.sigma == [1.0, 1.0] and rep.iota[0] == rep.iota[1]  # one group of four curves
+
+
+def band_problem(gap):
+    """A = [[1, .3], [.3, -.5]], B = 0, C = diag(1, 1 + gap): sigma = (1 + gap, 1), whose
+    u' S u / (2 sigma^2) are -0.25 and 0.5."""
+    return QuadraticSpec(A=[[1.0, 0.3], [0.3, -0.5]], B=np.zeros((2, 2)),
+                         C=np.diag([1.0, 1.0 + gap])).to_problem()
+
+
+def test_iota_groups_curves_by_the_repeated_sigma_test():
+    """iota, distinct_sigma and u_S_u read one rule: two sigma within 1e-6 of
+    max(1, max sigma) are one repeated value.  A gap of 5e-6 is distinct, so each
+    sigma gets the mean over its own two curves (np.isclose, rtol 1e-5, would
+    merge them into one mean, 0.125 for both)."""
+    rep = characterize_equilibrium(band_problem(5e-6), np.zeros(4))
+    curves = rep.curves
+    assert rep.distinct_sigma
+    assert_allclose(np.array(rep.u_S_u) / (2 * np.array(rep.sigma) ** 2), [-0.25, 0.5],
+                    rtol=1e-4)
+    per_curve = {j: spectral.hemicurvature(curves, j) for j in curves.sqrt_indices}
+    for k, sg in enumerate(curves.sigma):
+        own = [v for j, v in per_curve.items() if curves.sigma_by_curve[j] == sg]
+        assert len(own) == 2 and rep.iota[k] == np.mean(own)
+    assert rep.iota[0] < 0 < rep.iota[1]
+    assert_allclose(rep.iota, [-0.2749, 0.5249], atol=1e-4)
+    for gap in (5e-7, 0.0):  # repeated: one mean over all four curves, as before
+        rep = characterize_equilibrium(band_problem(gap), np.zeros(4))
+        assert not rep.distinct_sigma and rep.u_S_u is None
+        every = [spectral.hemicurvature(rep.curves, j) for j in rep.curves.sqrt_indices]
+        assert len(every) == 4 and rep.iota == [np.mean(every)] * 2
+        assert_allclose(rep.iota, [0.125, 0.125], atol=1e-5)
+
+
+def test_prediction_is_indeterminate_inside_the_guard_band():
+    """_predict's band is 1e-9 relative to max(1, |rhs|); the literals are deliberate."""
+    for rhs in (1.0, 1e3):
+        guard = 1e-9 * rhs
+        assert stability._predict(rhs, rhs) == "indeterminate"
+        assert stability._predict(rhs + 0.9 * guard, rhs) == "indeterminate"
+        assert stability._predict(rhs + 1.1 * guard, rhs) == "stable"
+        assert stability._predict(rhs - 1.1 * guard, rhs) == "unstable"
+    # gda at eta = 2 iota: the one curve pair's hemicurvature is eta/2
+    p = builtin_problem("scalar_degenerate", a=0.2, c=1.0)
+    eta = -2.0 * characterize_equilibrium(p, np.zeros(2)).s0
+    assert eta == pytest.approx(0.2, rel=1e-12)
+    for factor, want in ((1.0, "indeterminate"), (1 - 1e-6, "stable"), (1 + 1e-6, "unstable")):
+        rep = characterize_equilibrium(p, np.zeros(2), eta=eta * factor)
+        assert rep.predictions["gda"] == want
 
 
 def test_characterize_makes_one_verdict_table(monkeypatch):
