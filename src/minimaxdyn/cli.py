@@ -307,8 +307,6 @@ def cmd_sweep(args) -> int:
     eta_values = _parse_grid(args, "eta_grid", [0.5 / L if args.eta is None else args.eta])
     pairs = [(mode, float(p)) for mode, m in stability.MODES.items()
              for p in (s_values if m.step == "s" else eta_values)]
-    for mode, p in pairs:
-        dynamics.check_step(stability.MODES[mode].step, p, L)
     table = stability.verdict_table(H, problem.d1, pairs, tau_grid)
 
     os.makedirs(args.out, exist_ok=True)

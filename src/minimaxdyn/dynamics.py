@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .problems import MinimaxProblem, _finite_point, _jacobian, _point, _saddle_rows
+from .problems import MinimaxProblem, _finite_point, _integer, _jacobian, _point, _saddle_rows
 
 DISCRETE_METHODS = ("gda_tt", "eg_tt")
 METHODS = DISCRETE_METHODS + ("ode_plain", "ode_eg", "ode_eg_tt")
@@ -55,26 +55,31 @@ class NewtonError(RuntimeError):
     """Newton iteration failed to reach the requested residual."""
 
 
-# one row per scalar run parameter: its test (NaN passes none) and its wording
+# one row per run parameter: its test (NaN passes none; tau's also takes an array) and its wording
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 RANGES = {
-    "tau": (lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
+    "tau": (lambda v: (1.0 <= v) & (v < math.inf), "finite and >= 1"),
     **dict.fromkeys(("dt", "box", "cluster_tol", "target_tol", "s", "eta"), _POSITIVE),
     **dict.fromkeys(("tol_conv", "stationarity_tol", "t_end", "newton_tol"), _NONNEGATIVE),
     "diverge_norm": (lambda v: v > 0.0, "> 0"),  # inf: never
-    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"), (
-        lambda v: isinstance(v, (int, np.integer)) and v >= 0, "an integer >= 0")),
+    **dict.fromkeys(("max_iters", "newton_max", "n", "seed"),
+                    (lambda v: _integer(v) and v >= 0, "an integer >= 0")),
 }
 OPTIONAL = {"dt"}  # None stands for the default
 
 
 def check_ranges(**values) -> None:
-    """Raise a ValueError naming the first value outside its row of RANGES;
-    a bool is in no row, although True compares as 1."""
+    """Raise a ValueError naming the first value outside its row of RANGES; an
+    array (a grid of tau) names its first entry outside.  A bool is in no row,
+    although True compares as 1."""
     for name, v in values.items():
         test, wording = RANGES[name]
-        if isinstance(v, (bool, np.bool_)) or not (name in OPTIONAL if v is None else test(v)):
+        if isinstance(v, np.ndarray):
+            ok = test(v)
+            if not ok.all():
+                raise ValueError(f"{name} must be {wording}, got {v.flat[ok.argmin()]}")
+        elif isinstance(v, (bool, np.bool_)) or not (name in OPTIONAL if v is None else test(v)):
             raise ValueError(f"{name} must be {wording}, got {v}")
 
 

@@ -31,6 +31,11 @@ BUILTIN_NAMES = (
 )
 
 
+def _integer(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is none.  The one test of a count."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _as_matrix(M, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -79,8 +84,8 @@ class MinimaxProblem:
     quadratic: "QuadraticSpec | None" = None
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions d1, d2 must be positive")
+        if not all(_integer(d) and d >= 1 for d in (self.d1, self.d2)):
+            raise ValueError(f"d1 and d2 must be integers >= 1, got {self.d1!r} and {self.d2!r}")
         if not 0.0 < self.lipschitz_bound < math.inf:
             raise ValueError(f"lipschitz_bound must be finite and > 0, got {self.lipschitz_bound}")
 

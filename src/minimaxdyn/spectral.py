@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import SYMMETRY_TOL, _as_matrix, block_hessian, symmetrize
+from .dynamics import check_ranges
+from .problems import SYMMETRY_TOL, _as_matrix, _integer, block_hessian, symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EPS_GRID = np.geomspace(1e-1, 1e-9, 40)
@@ -113,6 +114,10 @@ class RestrictedSchur:
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
 
+    def u_S_u(self, j: int) -> float:
+        """u_j' S u_j, the numerator of the closed-form hemicurvature of sigma_j."""
+        return float(self.U_sigma[:, j] @ self.S @ self.U_sigma[:, j])
+
 
 def canonicalize(A, B, C) -> CanonicalBlocks:
     """Diagonalize B, order nonzero eigenvalues first, zero out the rest."""
@@ -179,27 +184,21 @@ def rsc_subspace_oracle(blocks: CanonicalBlocks, n_samples: int = 200, seed: int
 
     Draws random v with C'v in range(B) -- equivalently v orthogonal to
     range(C2) -- and tests min v'Sv >= -default_psd_tol(S).  Independent of the
-    restricted_schur construction except for the canonical split.
+    restricted_schur construction except for the canonical split.  The
+    n_samples >= 1 samples are drawn, projected and tested as one array.
     """
-    S = generalized_schur(blocks)
-    Gamma = blocks.C2
+    if not (_integer(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    S, Gamma = generalized_schur(blocks), blocks.C2
     Q, sv, _ = np.linalg.svd(Gamma, full_matrices=False)
     Q = Q[:, sv > max(Gamma.shape) * np.finfo(float).eps * sv[:1]]
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_samples):
-        v = rng.standard_normal(blocks.d1)
-        if Q.shape[1]:
-            v = v - Q @ (Q.T @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            continue
-        v /= nv
-        worst = min(worst, float(v @ S @ v))
-    if not np.isfinite(worst):
-        # null space of Gamma' is trivial: vacuously true
+    V = np.random.default_rng(seed).standard_normal((n_samples, blocks.d1))
+    V -= V @ Q @ Q.T
+    nv = np.linalg.norm(V, axis=1)
+    V = V[nv >= 1e-12] / nv[nv >= 1e-12, None]
+    if not len(V):  # the null space of Gamma' is trivial: vacuously true
         return True
-    return worst >= -default_psd_tol(S)
+    return float(np.min(np.sum(V @ S * V, axis=1))) >= -default_psd_tol(S)
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,6 @@ def second_order_necessary(blocks: CanonicalBlocks,
     tol_S = default_psd_tol(rsc.S_res) if psd_tol is None else psd_tol
     Sres_psd = rsc.vacuous or float(np.min(rsc.spectrum)) >= -tol_S
     return SecondOrderVerdict(lam_max_B <= tol_B, Sres_psd, rsc)
-
-
-def _integer(v) -> bool:
-    """Whether v is a Python or numpy integer; a bool is none."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _saddle_shape(H, d1) -> np.ndarray:
@@ -246,14 +240,11 @@ def _check_invertible(H: np.ndarray) -> None:
 
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
-    gives the stack of H_tau."""
+    gives the stack of H_tau.  Every tau obeys dynamics.RANGES' tau row."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-d grid, got shape {tau.shape}")
-    if not np.all(np.isfinite(tau)):
-        raise ValueError("tau must be finite")
-    if np.any(tau < 1.0):
-        raise ValueError("tau must be >= 1")
+    check_ranges(tau=tau)
     H = _saddle_shape(H, d1)
     out = np.broadcast_to(H, tau.shape + H.shape).copy()
     out[..., :d1, :] /= tau[..., None, None]
@@ -512,7 +503,7 @@ def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int) -> float:
 
     Valid only when the singular values of C2 are pairwise distinct; sigma_j
     (descending order), its left singular vector u_j and S are the fields
-    sigma, U_sigma and S of restricted_schur(blocks).
+    sigma, U_sigma and S of restricted_schur(blocks) (RestrictedSchur.u_S_u).
     """
     if blocks.C2.size == 0:
         raise ValueError("no sqrt-order curves: C2 is empty")
@@ -522,8 +513,7 @@ def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int) -> float:
         raise ValueError(f"singular values of C2 not distinct (min gap {min_gap:.3e})")
     if not (_integer(j) and 0 <= j < len(rsc.sigma)):
         raise ValueError(f"no singular value with index {j}")
-    u = rsc.U_sigma[:, j]
-    return float(0.5 * (u @ rsc.S @ u) / rsc.sigma[j] ** 2)
+    return float(0.5 * rsc.u_S_u(j) / rsc.sigma[j] ** 2)
 
 
 def s_zero(curves: EigenCurves) -> float:
@@ -532,7 +522,9 @@ def s_zero(curves: EigenCurves) -> float:
     Returns -inf when there are no sqrt-order curves (no constraint), +inf
     when some hemicurvature is -inf.
     """
-    idx = curves.sqrt_indices
-    if not idx:
-        return float("-inf")
-    return float(max(-hemicurvature(curves, j) for j in idx))
+    return _s_zero([hemicurvature(curves, j) for j in curves.sqrt_indices])
+
+
+def _s_zero(iota) -> float:
+    """max_j(-iota_j) over the hemicurvatures iota, -inf for none: the one formula of s_0."""
+    return float(max((-v for v in iota), default=float("-inf")))

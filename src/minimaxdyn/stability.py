@@ -10,7 +10,7 @@ peanut and u = lam otherwise, shift = s for the disk and -eta/2 otherwise,
 which stays well conditioned as the eigenvalues collapse toward the origin
 with growing tau, so margins are measured in it; the Jacobian J at an
 equilibrium and the margin of the direct criterion on spec(J); whether the
-step must obey step * ||H|| < 1; and the large-tau threshold (lhs, rhs),
+step must obey step < 1/L, L = ||H||_2; and the large-tau threshold (lhs, rhs),
 predicting stable iff lhs > rhs.  in_disk and in_peanut cross-check the
 direct regions against the rows' inverse forms, and verdict_table()
 evaluates (mode, step) pairs over one tau grid, both criteria as array
@@ -200,7 +200,7 @@ class VerdictMode:
     shift: Callable          # step -> shift
     jacobian: Callable       # (H_tau stack, step) -> Jacobian stack
     jac_margin: Callable     # spec(J) stack -> margin per tau, positive = stable
-    lipschitz: bool          # requires step * ||H|| < 1
+    lipschitz: bool          # requires step < 1/L (dynamics.check_step), L = ||H||_2
     threshold: Callable      # (s0, step) -> (lhs, rhs): stable for large tau iff lhs > rhs
 
 
@@ -248,11 +248,11 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         m = MODES[mode]
-        check_ranges(**{m.step: step})
-        if m.lipschitz:
+        if m.lipschitz:  # the step hypothesis, 0 < step < 1/L with L = ||H||_2
             norm = np.linalg.norm(H, 2) if norm is None else norm
-            if step * norm >= 1.0:
-                raise ValueError(f"requires {m.step} < 1/L ({m.step} * ||H|| < 1)")
+            check_step(m.step, step, norm)
+        else:
+            check_ranges(**{m.step: step})
         if not len(taus):
             empty = np.empty((0, len(H)))
             table.append(Verdicts([], empty, empty, np.empty(0)))
@@ -298,10 +298,9 @@ def _tau_grid(tau_grid) -> np.ndarray:
     tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or not tau_grid.size:
         raise ValueError(f"tau_grid must be a non-empty 1-d grid, got shape {tau_grid.shape}")
-    if not np.all(np.isfinite(tau_grid)):
-        raise ValueError("tau_grid must be finite")
-    if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 1.0:
-        raise ValueError("tau_grid must be increasing with tau >= 1")
+    check_ranges(tau=tau_grid)
+    if np.any(np.diff(tau_grid) <= 0):
+        raise ValueError("tau_grid must be increasing")
     return tau_grid
 
 
@@ -414,10 +413,10 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     to 0.5/L, tau_grid to DEFAULT_TAU_GRID."""
     check_ranges(stationarity_tol=stationarity_tol)
     L = problem.lipschitz_bound
-    s_eval = 0.5 / L if s is None else float(s)
-    eta_eval = 0.5 / L if eta is None else float(eta)
+    s_eval, eta_eval = (0.5 / L if v is None else v for v in (s, eta))
     check_step("s", s_eval, L)
     check_step("eta", eta_eval, L)
+    s_eval, eta_eval = float(s_eval), float(eta_eval)
     z = _finite_point(z_star, "z_star")
     F = saddle_gradient(problem, z)
     f_norm = float(np.linalg.norm(F))
@@ -437,10 +436,10 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     iota = [hemicurvature(curves, j) for j in sqrt]  # one per curve
     same = _sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]  # (curve, sigma), own two included
     iota_by_sigma = [float(np.mean(np.compress(m, iota))) for m in same.T]
-    s0 = max((-v for v in iota), default=-math.inf)  # s_zero
+    s0 = spectral._s_zero(iota)
 
     distinct = _repeated_sigma_gap(sigma) is None
-    u_S_u = [float(u @ rsc.S @ u) for u in rsc.U_sigma.T] if distinct else None
+    u_S_u = [rsc.u_S_u(j) for j in range(len(rsc.sigma))] if distinct else None
 
     necessary = so.B_nsd and so.Sres_psd
     thm_infty_continuous = bool(necessary and s0 < 1.0 / L)
@@ -474,7 +473,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
         spec_negB=[float(v) for v in -np.diag(blocks.B_diag)],
         sigma=[float(v) for v in sigma],
         iota=iota_by_sigma,
-        s0=float(s0),
+        s0=s0,
         second_order=so,
         strict_non_minimax=not necessary,
         s_eval=s_eval,

@@ -83,6 +83,22 @@ MUTANTS = {
                                       "SOLVE_COND_LIMIT = 1e20"),
     "SOLVE_COND_LIMIT 1e12 -> 1e6": ("dynamics.py", "SOLVE_COND_LIMIT = 1e12",
                                      "SOLVE_COND_LIMIT = 1e6"),
+    "tau row: 1 <= tau -> 1 < tau": ("dynamics.py", "lambda v: (1.0 <= v) & (v < math.inf)",
+                                      "lambda v: (1.0 < v) & (v < math.inf)"),
+    "check_step: step < 1/L -> step <= 1/L": ("dynamics.py", "not 0.0 < step < 1.0 / L",
+                                              "not 0.0 < step <= 1.0 / L"),
+    "verdict_table: Lipschitz step checked by its range row only": (
+        "stability.py", "            check_step(m.step, step, norm)\n",
+        "            check_ranges(**{m.step: step})\n"),
+    "integer test: a bool is an integer": (
+        "problems.py", "isinstance(v, (int, np.integer)) and not isinstance(v, bool)",
+        "isinstance(v, (int, np.integer))"),
+    "subspace oracle: n_samples >= 1 -> >= 0": ("spectral.py", "n_samples >= 1):",
+                                                "n_samples >= 0):"),
+    "s_0: no sqrt-order curve gives 0, not -inf": (
+        "spectral.py", 'default=float("-inf")', "default=0.0"),
+    "u_S_u: every sigma reads the first singular vector": (
+        "spectral.py", "self.S @ self.U_sigma[:, j])", "self.S @ self.U_sigma[:, 0])"),
     "finite-difference step: sqrt(eps) for cbrt(eps)": (
         "problems.py", "_CBRT_EPS = float(np.cbrt(np.finfo(float).eps))",
         "_CBRT_EPS = float(np.sqrt(np.finfo(float).eps))"),

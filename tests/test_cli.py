@@ -192,6 +192,52 @@ def test_avoidance_refuses_runs_that_test_no_member(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta", ["0.3", "-0.1", "nan"])
+def test_avoidance_refuses_eg_steps_beyond_the_golden_bound(tmp_path, capsys, monkeypatch, eta):
+    """eg_tt avoidance needs 0 < eta < (sqrt(5) - 1)/(2L), checked before classification."""
+    def classify(*args, **kw):
+        raise AssertionError("classification ran")
+
+    monkeypatch.setattr(stability, "characterize_equilibrium", classify)
+    out = tmp_path / "run"
+    code = run_cli("avoidance", "--builtin", "strict_nonminimax_demo", "--method", "eg_tt",
+                   "--eta", eta, "--n", "5", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: eg_tt avoidance requires 0 < eta < (sqrt(5)-1)/(2L) = 0.236068\n")
+    assert not out.exists()
+
+
+def test_avoidance_counts_hits_and_nonfinite_members(tmp_path, monkeypatch):
+    """A member started on the target converges there at once and is a hit; a NaN
+    start is nonfinite and no hit; the third member leaves the unstable point."""
+    inits = np.array([[0.0] * 4, [np.nan] * 4, [0.5, -0.5, 0.25, 1.0]])
+    monkeypatch.setattr(cli, "_sample_inits", lambda config, dim: inits)
+    out = tmp_path / "avoid"
+    code = run_cli("avoidance", "--builtin", "strict_nonminimax_demo", "--n", "3",
+                   "--max-iters", "300", "--out", str(out))
+    assert code == 0
+    summary = read_json(out / "avoidance_summary.json")
+    assert summary["fraction_to_target"] == pytest.approx(1.0 / 3)
+    assert (summary["n_nonfinite"], summary["n_diverged"]) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize("grid, reason", [
+    ("1:10", "grid must look like lo:hi:n, got '1:10'"),
+    ("1:10:2.5", "grid must look like lo:hi:n, got '1:10:2.5'"),
+    ("1:10:-2", "grid length must be nonnegative"),
+    ("0:10:3", "geometric grid needs positive endpoints"),
+    ("1:-10:3", "geometric grid needs positive endpoints"),
+])
+def test_grid_text_is_parsed_before_any_rule(tmp_path, capsys, command, grid, reason):
+    out = tmp_path / "run"
+    code = run_cli(command, "--builtin", "bilinear", "--tau-grid", grid, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
 def test_avoidance_refuses_gda_on_nondegenerate(tmp_path, capsys):
     # B = [[-1]] has full rank: no degenerate direction for gda_tt to be trapped along
     path = tmp_path / "prob.json"
@@ -450,10 +496,12 @@ def test_sweep_step_size_grid(tmp_path):
     assert all(r[3] == "stable" for r in cont)
 
 
-def test_sweep_rejects_step_grid_beyond_lipschitz(tmp_path):
+def test_sweep_rejects_step_grid_beyond_lipschitz(tmp_path, capsys):
+    # the grid is 0.5, 1.0, 2.0 and 1/L = 1: verdict_table refuses s = 1/L itself
     code = run_cli("sweep", "--builtin", "bilinear", "--s-grid", "0.5:2.0:3",
                    "--out", str(tmp_path))
     assert code == 1
+    assert capsys.readouterr().err == "error: s must lie in (0, 1/L) = (0, 1), got 1.0\n"
 
 
 def test_sweep_empty_grid(tmp_path):
@@ -467,14 +515,23 @@ def test_sweep_empty_grid(tmp_path):
 
 @pytest.mark.parametrize("grid, reason", [
     ("1:10:0", "tau_grid must be a non-empty 1-d grid"),
-    ("1e6:1:9", "tau_grid must be increasing with tau >= 1"),
-    ("0.5:10:5", "tau_grid must be increasing with tau >= 1"),
+    ("1e6:1:9", "tau_grid must be increasing"),
 ])
 def test_classify_rejects_bad_tau_grid(tmp_path, capsys, grid, reason):
     code = run_cli("classify", "--builtin", "bilinear", "--tau-grid", grid,
                    "--out", str(tmp_path))
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {reason}")
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_tau_grid_below_one_reads_the_tau_row(tmp_path, capsys, command):
+    """classify and sweep name the first tau below 1 with dynamics.RANGES' wording."""
+    out = tmp_path / "run"
+    code = run_cli(command, "--builtin", "bilinear", "--tau-grid", "0.5:10:5", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: tau must be finite and >= 1, got 0.5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -519,7 +576,7 @@ def test_simulate_rejects_bad_box_before_writing(tmp_path, capsys, box):
 
 @pytest.mark.parametrize("grid, reason", [
     (["--s-grid", "5:6:2"], "s must lie in (0, 1/L) = (0, 0.381966), got 5.0"),
-    (["--tau-grid", "0.5:2:3"], "tau must be >= 1"),
+    (["--tau-grid", "0.5:2:3"], "tau must be finite and >= 1, got 0.5"),
     (["--eps-grid", "1e-1:1e-9:3"], "eps_grid must be a 1-d grid with at least 4 points"),
 ])
 def test_sweep_writes_nothing_on_bad_grids(tmp_path, capsys, grid, reason):

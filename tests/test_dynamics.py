@@ -1375,6 +1375,20 @@ def test_newton_singular_jacobian():
         find_stationary(p, [1.0, 1.0])
 
 
+def test_newton_error_names_the_iterations_and_the_residual(bilinear):
+    """Newton on F = (x^3, y) shrinks x by 2/3 per step, so five steps from x = 1
+    leave |F| = (2/3)^15; with newton_max = 0 the start itself is the last iterate."""
+    cubic = MinimaxProblem(d1=1, d2=1, value=lambda z: z[0] ** 4 / 4 - z[1] ** 2 / 2,
+                           grad=lambda z: np.array([z[0] ** 3, -z[1]]), lipschitz_bound=3.0)
+    with pytest.raises(NewtonError, match=r"^no stationary point within 5 iterations "
+                                          r"\(residual 2\.28[0-9]e-03\)$"):
+        find_stationary(cubic, [1.0, 1.0], newton_max=5)
+    assert abs(find_stationary(cubic, [1.0, 1.0])[0]) ** 3 <= 1e-10
+    with pytest.raises(NewtonError, match=r"^no stationary point within 0 iterations "
+                                          r"\(residual 3\.162e-01\)$"):
+        find_stationary(bilinear, [0.3, 0.1], newton_max=0)
+
+
 # --- trajectory bookkeeping -------------------------------------------------
 
 

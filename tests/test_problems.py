@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,30 @@ def test_symmetrize_rejects_asymmetric_blocks():
     with pytest.raises(ValueError, match="asymmetric"):
         QuadraticSpec(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0, 0.0], [0.0, 0.0]],
                       C=[[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_blocks_must_be_square_matrices():
+    with pytest.raises(ValueError, match=r"^A must be a 2-d matrix, got shape \(2,\)$"):
+        QuadraticSpec(A=[1.0, 2.0], B=[[1.0]], C=[[1.0], [1.0]])
+    with pytest.raises(ValueError, match=r"^C must be a 2-d matrix, got shape \(\)$"):
+        QuadraticSpec(A=[[1.0]], B=[[1.0]], C=1.0)
+    with pytest.raises(ValueError, match=r"^B must be square, got shape \(1, 2\)$"):
+        QuadraticSpec(A=[[1.0]], B=[[1.0, 0.0]], C=[[1.0]])
+
+
+@pytest.mark.parametrize("d", [True, np.True_, 1.5, 1.0, np.float64(2.0), 0, -1],
+                         ids=["True", "np.True_", "1.5", "1.0", "np.float64", "0", "-1"])
+def test_minimax_problem_takes_integer_dimensions(d):
+    """d1 and d2 are counts: an integer >= 1, and a bool is none."""
+    for dims in ({"d1": d, "d2": 1}, {"d1": 1, "d2": d}):
+        shown = [repr(dims["d1"]), repr(dims["d2"])]
+        with pytest.raises(ValueError, match=f"^d1 and d2 must be integers >= 1, got "
+                                             f"{re.escape(shown[0])} and {re.escape(shown[1])}$"):
+            MinimaxProblem(value=lambda z: 0.0, grad=lambda z: np.zeros(2),
+                           lipschitz_bound=1.0, **dims)
+    p = MinimaxProblem(d1=np.int64(2), d2=1, value=lambda z: 0.0, grad=lambda z: np.zeros(3),
+                       lipschitz_bound=1.0)
+    assert p.dim == 3
 
 
 def test_quadratic_rejects_bad_shapes_and_nonfinite():

@@ -27,7 +27,14 @@ from minimaxdyn.dynamics import (
     run_discrete,
 )
 from minimaxdyn.problems import builtin_problem
-from minimaxdyn.stability import characterize_equilibrium, in_disk, in_peanut
+from minimaxdyn.spectral import timescaled_hessian
+from minimaxdyn.stability import (
+    characterize_equilibrium,
+    in_disk,
+    in_peanut,
+    infinity_eg_verdict,
+    verdict_table,
+)
 
 BILINEAR = builtin_problem("bilinear")
 
@@ -175,6 +182,61 @@ def test_step_rule_refuses_a_bool(method, name):
     params = MethodParams(method=method, **{name: True})
     with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1/L\) = .*, got True$"):
         run_batch(problem, [[0.5, 0.5]], params)
+
+
+H_BILINEAR = BILINEAR.quadratic.hessian()
+# each takes a tau, alone or inside a grid that is increasing where that is asked
+TAU_ENTRIES = {
+    "MethodParams": lambda tau: MethodParams(method="gda_tt", eta=0.3, tau=tau),
+    "timescaled_hessian": lambda tau: timescaled_hessian(H_BILINEAR, tau, 1),
+    "timescaled_hessian grid": lambda tau: timescaled_hessian(H_BILINEAR, [1.0, tau], 1),
+    "verdict_table": lambda tau: verdict_table(H_BILINEAR, 1, [("gda", 0.3)], [2.0, tau]),
+    "infinity_eg_verdict": lambda tau: infinity_eg_verdict(H_BILINEAR, 1, 0.3, "gda",
+                                                           tau_grid=[tau, 2.0]),
+    "characterize_equilibrium": lambda tau: characterize(tau_grid=[tau, 2.0]),
+}
+
+
+@pytest.mark.parametrize("tau", [0.5, math.nan])
+@pytest.mark.parametrize("entry", TAU_ENTRIES)
+def test_tau_rule_is_one_rule(entry, tau):
+    """tau >= 1 and finite, a scalar or each entry of a grid, is decided by the
+    tau row of dynamics.RANGES wherever it enters."""
+    with pytest.raises(ValueError, match=f"^tau must be finite and >= 1, got {tau}$"):
+        TAU_ENTRIES[entry](tau)
+
+
+def test_a_tau_grid_names_its_first_entry_outside():
+    for grid, first in (([2.0, 0.5, math.nan], "0.5"), ([1.0, math.inf, 0.0], "inf"),
+                        (np.array(0.25), "0.25")):
+        with pytest.raises(ValueError, match=f"^tau must be finite and >= 1, got {first}$"):
+            dynamics.check_ranges(tau=np.asarray(grid))
+    dynamics.check_ranges(tau=np.array([]))
+    dynamics.check_ranges(tau=np.array([1.0, 1e300]))
+
+
+SCALAR = builtin_problem("scalar_degenerate", a=0.5, c=0.5)  # L < 1
+H_SCALAR = SCALAR.quadratic.hessian()
+# each refuses a continuous step s or a discrete step eta outside (0, 1/L)
+STEP_ENTRIES = {
+    "verdict_table": lambda mode, name, v: verdict_table(H_SCALAR, 1, [(mode, v)], [1.0]),
+    "verdict_table, empty grid": lambda mode, name, v: verdict_table(H_SCALAR, 1, [(mode, v)], []),
+    "infinity_eg_verdict": lambda mode, name, v: infinity_eg_verdict(H_SCALAR, 1, v, mode),
+    "characterize_equilibrium": lambda mode, name, v: characterize_equilibrium(
+        SCALAR, [0.0, 0.0], **{name: v}),
+}
+
+
+@pytest.mark.parametrize("mode, name", [("continuous", "s"), ("discrete", "eta")])
+@pytest.mark.parametrize("step", [1.0 / SCALAR.lipschitz_bound, math.nan, 0.0, True],
+                         ids=["1/L", "nan", "0", "True"])
+@pytest.mark.parametrize("entry", STEP_ENTRIES)
+def test_step_rule_is_one_rule_for_the_verdicts(entry, mode, name, step):
+    """The verdicts of the two EG modes take the step rule of the runs,
+    dynamics.check_step against L = ||H||_2, with its message."""
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1/L\) = \(0, 1.23607\), "
+                                         rf"got {re.escape(str(step))}$"):
+        STEP_ENTRIES[entry](mode, name, step)
 
 
 def numeric(annotation) -> bool:

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
+from minimaxdyn import spectral
 from minimaxdyn.problems import QuadraticSpec, builtin_problem, hessian_blocks_at
 from minimaxdyn.spectral import (
     DEFAULT_EPS_GRID,
@@ -96,6 +99,11 @@ def test_canonicalize_rejects_non_finite_C(C):
         canonicalize(np.eye(1), np.zeros((1, 1)), C)
 
 
+def test_canonicalize_rejects_C_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^C must be 2x1, got \(1, 2\)$"):
+        canonicalize(np.eye(2), np.zeros((1, 1)), [[1.0, 2.0]])
+
+
 # --- restricted Schur complement ---------------------------------------------
 
 
@@ -133,6 +141,18 @@ def test_subspace_oracle():
     # invertible B with PSD Schur complement: true on the whole space
     good = canonicalize(np.diag([3.0, 2.0]), [[-1.0]], [[0.5], [0.0]])
     assert rsc_subspace_oracle(good, seed=0) is True
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, True, np.True_, 1.5, 2.0])
+def test_subspace_oracle_refuses_a_sample_count_that_is_no_count(n_samples):
+    """Without a sample the oracle would read "vacuously PSD" on strict_nonminimax_demo,
+    whose S_res has a negative eigenvalue."""
+    blocks = blocks_of("strict_nonminimax_demo")
+    assert not second_order_necessary(blocks).Sres_psd
+    with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, "
+                                         f"got {re.escape(repr(n_samples))}$"):
+        rsc_subspace_oracle(blocks, n_samples=n_samples)
+    assert rsc_subspace_oracle(blocks, n_samples=np.int64(200)) is False
 
 
 def test_second_order_necessary_examples():
@@ -320,6 +340,22 @@ def test_eigencurves_label_error_on_coarse_grid():
     with pytest.raises(EigencurveLabelError,
                        match=rf"^curve {j}: slope {slopes[j]:.3f} fits no asymptotic type$"):
         eigencurves(H, 1, eps_grid=grid)
+
+
+def test_eigencurves_refuses_H_not_in_saddle_form():
+    with pytest.raises(ValueError, match=r"^H is not in saddle block form: lower-left != -C'$"):
+        eigencurves(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+
+
+def test_eigencurves_label_counts_must_match_the_structure(monkeypatch):
+    """Slopes that all fit a band but contradict rank(B) raise; forced here by
+    handing the tracker bilinear's blocks with r = 1 where rank(B) = 0."""
+    real = spectral.canonicalize
+    monkeypatch.setattr(spectral, "canonicalize",
+                        lambda A, B, C: dataclasses.replace(real(A, B, C), r=1))
+    with pytest.raises(EigencurveLabelError, match=r"^label counts \(2, 0, 0\) inconsistent "
+                                                   r"with structural counts \(0, 1, 1\)$"):
+        eigencurves(hessian_of("bilinear"), 1)
 
 
 def test_eigencurves_structural_counts_on_random_instances():
@@ -695,6 +731,12 @@ def test_hemicurvature_closed_form_rejects_bad_index(j):
     assert hemicurvature_closed_form(blocks, np.int64(1)) == hemicurvature_closed_form(blocks, 1)
     with pytest.raises(ValueError, match=r"^no singular value with index "):
         hemicurvature_closed_form(blocks, j)
+
+
+def test_hemicurvature_closed_form_needs_a_C2():
+    blocks = canonicalize([[1.0]], [[-1.0]], [[1.0]])  # r = d2 = 1: no sqrt-order curve
+    with pytest.raises(ValueError, match="^no sqrt-order curves: C2 is empty$"):
+        hemicurvature_closed_form(blocks, 0)
 
 
 def test_hemicurvature_closed_form_refuses_repeated_sigma():

@@ -374,7 +374,7 @@ def test_terminal_run_of_five_decides_and_four_does_not(label, other):
 
 
 def test_infinity_verdict_validates_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau_grid must be increasing$"):
         infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "continuous",
                             tau_grid=np.array([10.0, 1.0]))
     with pytest.raises(ValueError):
@@ -521,10 +521,10 @@ def test_engine_validates_step_once():
         one_pair(H, 1, "gda", 0.0, [1.0])
     # the Lipschitz hypothesis is checked on an empty grid too
     for taus in ([1.0, 10.0], [1.0], np.array([])):
-        with pytest.raises(ValueError, match=r"requires s < 1/L \(s \* \|\|H\|\| < 1\)"):
+        with pytest.raises(ValueError, match=r"^s must lie in \(0, 1/L\) = \(0, 1\), got 1.5$"):
             one_pair(H, 1, "continuous", 1.5, taus)
     assert one_pair(H, 1, "continuous", 0.5, []).labels == []
-    with pytest.raises(ValueError, match="tau must be >= 1"):
+    with pytest.raises(ValueError, match="^tau must be finite and >= 1, got 0.5$"):
         one_pair(H, 1, "gda", 0.5, [2.0, 0.5])
     with pytest.raises(ValueError, match="unknown mode"):
         one_pair(H, 1, "nope", 0.5, [1.0])
@@ -622,11 +622,11 @@ def test_verdict_table_validates_pairs_in_order():
         stability.verdict_table(H, 1, [("gda", 0.5), ("nope", 0.5)], [1.0])
     # as in sequential one-pair tables, the first pair's step is checked
     # before the grid is, and the grid before the second pair's step
-    with pytest.raises(ValueError, match=r"requires s < 1/L"):
+    with pytest.raises(ValueError, match=r"^s must lie in \(0, 1/L\)"):
         stability.verdict_table(H, 1, [("continuous", 1.5), ("gda", 0.5)], [2.0, 0.5])
-    with pytest.raises(ValueError, match="tau must be >= 1"):
+    with pytest.raises(ValueError, match="^tau must be finite and >= 1, got 0.5$"):
         stability.verdict_table(H, 1, [("gda", 0.5), ("continuous", 1.5)], [2.0, 0.5])
-    with pytest.raises(ValueError, match=r"requires s < 1/L"):
+    with pytest.raises(ValueError, match=r"^s must lie in \(0, 1/L\)"):
         stability.verdict_table(H, 1, [("gda", 0.5), ("continuous", 1.5)], [2.0, 3.0])
 
 
@@ -650,25 +650,31 @@ def test_verdict_table_refuses_a_tau_grid_that_is_not_1d(taus):
 
 @pytest.mark.parametrize("step", [np.inf, np.nan, -np.inf])
 def test_engine_rejects_non_finite_steps(step):
+    """A mode bound by the Lipschitz hypothesis reads dynamics.check_step's
+    message, and the gda mode its RANGES row."""
     H = hessian_of("strict_nonminimax_demo")
     for mode, m in stability.MODES.items():
-        with pytest.raises(ValueError, match=f"^{m.step} must be finite and > 0, got {step}$"):
+        reason = (r"must lie in \(0, 1/L\) = \(0, 0.381966\)" if m.lipschitz
+                  else "must be finite and > 0")
+        with pytest.raises(ValueError, match=f"^{m.step} {reason}, got {step}$"):
             one_pair(H, 2, mode, step, [1.0])
 
 
 @pytest.mark.parametrize("taus", [[np.nan], [1.0, np.inf], [np.inf, np.inf], [2.0, np.nan]])
 def test_engine_rejects_non_finite_taus(taus):
     H = hessian_of("strict_nonminimax_demo")
-    with pytest.raises(ValueError, match="tau must be finite"):
+    first_bad = next(t for t in taus if not 1.0 <= t < np.inf)
+    reason = f"^tau must be finite and >= 1, got {first_bad}$"
+    with pytest.raises(ValueError, match=reason):
         timescaled_hessian(H, np.array(taus), 2)
     for mode in stability.MODES:
-        with pytest.raises(ValueError, match="tau must be finite"):
+        with pytest.raises(ValueError, match=reason):
             one_pair(H, 2, mode, 0.1, taus)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [1.0, np.inf, np.inf], [1.0, 2.0, np.inf]])
 def test_infinity_verdict_rejects_non_finite_grid(grid):
-    with pytest.raises(ValueError, match="tau_grid must be finite"):
+    with pytest.raises(ValueError, match=f"^tau must be finite and >= 1, got {grid[-1]}$"):
         infinity_eg_verdict(hessian_of("bilinear"), 1, 0.4, "continuous", tau_grid=grid)
 
 
