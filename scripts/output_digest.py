@@ -8,7 +8,8 @@ range, and hashes per template, in seed and slot order:
                relative path, byte for byte as written;
   library ops  the returned object, arrays through tobytes() with their dtype
                and shape, floats through their IEEE bytes, dataclasses field
-               by field.
+               by field, less the fields marked compare=False (intermediate
+               results kept for inspection, not outputs).
 
 Two checkouts whose digests all match produce bit-identical outputs on the
 benchmark's inputs.  The workloads come from perfbench/workloads.py of the
@@ -61,7 +62,7 @@ def feed(h, obj) -> None:
                 h.update(data)
     elif dataclasses.is_dataclass(obj):
         h.update(f"D{type(obj).__name__}".encode())
-        for field in dataclasses.fields(obj):
+        for field in (f for f in dataclasses.fields(obj) if f.compare):
             h.update(field.name.encode())
             feed(h, getattr(obj, field.name))
     elif isinstance(obj, dict):

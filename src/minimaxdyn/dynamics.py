@@ -83,6 +83,14 @@ def check_ranges(**values) -> None:
             raise ValueError(f"{name} must be {wording}, got {v}")
 
 
+def _tau_floats(tau) -> np.ndarray:
+    """tau, a scalar or a grid, as floats; a bool entry (True reads as 1) fails the tau row."""
+    for v in np.asarray(tau, dtype=object).flat:
+        if isinstance(v, (bool, np.bool_)):
+            check_ranges(tau=v)
+    return np.asarray(tau, dtype=float)
+
+
 def check_step(name: str, step, L: float) -> None:
     """The step-size hypothesis of every method: 0 < step < 1/L (a bool is no step)."""
     if step is None or isinstance(step, (bool, np.bool_)) or not 0.0 < step < 1.0 / L:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import check_ranges
+from .dynamics import _tau_floats, check_ranges
 from .problems import SYMMETRY_TOL, _as_matrix, _integer, block_hessian, symmetrize
 
 DEFAULT_RANK_TOL = 1e-9
@@ -241,7 +241,7 @@ def _check_invertible(H: np.ndarray) -> None:
 def timescaled_hessian(H, tau, d1: int) -> np.ndarray:
     """H_tau = Lam_tau H: top d1 rows scaled by 1/tau; a 1-d array of tau
     gives the stack of H_tau.  Every tau obeys dynamics.RANGES' tau row."""
-    tau = np.asarray(tau, dtype=float)
+    tau = _tau_floats(tau)
     if tau.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-d grid, got shape {tau.shape}")
     check_ranges(tau=tau)
@@ -485,9 +485,9 @@ def hemicurvature(curves: EigenCurves, j: int) -> float:
 
 def _sigma_gaps(a, sigma) -> tuple[np.ndarray, np.ndarray]:
     """(|a_i - sigma_k|, whether a_i and sigma_k count as one repeated singular
-    value): the one test, a gap within SIGMA_SEP_TOL of max(1, max sigma)."""
+    value): the one test, a gap within SIGMA_SEP_TOL of max sigma, with no floor."""
     gaps = np.abs(np.subtract.outer(a, sigma))
-    return gaps, gaps <= SIGMA_SEP_TOL * np.max(sigma, initial=1.0)
+    return gaps, gaps <= SIGMA_SEP_TOL * np.max(sigma, initial=0.0)
 
 
 def _repeated_sigma_gap(sigma) -> float | None:

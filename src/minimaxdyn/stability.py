@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import _finite_point, _solve_checked, check_ranges, check_step
+from .dynamics import _finite_point, _solve_checked, _tau_floats, check_ranges, check_step
 from .problems import MinimaxProblem, block_hessian, hessian_blocks_at, saddle_gradient
 from .spectral import (
     EigenCurves,
@@ -183,8 +183,14 @@ def eg_jacobian_discrete(H, eta: float, tau: float, d1: int) -> np.ndarray:
 
 @dataclass
 class Verdicts:
-    """The verdicts of one (mode, step) pair over T taus; a margin is positive where stable."""
+    """The verdicts of one (mode, step) pair over a tau grid; a margin is positive where
+    stable.  verdict is the empirical infinity verdict of the labels' terminal run."""
 
+    mode: str
+    param: float             # the step, s or eta
+    verdict: str             # "stable" | "unstable" | "inconclusive"
+    tau_star: float | None   # the grid point opening a deciding run, else None
+    tau_grid: np.ndarray     # (T,) the taus, as validated
     labels: list[str]        # "stable" | "unstable" | "marginal" per tau
     margins: np.ndarray      # (T, n) inverse-form margin per eigenvalue of H_tau
     jac_eigs: np.ndarray     # (T, n) spec(J)
@@ -231,6 +237,15 @@ def _labels(margins) -> np.ndarray:
     return np.where(margins > tol, "stable", np.where(margins < -tol, "unstable", "marginal"))
 
 
+def _terminal_run(labels: list[str], taus) -> tuple[str, float | None]:
+    """(verdict, tau_star) of per-tau labels on the grid taus: a terminal run of at least
+    K_TAIL stable or unstable labels decides, for all tau beyond an unquantified threshold."""
+    run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != labels[-1]), len(labels))
+    if run >= K_TAIL and labels[-1] in ("stable", "unstable"):
+        return labels[-1], float(taus[-run])
+    return "inconclusive", None
+
+
 def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
     """The Verdicts over taus of each (mode, step) pair, mode a key of MODES.
 
@@ -239,7 +254,7 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
     Pairs are validated and evaluated in order, so a failing pair raises
     what a table of it alone raises.
     """
-    H, taus = _saddle_shape(H, d1), np.asarray(taus, dtype=float)
+    H, taus = _saddle_shape(H, d1), _tau_floats(taus)
     if taus.ndim != 1:
         raise ValueError(f"taus must be a 1-d grid, got shape {taus.shape}")
     Ht = lams = norm = None
@@ -255,7 +270,8 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
             check_ranges(**{m.step: step})
         if not len(taus):
             empty = np.empty((0, len(H)))
-            table.append(Verdicts([], empty, empty, np.empty(0)))
+            table.append(Verdicts(mode, step, "inconclusive", None, taus, [], empty, empty,
+                                  np.empty(0)))
             continue
         if Ht is None:
             Ht = timescaled_hessian(H, taus, d1)
@@ -271,31 +287,15 @@ def verdict_table(H, d1: int, pairs, taus) -> list[Verdicts]:
             raise CriterionMismatchError(
                 f"{mode} verdict ({m.step}={step}, tau={taus[i]}): region criterion "
                 f"says {region[i]}, Jacobian criterion says {jac[i]}")
-        table.append(Verdicts(region.tolist(), margins, jac_eigs, jac_margin))
+        labels = region.tolist()
+        table.append(Verdicts(mode, step, *_terminal_run(labels, taus), taus, labels, margins,
+                              jac_eigs, jac_margin))
     return table
-
-
-@dataclass
-class InfinityVerdict:
-    """Empirical infinity-EG verdict along a tau grid.
-
-    stable/unstable comes from a terminal run of at least K_TAIL grid
-    points with that verdict; tau_star is the smallest grid point opening
-    the run.  The verdict is empirical: the underlying statements hold for
-    all tau beyond an unquantified threshold.
-    """
-
-    mode: str
-    param: float
-    verdict: str  # "stable" | "unstable" | "inconclusive"
-    tau_star: float | None
-    tau_grid: np.ndarray
-    labels: list[str]
 
 
 def _tau_grid(tau_grid) -> np.ndarray:
     """The validated tau grid of an infinity verdict (the default if None)."""
-    tau_grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    tau_grid = DEFAULT_TAU_GRID if tau_grid is None else _tau_floats(tau_grid)
     if tau_grid.ndim != 1 or not tau_grid.size:
         raise ValueError(f"tau_grid must be a non-empty 1-d grid, got shape {tau_grid.shape}")
     check_ranges(tau=tau_grid)
@@ -304,24 +304,14 @@ def _tau_grid(tau_grid) -> np.ndarray:
     return tau_grid
 
 
-def _terminal_run(mode: str, param: float, tau_grid, labels: list[str]) -> InfinityVerdict:
-    """The infinity verdict of one mode's per-tau labels on tau_grid."""
-    run = next((i for i, lbl in enumerate(reversed(labels)) if lbl != labels[-1]), len(labels))
-    if labels[-1] in ("stable", "unstable") and run >= K_TAIL:
-        return InfinityVerdict(mode, param, labels[-1], float(tau_grid[-run]), tau_grid, labels)
-    return InfinityVerdict(mode, param, "inconclusive", None, tau_grid, labels)
-
-
-def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str,
-                        tau_grid=None) -> InfinityVerdict:
-    """Sweep tau and report the terminal-run verdict.
+def infinity_eg_verdict(H, d1: int, s_or_eta: float, mode: str, tau_grid=None) -> Verdicts:
+    """The Verdicts of one (mode, step) pair over an increasing, non-empty tau
+    grid (DEFAULT_TAU_GRID if None), its terminal-run verdict included.
 
     mode is "continuous" (disk criterion at step s), "discrete" (peanut
     criterion at step eta), or "gda".
     """
-    tau_grid = _tau_grid(tau_grid)
-    labels = verdict_table(H, d1, [(mode, s_or_eta)], tau_grid)[0].labels
-    return _terminal_run(mode, s_or_eta, tau_grid, labels)
+    return verdict_table(H, d1, [(mode, s_or_eta)], _tau_grid(tau_grid))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +343,7 @@ class EquilibriumReport:
     thm_infty_discrete: bool
     stable_for_all_steps: bool | None
     predictions: dict    # method -> "stable" | "unstable" | "indeterminate"
-    observed: dict       # method -> InfinityVerdict
+    observed: dict       # mode -> its Verdicts row
     mismatches: list
     curves: EigenCurves
 
@@ -435,7 +425,11 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     sqrt = curves.sqrt_indices
     iota = [hemicurvature(curves, j) for j in sqrt]  # one per curve
     same = _sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]  # (curve, sigma), own two included
-    iota_by_sigma = [float(np.mean(np.compress(m, iota))) for m in same.T]
+    by_sigma = [np.compress(m, iota) for m in same.T]
+    for sig, vals in zip(sigma, by_sigma):  # a mean of +inf and -inf would read nan
+        if np.isposinf(vals).any() and np.isneginf(vals).any():
+            raise ValueError(f"the curves of sigma = {sig:.6g} have hemicurvatures +inf and -inf")
+    iota_by_sigma = [float(np.mean(vals)) for vals in by_sigma]
     s0 = spectral._s_zero(iota)
 
     distinct = _repeated_sigma_gap(sigma) is None
@@ -454,10 +448,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
     pairs = [(mode, s_eval if m.step == "s" else eta_eval) for mode, m in MODES.items()]
     predictions = {mode: _predict(*MODES[mode].threshold(s0, step)) if necessary else "unstable"
                    for mode, step in pairs}
-    tau_grid = _tau_grid(tau_grid)
-    table = verdict_table(H, problem.d1, pairs, tau_grid)
-    observed = {mode: _terminal_run(mode, step, tau_grid, v.labels)
-                for (mode, step), v in zip(pairs, table)}
+    observed = dict(zip(MODES, verdict_table(H, problem.d1, pairs, _tau_grid(tau_grid))))
     mismatches = [f"{mode}: predicted {pred} but observed {observed[mode].verdict} "
                   f"(param {observed[mode].param:.6g})"
                   for mode, pred in predictions.items()

@@ -38,6 +38,8 @@ MUTANTS = {
                                         "_CROSS_CHECK_GUARD = 1e-3"),
     "MARGINAL_TOL 1e-8 -> 1e-6": ("stability.py", "MARGINAL_TOL = 1e-8", "MARGINAL_TOL = 1e-6"),
     "SIGMA_SEP_TOL 1e-6 -> 1e-2": ("spectral.py", "SIGMA_SEP_TOL = 1e-6", "SIGMA_SEP_TOL = 1e-2"),
+    "repeated sigma: the max(1, max sigma) floor restored": (
+        "spectral.py", "np.max(sigma, initial=0.0)", "np.max(sigma, initial=1.0)"),
     "iota grouping: np.isclose restored": (
         "stability.py", "_sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]",
         "np.isclose(curves.sigma_by_curve[sqrt][:, None], sigma)"),

@@ -5,7 +5,6 @@ lines as they complete.
 """
 
 import numpy as np
-import pytest
 from conftest import (
     assemble_hessian,
     random_margin_separated_instance,

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -504,13 +506,21 @@ def test_sweep_rejects_step_grid_beyond_lipschitz(tmp_path, capsys):
     assert capsys.readouterr().err == "error: s must lie in (0, 1/L) = (0, 1), got 1.0\n"
 
 
-def test_sweep_empty_grid(tmp_path):
+def test_sweep_empty_grid(tmp_path, monkeypatch):
+    """Empty files, and each verdict row of the empty tau grid reads inconclusive with no tau*."""
+    tables = []
+    table = stability.verdict_table
+    monkeypatch.setattr(stability, "verdict_table",
+                        lambda *a: tables.append(table(*a)) or tables[-1])
     out = tmp_path / "sweep"
     code = run_cli("sweep", "--builtin", "bilinear", "--eps-grid", "1e-1:1e-9:0",
                    "--tau-grid", "1:10:0", "--out", str(out))
     assert code == 0
     assert (out / "eigencurves.csv").read_text() == "eps,j,re,im,label\n"
     assert (out / "verdicts.csv").read_text() == "mode,param,tau,stable\n"
+    (rows,) = tables
+    assert [(v.mode, v.verdict, v.tau_star, v.labels, v.tau_grid.shape) for v in rows] == [
+        (mode, "inconclusive", None, [], (0,)) for mode in stability.MODES]
 
 
 @pytest.mark.parametrize("grid, reason", [
@@ -846,3 +856,24 @@ def test_output_digest_check_names_each_template_that_differs(tmp_path):
     assert changed.stdout.splitlines() == [
         f"differs: {key}", f"only in {before}: ensemble_ode/gone",
         f"{n - 1} of {n} template digests match {before}"]
+
+
+def test_output_digest_skips_fields_outside_equality(monkeypatch):
+    """A compare=False field (an intermediate result) is no output: adding or
+    changing one leaves the digest alone."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ first
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(SCRIPTS, "output_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    @dataclasses.dataclass
+    class Result:
+        value: float
+        detail: list = dataclasses.field(compare=False)
+
+    def digest(obj):
+        h = hashlib.sha256()
+        module.feed(h, obj)
+        return h.hexdigest()
+    assert digest(Result(1.0, [1])) == digest(Result(1.0, ["other"])) != digest(Result(2.0, [1]))

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from minimaxdyn import spectral
 from minimaxdyn.problems import (
-    BUILTIN_NAMES,
     MinimaxProblem,
     QuadraticSpec,
     _jacobian,

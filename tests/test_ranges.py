@@ -197,13 +197,20 @@ TAU_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("tau", [0.5, math.nan])
+@pytest.mark.parametrize("tau", [0.5, math.nan, True, np.True_])
 @pytest.mark.parametrize("entry", TAU_ENTRIES)
 def test_tau_rule_is_one_rule(entry, tau):
     """tau >= 1 and finite, a scalar or each entry of a grid, is decided by the
-    tau row of dynamics.RANGES wherever it enters."""
+    tau row of dynamics.RANGES wherever it enters; a bool, which would read as
+    1, is refused before any conversion to float."""
     with pytest.raises(ValueError, match=f"^tau must be finite and >= 1, got {tau}$"):
         TAU_ENTRIES[entry](tau)
+
+
+def test_a_bool_array_is_no_tau_grid():
+    for grid in (np.array([True, True]), np.array([2.0, 3.0]) > 0):
+        with pytest.raises(ValueError, match="^tau must be finite and >= 1, got True$"):
+            timescaled_hessian(H_BILINEAR, grid, 1)
 
 
 def test_a_tau_grid_names_its_first_entry_outside():

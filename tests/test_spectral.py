@@ -30,7 +30,6 @@ from minimaxdyn.spectral import (
     canonicalize,
     default_psd_tol,
     eigencurves,
-    generalized_schur,
     hemicurvature,
     hemicurvature_closed_form,
     mu_roots_oracle,
@@ -745,9 +744,10 @@ def test_hemicurvature_closed_form_refuses_repeated_sigma():
         hemicurvature_closed_form(blocks, 0)
 
 
-@pytest.mark.parametrize("scale", [1.0, 100.0])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 100.0])
 def test_sigma_pairs_repeat_within_one_millionth(scale):
-    """spectral.SIGMA_SEP_TOL is 1e-6 of max(1, sigma_0); the literals are deliberate."""
+    """spectral.SIGMA_SEP_TOL is 1e-6 of max sigma, with no floor below sigma = 1;
+    the literals are deliberate."""
     assert _repeated_sigma_gap([scale * (1 + 1e-5), scale]) is None
     gap = _repeated_sigma_gap([scale * (1 + 1e-7), scale])
     assert gap == pytest.approx(scale * 1e-7, rel=1e-6)

@@ -8,6 +8,7 @@ from conftest import (
     assemble_hessian,
     random_loose_blocks,
     random_margin_separated_instance,
+    random_saddle_blocks,
     rank_deficient_symmetric,
     step,
 )
@@ -23,14 +24,12 @@ from minimaxdyn.spectral import timescaled_hessian
 from minimaxdyn.stability import (
     CriterionMismatchError,
     characterize_equilibrium,
-    disk_gap,
     eg_jacobian_continuous,
     eg_jacobian_discrete,
     in_disk,
     in_peanut,
     infinity_eg_verdict,
     mobius_map,
-    peanut_gap,
 )
 
 
@@ -364,13 +363,17 @@ def test_infinity_verdict_nondegenerate_stable():
 
 
 @pytest.mark.parametrize("label, other", [("stable", "unstable"), ("unstable", "stable")])
-def test_terminal_run_of_five_decides_and_four_does_not(label, other):
-    """The terminal run length (stability.K_TAIL) is 5; the literal is deliberate."""
+def test_terminal_run_of_five_decides_and_four_does_not(monkeypatch, label, other):
+    """The terminal run length (stability.K_TAIL) is 5; the literal is deliberate.
+    Each row of the table carries the verdict of its own labels."""
     grid = np.arange(1.0, 11.0)
-    five = stability._terminal_run("continuous", 0.1, grid, [other] * 5 + [label] * 5)
-    assert (five.verdict, five.tau_star) == (label, 6.0)
-    four = stability._terminal_run("continuous", 0.1, grid, [other] * 6 + [label] * 4)
-    assert (four.verdict, four.tau_star) == ("inconclusive", None)
+    H = hessian_of("bilinear")
+    for labels, want in (([other] * 5 + [label] * 5, (label, 6.0)),
+                         ([other] * 6 + [label] * 4, ("inconclusive", None))):
+        monkeypatch.setattr(stability, "_labels", lambda margins: np.array(labels))
+        (row,) = stability.verdict_table(H, 1, [("continuous", 0.1)], grid)
+        assert row.labels == labels and row.tau_grid is grid
+        assert (row.verdict, row.tau_star) == want
 
 
 def test_infinity_verdict_validates_grid():
@@ -917,6 +920,66 @@ def test_characterize_decomposes_blocks_once(monkeypatch, name):
     characterize_equilibrium(problem, np.zeros(problem.dim))
     assert calls == {"canonicalize": 1, "generalized_schur": 1, "restricted_schur": 1,
                      "svd(C2) with vectors": 1, "eigvalsh(S_res)": 1}
+
+
+def same_record(a, b):
+    """Two Verdicts rows with equal values in every field, arrays bit for bit."""
+    return type(a) is type(b) is stability.Verdicts and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_observed_entries_are_the_verdict_table_rows(seed):
+    """Each EquilibriumReport.observed entry is the verdict_table row of its
+    (mode, step) pair on the same grid, on the builtins and random saddles."""
+    rng = np.random.default_rng(seed)
+    problems = [QuadraticSpec(*random_saddle_blocks(rng, *shape)).to_problem()
+                for shape in ((2, 1, 0), (2, 2, 1), (3, 2, 1), (3, 3, 2), (2, 2, 2))]
+    if seed == 0:
+        problems += [builtin_problem("bilinear"), builtin_problem("strict_nonminimax_demo"),
+                     builtin_problem("scalar_degenerate", a=2.0, c=1.0)]
+    for p in problems:
+        for taus in (None, np.geomspace(1.0, 1e6, 17)):
+            rep = characterize_equilibrium(p, np.zeros(p.dim), tau_grid=taus)
+            pairs = [(mode, rep.s_eval if m.step == "s" else rep.eta_eval)
+                     for mode, m in stability.MODES.items()]
+            grid = stability.DEFAULT_TAU_GRID if taus is None else taus
+            table = stability.verdict_table(p.quadratic.hessian(), p.d1, pairs, grid)
+            assert list(rep.observed) == list(stability.MODES)
+            assert all(same_record(got, want) for got, want in zip(rep.observed.values(), table))
+
+
+SCALE_PROBE = (np.array([[1.0, 0.3], [0.3, -0.5]]), np.zeros((2, 2)), np.diag([1.0, 1.5]))
+
+
+@pytest.mark.parametrize("c", [10.0**k for k in range(-8, 9, 2)])
+def test_repeated_sigma_rule_does_not_depend_on_units(c):
+    """Scaling H by c leaves distinct_sigma and stable_for_all_steps alone and
+    scales u_S_u / sigma^2 by 1/c; no per-sigma iota reads nan (the two
+    sigma, 1 and 1.5, once merged below c = 1e-5)."""
+    ref = characterize_equilibrium(QuadraticSpec(*SCALE_PROBE).to_problem(), np.zeros(4))
+    rep = characterize_equilibrium(QuadraticSpec(*(c * X for X in SCALE_PROBE)).to_problem(),
+                                   np.zeros(4))
+    assert (rep.distinct_sigma, rep.stable_for_all_steps) == (True, False)
+    assert (ref.distinct_sigma, ref.stable_for_all_steps) == (True, False)
+    assert_allclose([c * u / s**2 for u, s in zip(rep.u_S_u, rep.sigma)],
+                    [u / s**2 for u, s in zip(ref.u_S_u, ref.sigma)], rtol=1e-9)
+    assert not np.isnan(rep.iota).any() and len(rep.iota) == 2
+
+
+def test_per_sigma_iota_refuses_to_average_opposite_infinities():
+    """A repeated sigma whose curves have hemicurvatures +inf and -inf is
+    refused by name; one sign of infinity is reported as that infinity."""
+    A, C = np.diag([1.0, -0.5]), np.eye(2)
+    for c in (1e-4, 1e-3):
+        p = QuadraticSpec(c * A, np.zeros((2, 2)), c * C).to_problem()
+        with pytest.raises(ValueError, match=f"^the curves of sigma = {c:g} have "
+                                             "hemicurvatures \\+inf and -inf$"):
+            characterize_equilibrium(p, np.zeros(4))
+    p = QuadraticSpec(1e-4 * np.eye(2), np.zeros((2, 2)), 1e-4 * C).to_problem()
+    rep = characterize_equilibrium(p, np.zeros(4))
+    assert rep.distinct_sigma is False and rep.iota == [np.inf, np.inf]
 
 
 def test_default_grids_cannot_be_changed_through_a_report():
