@@ -58,7 +58,10 @@ def _parse_grid(args, name: str, default=None):
 
 def _parse_point(text: str, dim: int, name: str) -> np.ndarray:
     """The comma-separated point of option name: dim finite floats."""
-    z = np.array([float(v) for v in text.split(",")])
+    try:
+        z = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated numbers, got {text}") from None
     if z.shape != (dim,):
         raise ValueError(f"{name} must have {dim} components, got {z.size}")
     if not np.isfinite(z).all():

@@ -313,9 +313,10 @@ def _non_numbers(value):
 
 
 def problem_from_json_dict(data) -> MinimaxProblem:
-    """The problem of a JSON form: an object of a known kind with that kind's keys,
-    whose parameters hold finite JSON numbers only.  QuadraticSpec and MinimaxProblem
-    then require a finite H and a finite, positive Lipschitz bound."""
+    """The problem of a JSON form: an object of a known kind with that kind's keys
+    (a quadratic's and no other), whose parameters hold finite JSON numbers only.
+    QuadraticSpec and MinimaxProblem then require a finite H and a finite,
+    positive Lipschitz bound."""
     if not isinstance(data, dict):
         raise ValueError(f"a problem must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
@@ -325,8 +326,11 @@ def problem_from_json_dict(data) -> MinimaxProblem:
     for key in keys:
         if key not in data:
             raise ValueError(f"a {kind} problem needs the key {key!r}")
-    params = ({k: data[k] for k in keys} if kind == "quadratic"
-              else {k: v for k, v in data.items() if k not in ("kind", "name")})
+    params = {k: v for k, v in data.items() if k != "kind"}
+    if kind == "builtin":
+        del params["name"]
+    elif params.keys() != set(keys):  # a superset: every key was checked present
+        raise ValueError(f"unused parameters for {kind!r}: {sorted(params.keys() - set(keys))}")
     for key, value in params.items():
         bad = _non_numbers(value)
         if bad:

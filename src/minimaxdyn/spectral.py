@@ -281,19 +281,15 @@ class EigenCurves:
     """Continuously tracked eigenvalue curves of H_tau over an eps grid.
 
     lam[j, i] is curve j at eps[i]; the grid is strictly decreasing. labels
-    holds the asymptotic type per curve; sigma_by_curve pairs each
-    sqrt_eps_pair curve with a singular value of C2 (NaN elsewhere).
+    holds the asymptotic type per curve and slopes the fitted slope of
+    log|lambda_j| against log eps that chose it.  The curves know no sigma:
+    the singular values of C2 are RestrictedSchur.sigma.
     """
 
     eps: np.ndarray
     lam: np.ndarray
     labels: list[str]
-    sigma: np.ndarray
-    sigma_by_curve: np.ndarray
     slopes: np.ndarray
-    r: int
-    d1: int
-    d2: int
 
     @property
     def sqrt_indices(self) -> list[int]:
@@ -389,7 +385,7 @@ def _track_curves(H: np.ndarray, d1: int, eps_grid: np.ndarray) -> np.ndarray:
 
 
 def eigencurves(H, d1: int, eps_grid=None) -> EigenCurves:
-    """Track, label, and sigma-pair the eigenvalue curves of H_tau.
+    """Track and label the eigenvalue curves of H_tau.
 
     Raises SingularHessianError when H is singular and EigencurveLabelError
     when the fitted labels contradict the structural counts (the count
@@ -439,25 +435,11 @@ def _eigencurves(H: np.ndarray, blocks: CanonicalBlocks, eps_grid=None) -> Eigen
             f"label counts {got} inconsistent with structural counts {expected}"
         )
 
-    # values only: with vectors, LAPACK returns sigma with other last bits
-    sigma = np.linalg.svd(blocks.C2, compute_uv=False) if blocks.C2.size else np.array([])
-    sigma_by_curve = np.full(lam.shape[0], np.nan)
-    sqrt_idx = np.flatnonzero(kind == 0)  # LABEL_SQRT
-    if sqrt_idx.size:
-        est = np.abs(lam[sqrt_idx, -1]) / np.sqrt(eps_grid[-1])
-        targets = np.repeat(sigma, 2)
-        sigma_by_curve[sqrt_idx] = targets[_assign(np.abs(est[:, None] - targets[None, :]))]
-
     return EigenCurves(
         eps=eps_grid,
         lam=lam,
         labels=labels,
-        sigma=sigma,
-        sigma_by_curve=sigma_by_curve,
         slopes=slopes,
-        r=r,
-        d1=d1,
-        d2=d2,
     )
 
 
@@ -483,19 +465,13 @@ def hemicurvature(curves: EigenCurves, j: int) -> float:
                  + vals[2] * (t0 * t1) / ((t2 - t0) * (t2 - t1)))
 
 
-def _sigma_gaps(a, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """(|a_i - sigma_k|, whether a_i and sigma_k count as one repeated singular
-    value): the one test, a gap within SIGMA_SEP_TOL of max sigma, with no floor."""
-    gaps = np.abs(np.subtract.outer(a, sigma))
-    return gaps, gaps <= SIGMA_SEP_TOL * np.max(sigma, initial=0.0)
-
-
 def _repeated_sigma_gap(sigma) -> float | None:
     """The smallest gap between two of the singular values sigma when they
-    count as repeated; None when they are pairwise distinct."""
-    gaps, same = _sigma_gaps(sigma, sigma)
-    off = ~np.eye(len(sigma), dtype=bool)
-    return float(np.min(gaps[off])) if same[off].any() else None
+    count as repeated, within SIGMA_SEP_TOL of max sigma with no floor; None
+    when they are pairwise distinct."""
+    gaps = np.abs(np.subtract.outer(sigma, sigma))[~np.eye(len(sigma), dtype=bool)]
+    same = gaps <= SIGMA_SEP_TOL * np.max(sigma, initial=0.0)
+    return float(np.min(gaps)) if same.any() else None
 
 
 def hemicurvature_closed_form(blocks: CanonicalBlocks, j: int) -> float:

@@ -34,7 +34,6 @@ from .spectral import (
     _eigencurves,
     _repeated_sigma_gap,
     _saddle_shape,
-    _sigma_gaps,
     canonicalize,
     default_psd_tol,
     hemicurvature,
@@ -328,7 +327,7 @@ class EquilibriumReport:
     spec_Sres: list
     spec_negB: list
     sigma: list
-    iota: list           # one value per sigma: the mean over the curves of that sigma
+    iota: list           # one per conjugate pair of sqrt-order curves, in sigma's order
     s0: float
     second_order: spectral.SecondOrderVerdict
     strict_non_minimax: bool
@@ -421,16 +420,14 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
 
     H = block_hessian(A, B, C)
     curves = _eigencurves(H, blocks)
-    sigma = curves.sigma
+    sigma = rsc.sigma
     sqrt = curves.sqrt_indices
     iota = [hemicurvature(curves, j) for j in sqrt]  # one per curve
-    same = _sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]  # (curve, sigma), own two included
-    by_sigma = [np.compress(m, iota) for m in same.T]
-    for sig, vals in zip(sigma, by_sigma):  # a mean of +inf and -inf would read nan
-        if np.isposinf(vals).any() and np.isneginf(vals).any():
-            raise ValueError(f"the curves of sigma = {sig:.6g} have hemicurvatures +inf and -inf")
-    iota_by_sigma = [float(np.mean(vals)) for vals in by_sigma]
     s0 = spectral._s_zero(iota)
+    # one per conjugate pair: its Im > 0 curve, by descending |lambda| (sigma's order)
+    finest = curves.lam[sqrt, -1]
+    upper = np.flatnonzero(finest.imag > 0)
+    iota_by_pair = [iota[i] for i in upper[np.argsort(-np.abs(finest[upper]))]]
 
     distinct = _repeated_sigma_gap(sigma) is None
     u_S_u = [rsc.u_S_u(j) for j in range(len(rsc.sigma))] if distinct else None
@@ -463,7 +460,7 @@ def characterize_equilibrium(problem: MinimaxProblem, z_star, *,
         spec_Sres=[float(v) for v in rsc.spectrum],
         spec_negB=[float(v) for v in -np.diag(blocks.B_diag)],
         sigma=[float(v) for v in sigma],
-        iota=iota_by_sigma,
+        iota=iota_by_pair,
         s0=s0,
         second_order=so,
         strict_non_minimax=not necessary,

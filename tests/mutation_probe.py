@@ -40,9 +40,10 @@ MUTANTS = {
     "SIGMA_SEP_TOL 1e-6 -> 1e-2": ("spectral.py", "SIGMA_SEP_TOL = 1e-6", "SIGMA_SEP_TOL = 1e-2"),
     "repeated sigma: the max(1, max sigma) floor restored": (
         "spectral.py", "np.max(sigma, initial=0.0)", "np.max(sigma, initial=1.0)"),
-    "iota grouping: np.isclose restored": (
-        "stability.py", "_sigma_gaps(curves.sigma_by_curve[sqrt], sigma)[1]",
-        "np.isclose(curves.sigma_by_curve[sqrt][:, None], sigma)"),
+    "iota pairs: both curves of each pair taken": (
+        "stability.py", "np.flatnonzero(finest.imag > 0)", "np.flatnonzero(finest.imag != 0)"),
+    "iota pairs: ascending order": ("stability.py", "np.argsort(-np.abs(finest[upper]))",
+                                    "np.argsort(np.abs(finest[upper]))"),
     "singular-H check: cond limit x10": ("spectral.py", "if not cond <= HESSIAN_COND_LIMIT:",
                                          "if not cond <= 10 * HESSIAN_COND_LIMIT:"),
     "_rho_margin: mean for max": ("stability.py", "np.abs(jac_eigs).max(axis=-1)",

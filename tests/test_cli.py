@@ -273,12 +273,14 @@ def repeated_sigma_problem(tmp_path, seed):
 
 
 def test_avoidance_gda_judges_repeated_sigma_per_curve(tmp_path, capsys):
-    # seed 3: the curves' hemicurvatures are -0.260 and 0.383, their mean
-    # 0.061; the curve below eta/2 = 0.05 makes the target a GDA witness
+    # seed 3: the pairs' hemicurvatures are -0.260 and 0.383; the pair below
+    # eta/2 = 0.05 makes the target a GDA witness
     out = tmp_path / "avoid"
     problem = repeated_sigma_problem(tmp_path, 3)
     assert run_cli("classify", "--problem", problem, "--eta", "0.1", "--out", str(out)) == 0
-    assert read_json(out / "classify_report.json")["predictions"]["gda"] == "unstable"
+    report = read_json(out / "classify_report.json")
+    assert report["predictions"]["gda"] == "unstable"
+    assert np.allclose(report["iota"], [-0.2602, 0.3826], atol=1e-4)
     code = run_cli("avoidance", "--problem", problem, "--method", "gda_tt", "--eta", "0.1",
                    "--n", "20", "--out", str(out))
     assert code == 0
@@ -350,6 +352,7 @@ def test_config_problem_rebuilds_the_run_problem(tmp_path, source):
     (["simulate", "--center", "1,2,3"], "center must have 2 components, got 3"),
     (["simulate", "--center", "nan,0"], "center must be finite, got nan,0"),
     (["simulate", "--center", "inf,0"], "center must be finite, got inf,0"),
+    (["simulate", "--center", "1,a"], "center must be comma-separated numbers, got 1,a"),
 ])
 def test_points_are_checked_by_dim_and_finiteness(tmp_path, capsys, argv, reason):
     out = tmp_path / "run"
@@ -441,6 +444,8 @@ BAD_PROBLEMS = [  # (problem file, named reason)
      "H must be finite, but A or B overflows when symmetrized"),
     ({"kind": "quadratic", "A": [[8e307, 8e307], [8e307, 8e307]], "B": [[8e307]],
       "C": [[8e307], [8e307]]}, "lipschitz_bound must be finite and > 0, got inf"),
+    ({"kind": "quadratic", "A": [[1.0]], "B": [[0.0]], "C": [[1.0]], "tau": 3},
+     "unused parameters for 'quadratic': ['tau']"),
 ]
 
 

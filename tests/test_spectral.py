@@ -39,6 +39,7 @@ from minimaxdyn.spectral import (
     second_order_necessary,
     timescaled_hessian,
 )
+from minimaxdyn.stability import characterize_equilibrium
 
 SHAPES = [(2, 1, 0), (2, 2, 1), (3, 2, 1), (3, 3, 2)]
 
@@ -247,7 +248,6 @@ def test_timescaled_hessian_takes_a_scalar_or_a_1d_grid(tau):
 def test_eigencurves_bilinear_exact():
     curves = eigencurves(hessian_of("bilinear"), 1)
     assert curves.labels == [LABEL_SQRT, LABEL_SQRT]
-    assert_allclose(curves.sigma, [1.0])
     for i, eps in enumerate(curves.eps):
         lam = np.sort_complex(curves.lam[:, i])
         assert abs(lam[0] + 1j * np.sqrt(eps)) <= 1e-12
@@ -334,7 +334,7 @@ def test_eigencurves_label_error_on_coarse_grid():
     # real roots at eps in [0.3, 0.9] for a=4, c=1; slopes fit no band there
     H = hessian_of("scalar_degenerate", a=4.0, c=1.0)
     grid = np.geomspace(0.9, 0.3, 5)
-    _, slopes, labels, _, _ = reference_curves(H, 1, grid)
+    _, slopes, labels, _ = reference_curves(H, 1, grid)
     j = labels.index(None)
     with pytest.raises(EigencurveLabelError,
                        match=rf"^curve {j}: slope {slopes[j]:.3f} fits no asymptotic type$"):
@@ -381,10 +381,10 @@ def test_eigencurves_asymptotic_values_on_random_instances():
                            for j, l in enumerate(curves.labels) if l == LABEL_ORDER_ONE])
             assert_allclose(lin, mus, atol=1e-4)
             assert_allclose(one, nus, atol=1e-4)
-            # sqrt curves pair with the singular values of C2
-            for j in curves.sqrt_indices:
-                est = abs(curves.lam[j, -1]) / np.sqrt(curves.eps[-1])
-                assert est == pytest.approx(curves.sigma_by_curve[j], abs=1e-3)
+            # sqrt curves come two per singular value of C2
+            est = np.abs(curves.lam[curves.sqrt_indices, -1]) / np.sqrt(curves.eps[-1])
+            assert_allclose(np.sort(est), np.sort(np.repeat(restricted_schur(blocks).sigma, 2)),
+                            atol=1e-3)
 
 
 def test_eigencurves_never_vanish():
@@ -396,7 +396,7 @@ def test_eigencurves_never_vanish():
 
 
 def reference_curves(H, d1, eps_grid):
-    """lam, slopes, labels and sigma_by_curve computed one at a time: one
+    """lam, slopes and labels computed one at a time: one
     eigvals call per grid point and scipy's assignment per step, with the same
     power-law prediction as eigencurves; one np.polyfit per curve over the
     finest decade (the last two points when it holds one) and the bands tested
@@ -432,17 +432,7 @@ def reference_curves(H, d1, eps_grid):
             labels.append(LABEL_ORDER_ONE)
         else:
             labels.append(None)
-    C2 = canonicalize(H[:d1, :d1], -H[d1:, d1:], H[:d1, d1:]).C2
-    sigma = np.linalg.svd(C2, compute_uv=False) if C2.size else np.array([])
-    sigma_by_curve = np.full(n, np.nan)
-    sqrt_idx = [j for j, lbl in enumerate(labels) if lbl == LABEL_SQRT]
-    if sqrt_idx:
-        est = np.array([abs(lam[j, -1]) / np.sqrt(eps_grid[-1]) for j in sqrt_idx])
-        targets = np.repeat(sigma, 2)
-        rows, cols = linear_sum_assignment(np.abs(est[:, None] - targets[None, :]))
-        for a, b in zip(rows, cols):
-            sigma_by_curve[sqrt_idx[a]] = targets[b]
-    return lam, slopes, labels, sigma_by_curve, costs
+    return lam, slopes, labels, costs
 
 
 def has_tie(cost):
@@ -469,11 +459,10 @@ def test_eigencurves_match_per_eps_reference():
     for grid in (DEFAULT_EPS_GRID, np.geomspace(0.5, 1e-8, 17), coarse):
         for key, (H, d1) in cases.items():
             curves = eigencurves(H, d1, eps_grid=grid)
-            lam, slopes, labels, sigma_by_curve, costs = reference_curves(H, d1, grid)
+            lam, slopes, labels, costs = reference_curves(H, d1, grid)
             assert np.array_equal(curves.lam, lam), key
             assert curves.slopes.tobytes() == slopes.tobytes(), key
             assert curves.labels == labels, key
-            assert np.array_equal(curves.sigma_by_curve, sigma_by_curve, equal_nan=True), key
             if key == "tie" and grid is not coarse:
                 assert any(has_tie(c) for c in costs)
 
@@ -754,6 +743,7 @@ def test_sigma_pairs_repeat_within_one_millionth(scale):
 
 
 def test_hemicurvature_numeric_matches_closed_form_on_random_instances():
+    """report.iota[k], the numeric iota of sigma_k's pair, against the closed form."""
     rng = np.random.default_rng(31)
     for d1, d2, r in SHAPES:
         if d2 - r == 0:
@@ -761,11 +751,11 @@ def test_hemicurvature_numeric_matches_closed_form_on_random_instances():
         for _ in range(5):
             A, B, C = random_saddle_blocks(rng, d1, d2, r)
             blocks = canonicalize(A, B, C)
-            curves = eigencurves(assemble_hessian(A, B, C), d1)
-            for j in curves.sqrt_indices:
-                k = int(np.argmin(np.abs(curves.sigma - curves.sigma_by_curve[j])))
+            rep = characterize_equilibrium(QuadraticSpec(A, B, C).to_problem(),
+                                           np.zeros(d1 + d2))
+            assert rep.distinct_sigma and len(rep.iota) == d2 - r
+            for k, numeric in enumerate(rep.iota):
                 closed = hemicurvature_closed_form(blocks, k)
-                numeric = hemicurvature(curves, j)
                 assert abs(numeric - closed) <= max(1e-3, 1e-2 * abs(closed))
 
 
@@ -773,10 +763,7 @@ def test_hemicurvature_divergence_detection():
     # synthetic sqrt-order curve with Re(lambda) ~ -eps^{3/4}: iota = -inf
     eps = DEFAULT_EPS_GRID
     lam = (-(eps**0.75) + 1j * np.sqrt(eps)).reshape(1, -1)
-    curves = EigenCurves(
-        eps=eps, lam=lam, labels=[LABEL_SQRT], sigma=np.array([1.0]),
-        sigma_by_curve=np.array([1.0]), slopes=np.array([0.5]), r=0, d1=1, d2=1,
-    )
+    curves = EigenCurves(eps=eps, lam=lam, labels=[LABEL_SQRT], slopes=np.array([0.5]))
     assert hemicurvature(curves, 0) == -np.inf
     assert s_zero(curves) == np.inf
 

@@ -762,7 +762,9 @@ def test_characterize_takes_one_hemicurvature_per_curve(monkeypatch):
         assert calls == rep.curves.sqrt_indices and calls
         assert rep.s0 == spectral.s_zero(rep.curves)
         calls.clear()
-    assert rep.sigma == [1.0, 1.0] and rep.iota[0] == rep.iota[1]  # one group of four curves
+    # one iota per pair, the eigenvalues of U' S U / (2 sigma^2) = diag(1, 2) / 2, not their mean
+    assert rep.sigma == [1.0, 1.0]
+    assert_allclose(sorted(rep.iota), [0.5, 1.0], rtol=1e-9)
 
 
 def band_problem(gap):
@@ -772,28 +774,30 @@ def band_problem(gap):
                          C=np.diag([1.0, 1.0 + gap])).to_problem()
 
 
-def test_iota_groups_curves_by_the_repeated_sigma_test():
-    """iota, distinct_sigma and u_S_u read one rule: two sigma within 1e-6 of
-    max(1, max sigma) are one repeated value.  A gap of 5e-6 is distinct, so each
-    sigma gets the mean over its own two curves (np.isclose, rtol 1e-5, would
-    merge them into one mean, 0.125 for both)."""
+def test_iota_is_one_per_conjugate_pair_in_sigma_order():
+    """iota[k] is the hemicurvature of the Im > 0 curve of sigma_k's pair, sigma
+    descending; distinct_sigma and u_S_u read the repeated-sigma rule (two sigma
+    within 1e-6 of max sigma are one repeated value).  A gap of 5e-6 is distinct;
+    at 5e-7 and 0 the pairs follow the eigenvalues of A / 2, -0.2789 and 0.5289,
+    and no mean over a repeated sigma's curves hides the negative one."""
     rep = characterize_equilibrium(band_problem(5e-6), np.zeros(4))
     curves = rep.curves
-    assert rep.distinct_sigma
+    assert rep.distinct_sigma and rep.sigma[0] > rep.sigma[1]
     assert_allclose(np.array(rep.u_S_u) / (2 * np.array(rep.sigma) ** 2), [-0.25, 0.5],
                     rtol=1e-4)
-    per_curve = {j: spectral.hemicurvature(curves, j) for j in curves.sqrt_indices}
-    for k, sg in enumerate(curves.sigma):
-        own = [v for j, v in per_curve.items() if curves.sigma_by_curve[j] == sg]
-        assert len(own) == 2 and rep.iota[k] == np.mean(own)
-    assert rep.iota[0] < 0 < rep.iota[1]
+    finest = curves.lam[:, -1]
+    for k, sg in enumerate(rep.sigma):
+        own = [j for j in curves.sqrt_indices
+               if abs(abs(finest[j]) / np.sqrt(curves.eps[-1]) - sg) < 2e-6]
+        assert len(own) == 2 and finest[own[0]] == np.conj(finest[own[1]])
+        upper = max(own, key=lambda j: finest[j].imag)
+        assert rep.iota[k] == spectral.hemicurvature(curves, upper)
     assert_allclose(rep.iota, [-0.2749, 0.5249], atol=1e-4)
-    for gap in (5e-7, 0.0):  # repeated: one mean over all four curves, as before
+    for gap in (5e-7, 0.0):
         rep = characterize_equilibrium(band_problem(gap), np.zeros(4))
         assert not rep.distinct_sigma and rep.u_S_u is None
-        every = [spectral.hemicurvature(rep.curves, j) for j in rep.curves.sqrt_indices]
-        assert len(every) == 4 and rep.iota == [np.mean(every)] * 2
-        assert_allclose(rep.iota, [0.125, 0.125], atol=1e-5)
+        assert_allclose(sorted(rep.iota), [-0.2789, 0.5289], atol=1e-4)
+        assert rep.s0 == -min(rep.iota)
 
 
 def test_prediction_is_indeterminate_inside_the_guard_band():
@@ -852,6 +856,20 @@ def repeated_sigma_probe(seed):
     M = rng.standard_normal((4, 4))
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     return QuadraticSpec(A=(M + M.T) / 2, B=np.zeros((2, 2)), C=1.5 * Q[:, :2]).to_problem()
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_repeated_sigma_iota_is_one_per_eigenvalue_of_the_cluster_block(seed):
+    """A repeated sigma splits into one pair per eigenvalue of
+    U_sigma' S U_sigma / (2 sigma^2) (Kato, Perturbation Theory for Linear
+    Operators, II 2); report.iota holds those values, not their mean."""
+    p = repeated_sigma_probe(seed)
+    rep = characterize_equilibrium(p, np.zeros(p.dim))
+    rsc = rep.second_order.rsc
+    block = np.linalg.eigvalsh(rsc.U_sigma.T @ rsc.S @ rsc.U_sigma) / (2 * 1.5**2)
+    assert rep.distinct_sigma is False and rep.stable_for_all_steps is None
+    assert_allclose(sorted(rep.iota), block, atol=1e-9)
+    assert rep.s0 == -min(rep.iota)
 
 
 REPORT_PROBLEMS = {
@@ -913,13 +931,12 @@ def test_characterize_decomposes_blocks_once(monkeypatch, name):
             if hasattr(module, fname):
                 monkeypatch.setattr(module, fname, wrapper)
     monkeypatch.setattr(np.linalg, "svd", counting(
-        np.linalg.svd, "svd(C2) with vectors",
-        lambda a, *args, compute_uv=True, **kw: compute_uv and np.array_equal(a, C2)))
+        np.linalg.svd, "svd(C2)", lambda a, *args, **kw: np.array_equal(a, C2)))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(
         np.linalg.eigvalsh, "eigvalsh(S_res)", lambda a, *args, **kw: np.array_equal(a, S_res)))
     characterize_equilibrium(problem, np.zeros(problem.dim))
     assert calls == {"canonicalize": 1, "generalized_schur": 1, "restricted_schur": 1,
-                     "svd(C2) with vectors": 1, "eigvalsh(S_res)": 1}
+                     "svd(C2)": 1, "eigvalsh(S_res)": 1}
 
 
 def same_record(a, b):
@@ -968,15 +985,25 @@ def test_repeated_sigma_rule_does_not_depend_on_units(c):
     assert not np.isnan(rep.iota).any() and len(rep.iota) == 2
 
 
-def test_per_sigma_iota_refuses_to_average_opposite_infinities():
-    """A repeated sigma whose curves have hemicurvatures +inf and -inf is
-    refused by name; one sign of infinity is reported as that infinity."""
+@pytest.mark.xfail(strict=True, reason="the hemicurvature cutoff is absolute: at c = 1e-3 iota "
+                   "reads -inf and +inf, s0 = inf, and continuous and discrete are predicted "
+                   "unstable while observed stable (ROADMAP items 4 and 5)")
+def test_small_scale_probe_has_no_mismatch():
+    """The scale probe at c = 1e-3; at c = 1e-2 and 1 it has no mismatch."""
+    rep = characterize_equilibrium(QuadraticSpec(*(1e-3 * X for X in SCALE_PROBE)).to_problem(),
+                                   np.zeros(4))
+    assert rep.mismatches == []
+
+
+def test_repeated_sigma_reports_opposite_infinities_one_per_pair():
+    """A repeated sigma whose pairs have hemicurvatures +inf and -inf reports
+    both, one per pair, and s0 = +inf; nothing is averaged into a nan."""
     A, C = np.diag([1.0, -0.5]), np.eye(2)
     for c in (1e-4, 1e-3):
-        p = QuadraticSpec(c * A, np.zeros((2, 2)), c * C).to_problem()
-        with pytest.raises(ValueError, match=f"^the curves of sigma = {c:g} have "
-                                             "hemicurvatures \\+inf and -inf$"):
-            characterize_equilibrium(p, np.zeros(4))
+        rep = characterize_equilibrium(QuadraticSpec(c * A, np.zeros((2, 2)), c * C).to_problem(),
+                                       np.zeros(4))
+        assert rep.distinct_sigma is False and rep.sigma == [c, c]
+        assert sorted(rep.iota) == [-np.inf, np.inf] and rep.s0 == np.inf
     p = QuadraticSpec(1e-4 * np.eye(2), np.zeros((2, 2)), 1e-4 * C).to_problem()
     rep = characterize_equilibrium(p, np.zeros(4))
     assert rep.distinct_sigma is False and rep.iota == [np.inf, np.inf]
